@@ -28,12 +28,8 @@ from .closed_forms import (
     SUM_COUNT_T_CAP,
     exp_tail_weight,
     product_count,
-    product_count_01,
-    product_count_12,
     product_count_asymptote,
     product_count_series,
-    product_series_term,
-    taylor_exp_neg,
     uniform_sum_asymptote,
     uniform_sum_count,
 )
@@ -46,7 +42,7 @@ from .montecarlo import (
     k_concentration_check,
     overshoot_histogram,
     paired_domination,
-    sample_k,
+    simulate,
 )
 from .solver import (
     RenewalCurve,
@@ -90,15 +86,11 @@ __all__ = [
     "paired_domination",
     "parse_transform",
     "product_count",
-    "product_count_01",
-    "product_count_12",
     "product_count_asymptote",
     "product_count_series",
-    "product_series_term",
-    "sample_k",
     "self_consistency_residual",
+    "simulate",
     "solve",
-    "taylor_exp_neg",
     "uniform_sum_asymptote",
     "uniform_sum_count",
     "__version__",

@@ -164,6 +164,14 @@ class Power(BijectionSpec):
         return np.power(u, 1.0 / self.p)
 
 
+class _KnotError(DomainError):
+    """Knot ``index`` broke the ``PiecewiseLinear`` contract (None: the knot count)."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class PiecewiseLinear(BijectionSpec):
     """Piecewise-linear bijection through user-supplied knots.
@@ -178,16 +186,17 @@ class PiecewiseLinear(BijectionSpec):
     def __post_init__(self):
         knots = tuple((float(x), float(y)) for x, y in self.knots)
         if len(knots) < 2:
-            raise DomainError("piecewise transform needs at least 2 knots")
+            raise _KnotError(f"piecewise transform needs at least 2 knots, found {len(knots)}")
         if knots[0] != (0.0, 0.0):
-            raise DomainError(f"first knot must be (0, 0), got {knots[0]}")
+            raise _KnotError(f"first knot must be (0, 0), got {knots[0]}", 0)
         if knots[-1] != (1.0, 1.0):
-            raise DomainError(f"last knot must be (1, 1), got {knots[-1]}")
+            raise _KnotError(f"last knot must be (1, 1), got {knots[-1]}", len(knots) - 1)
         for i in range(1, len(knots)):
             if not (knots[i][0] > knots[i - 1][0] and knots[i][1] > knots[i - 1][1]):
-                raise DomainError(
+                raise _KnotError(
                     f"knots must be strictly increasing in x and y; "
-                    f"knot {i} {knots[i]} does not increase past {knots[i-1]}"
+                    f"knot {i} {knots[i]} does not increase past {knots[i-1]}",
+                    i,
                 )
         object.__setattr__(self, "knots", knots)
 
@@ -243,19 +252,11 @@ def from_knot_file(path) -> PiecewiseLinear:
                 ) from None
             knots.append((x, y))
             lines.append(lineno)
-    if len(knots) < 2:
-        raise DomainError(f"{path}: need at least 2 knots, found {len(knots)}")
-    if knots[0] != (0.0, 0.0):
-        raise DomainError(f"{path}: line {lines[0]}: first knot must be '0 0', got {knots[0]}")
-    if knots[-1] != (1.0, 1.0):
-        raise DomainError(f"{path}: line {lines[-1]}: last knot must be '1 1', got {knots[-1]}")
-    for i in range(1, len(knots)):
-        if not (knots[i][0] > knots[i - 1][0] and knots[i][1] > knots[i - 1][1]):
-            raise DomainError(
-                f"{path}: line {lines[i]}: knots must increase strictly in both "
-                f"coordinates, {knots[i]} does not increase past {knots[i-1]}"
-            )
-    return PiecewiseLinear(tuple(knots))
+    try:
+        return PiecewiseLinear(tuple(knots))
+    except _KnotError as err:
+        where = "" if err.index is None else f"line {lines[err.index]}: "
+        raise DomainError(f"{path}: {where}{err}") from None
 
 
 def parse_transform(text: str) -> BijectionSpec:

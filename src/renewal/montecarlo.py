@@ -35,6 +35,8 @@ from .bijections import (
 __all__ = [
     "SimEstimate",
     "OvershootHistogram",
+    "SimRecord",
+    "simulate",
     "sample_k",
     "estimate_n",
     "estimate_stopped_sum",
@@ -122,17 +124,8 @@ def sample_k(transform: BijectionSpec, t: float, rng: np.random.Generator):
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    total = 0.0
-    k = 0
-    while total <= t:
-        k += 1
-        if k > _DRAW_CAP:
-            raise ConvergenceError(
-                f"path exceeded {_DRAW_CAP} draws; transform increments are "
-                f"effectively zero"
-            )
-        total += float(transform._f(np.asarray(rng.random())))
-    return k, total - t
+    k, over = _run_block(transform, t, 1, rng)
+    return int(k[0]), float(over[0])
 
 
 def _run_block(transform, t, n, rng):
@@ -142,14 +135,12 @@ def _run_block(transform, t, n, rng):
     k = np.zeros(n, dtype=np.int64)
     over = np.zeros(n)
     r = 0
-    drawn = 0
     while idx.size:
         r += 1
-        drawn += idx.size
-        if drawn > _DRAW_CAP:
+        if r > _DRAW_CAP:
             raise ConvergenceError(
-                f"block exceeded {_DRAW_CAP} total draws; transform increments "
-                f"are effectively zero"
+                f"path exceeded {_DRAW_CAP} draws; transform increments are "
+                f"effectively zero"
             )
         sums += transform._f(rng.random(idx.size))
         done = sums > t
@@ -163,66 +154,130 @@ def _run_block(transform, t, n, rng):
     return k, over
 
 
-def _worker_counts(samples: int, workers: int):
+def _fan_out(block, samples, seed, workers):
+    """Run ``block(n, rng)`` over each worker's share of the paths.
+
+    Each worker walks its share in blocks of at most ``_BLOCK`` paths on its
+    own stream.  Returns one list of block results per worker, in worker
+    order, so merges do not depend on thread scheduling.
+    """
     base, rem = divmod(samples, workers)
-    return [base + (1 if i < rem else 0) for i in range(workers)]
+    jobs = [(base + (1 if i < rem else 0), _stream(seed, i)) for i in range(min(samples, workers))]
+
+    def run(count, rng):
+        return [block(min(_BLOCK, count - done), rng) for done in range(0, count, _BLOCK)]
+
+    if len(jobs) == 1:
+        return [run(*jobs[0])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, c, rng) for c, rng in jobs]
+        return [f.result() for f in futures]
 
 
-def _tally_worker(transform, t, count, rng, bins, center, radius):
-    sum_k = 0
-    sum_k2 = 0
-    sum_o = 0.0
-    sum_o2 = 0.0
+@dataclass(frozen=True)
+class SimRecord:
+    """Every statistic of one simulated path set, as returned by ``simulate``.
+
+    ``k_counts[k]`` is the exact number of paths that stopped on draw k;
+    ``hist_counts`` holds the overshoot bin counts on [0, 1], or None when
+    ``simulate`` was not given bins.
+    """
+
+    spec: str
+    t: float
+    samples: int
+    seed: int
+    k_counts: np.ndarray
+    overshoot_sum: float
+    overshoot_sumsq: float
+    hist_counts: np.ndarray | None
+
+    def __post_init__(self):
+        for arr in (self.k_counts, self.hist_counts):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def _estimate(self, mean, var):
+        return SimEstimate(
+            mean=mean,
+            std_error=math.sqrt(max(var, 0.0) / self.samples),
+            samples=self.samples,
+            seed=self.seed,
+            t=self.t,
+            spec=self.spec,
+        )
+
+    def count_estimate(self) -> SimEstimate:
+        """Mean draw count and its standard error."""
+        n = self.samples
+        # exact integer arithmetic up to the final divisions
+        counts = self.k_counts.tolist()
+        sum_k = sum(k * c for k, c in enumerate(counts))
+        sum_k2 = sum(k * k * c for k, c in enumerate(counts))
+        var = (n * sum_k2 - sum_k * sum_k) / (n * (n - 1)) if n > 1 else 0.0
+        return self._estimate(sum_k / n, var)
+
+    def stopped_sum_estimate(self) -> SimEstimate:
+        """Mean stopped sum (t plus the mean overshoot) and its standard error."""
+        n = self.samples
+        mean_o = self.overshoot_sum / n
+        var = (self.overshoot_sumsq - self.overshoot_sum * mean_o) / (n - 1) if n > 1 else 0.0
+        return self._estimate(self.t + mean_o, var)
+
+    def histogram(self) -> OvershootHistogram:
+        """Overshoot histogram normalized to unit mass; needs ``bins``."""
+        if self.hist_counts is None:
+            raise DomainError("record has no histogram; simulate with bins")
+        bins = self.hist_counts.shape[0]
+        return OvershootHistogram(
+            bin_edges=np.linspace(0.0, 1.0, bins + 1),
+            densities=self.hist_counts * (bins / self.samples),
+            samples=self.samples,
+            t=self.t,
+        )
+
+
+def simulate(
+    transform: BijectionSpec,
+    t: float,
+    samples: int,
+    seed: int = 42,
+    workers: int = 1,
+    bins: int | None = None,
+) -> SimRecord:
+    """Simulate one path set and keep every statistic the estimators read.
+
+    The overshoot sums are merged in a fixed block-then-worker order; the
+    overshoot histogram is counted only when ``bins`` is given.
+    ``estimate_n``, ``estimate_stopped_sum``, ``overshoot_histogram`` and
+    ``k_concentration_check`` are views of the record, so one call serves
+    them all on shared paths.
+    """
+    t = _check_common(t, samples, seed, workers)
+    if bins is not None and not (isinstance(bins, int) and bins >= 10):
+        raise DomainError(f"bins must be an integer >= 10, got {bins!r}")
+
+    def block(n, rng):
+        k, over = _run_block(transform, t, n, rng)
+        hist = np.histogram(over, bins=bins, range=(0.0, 1.0))[0] if bins else None
+        return np.bincount(k), float(over.sum()), float(np.dot(over, over)), hist
+
+    k_counts = np.zeros(0, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.int64) if bins else None
-    far = 0
-    done = 0
-    while done < count:
-        n = min(_BLOCK, count - done)
-        k, o = _run_block(transform, t, n, rng)
-        sum_k += int(k.sum())
-        sum_k2 += int(np.dot(k, k))
-        sum_o += float(o.sum())
-        sum_o2 += float(np.dot(o, o))
-        if bins:
-            hist += np.histogram(o, bins=bins, range=(0.0, 1.0))[0]
-        if center is not None:
-            far += int(np.count_nonzero(np.abs(k - 1 - center) > radius))
-        done += n
-    return sum_k, sum_k2, sum_o, sum_o2, hist, far
-
-
-def _tally(transform, t, samples, seed, workers, bins=None, center=None, radius=None):
-    """Run all workers and merge their accumulators in worker order."""
-    counts = _worker_counts(samples, workers)
-    jobs = [(i, c) for i, c in enumerate(counts) if c > 0]
-    if workers == 1 or len(jobs) == 1:
-        results = [
-            _tally_worker(transform, t, c, _stream(seed, i), bins, center, radius)
-            for i, c in jobs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _tally_worker, transform, t, c, _stream(seed, i), bins, center, radius
-                )
-                for i, c in jobs
-            ]
-            results = [f.result() for f in futures]
-    sum_k = sum(r[0] for r in results)
-    sum_k2 = sum(r[1] for r in results)
-    sum_o = 0.0
-    sum_o2 = 0.0
-    for r in results:
-        sum_o += r[2]
-        sum_o2 += r[3]
-    hist = None
-    if bins:
-        hist = np.zeros(bins, dtype=np.int64)
-        for r in results:
-            hist += r[4]
-    far = sum(r[5] for r in results)
-    return sum_k, sum_k2, sum_o, sum_o2, hist, far
+    sum_o = sum_o2 = 0.0
+    for results in _fan_out(block, samples, seed, workers):
+        worker_o = worker_o2 = 0.0
+        for counts, o, o2, h in results:
+            if counts.shape[0] > k_counts.shape[0]:
+                k_counts = np.pad(k_counts, (0, counts.shape[0] - k_counts.shape[0]))
+            k_counts[: counts.shape[0]] += counts
+            worker_o += o
+            worker_o2 += o2
+            if bins:
+                hist += h
+        sum_o += worker_o
+        sum_o2 += worker_o2
+    return SimRecord(transform.label, t, samples, seed, k_counts, sum_o, sum_o2, hist)
 
 
 def estimate_n(
@@ -235,23 +290,7 @@ def estimate_n(
     At t = 0 every path stops on its first draw and the estimate is
     exactly 1.0 with zero standard error.
     """
-    t = _check_common(t, samples, seed, workers)
-    sum_k, sum_k2, _, _, _, _ = _tally(transform, t, samples, seed, workers)
-    mean = sum_k / samples
-    if samples > 1:
-        # exact integer arithmetic up to the final division
-        var = (samples * sum_k2 - sum_k * sum_k) / (samples * (samples - 1))
-        var = max(var, 0.0)
-    else:
-        var = 0.0
-    return SimEstimate(
-        mean=mean,
-        std_error=math.sqrt(var / samples),
-        samples=samples,
-        seed=seed,
-        t=t,
-        spec=transform.label,
-    )
+    return simulate(transform, t, samples, seed, workers).count_estimate()
 
 
 def estimate_stopped_sum(
@@ -264,22 +303,7 @@ def estimate_stopped_sum(
     stopped sum and draw count without an independent-run penalty.  For
     large t the mean minus t approaches the limiting mean overshoot c.
     """
-    t = _check_common(t, samples, seed, workers)
-    _, _, sum_o, sum_o2, _, _ = _tally(transform, t, samples, seed, workers)
-    mean_o = sum_o / samples
-    if samples > 1:
-        var = (sum_o2 - sum_o * mean_o) / (samples - 1)
-        var = max(var, 0.0)
-    else:
-        var = 0.0
-    return SimEstimate(
-        mean=t + mean_o,
-        std_error=math.sqrt(var / samples),
-        samples=samples,
-        seed=seed,
-        t=t,
-        spec=transform.label,
-    )
+    return simulate(transform, t, samples, seed, workers).stopped_sum_estimate()
 
 
 def overshoot_histogram(
@@ -296,13 +320,7 @@ def overshoot_histogram(
     The limiting shape is only reached for large t (t >= 20 is a sound
     choice); small t leaves visible transient bias.
     """
-    t = _check_common(t, samples, seed, workers)
-    if not (isinstance(bins, int) and bins >= 10):
-        raise DomainError(f"bins must be an integer >= 10, got {bins!r}")
-    _, _, _, _, hist, _ = _tally(transform, t, samples, seed, workers, bins=bins)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    densities = hist * (bins / samples)
-    return OvershootHistogram(bin_edges=edges, densities=densities, samples=samples, t=t)
+    return simulate(transform, t, samples, seed, workers, bins=bins).histogram()
 
 
 def _paired_block(t, n, rng, f_base, f_dominating):
@@ -319,11 +337,14 @@ def _paired_block(t, n, rng, f_base, f_dominating):
     done1 = np.zeros(n, dtype=bool)
     done2 = np.zeros(n, dtype=bool)
     violations = 0
-    drawn = 0
+    r = 0
     while n:
-        drawn += n
-        if drawn > _DRAW_CAP:
-            raise ConvergenceError(f"coupled block exceeded {_DRAW_CAP} draws")
+        r += 1
+        if r > _DRAW_CAP:
+            raise ConvergenceError(
+                f"coupled path exceeded {_DRAW_CAP} draws; transform increments "
+                f"are effectively zero"
+            )
         u = rng.random(n)
         act1 = ~done1
         s1[act1] += f_base(u[act1])
@@ -358,23 +379,10 @@ def paired_domination(
     ident = BUILTIN_TRANSFORMS["identity"]
     logp = BUILTIN_TRANSFORMS["logproduct"]
 
-    def run(widx, count):
-        rng = _stream(seed, widx)
-        v = 0
-        done = 0
-        while done < count:
-            n = min(_BLOCK, count - done)
-            v += _paired_block(t, n, rng, ident._f, logp._f)
-            done += n
-        return v
+    def block(n, rng):
+        return _paired_block(t, n, rng, ident._f, logp._f)
 
-    jobs = [(i, c) for i, c in enumerate(_worker_counts(samples, workers)) if c > 0]
-    if workers == 1 or len(jobs) == 1:
-        total = sum(run(i, c) for i, c in jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, i, c) for i, c in jobs]
-            total = sum(f.result() for f in futures)
+    total = sum(v for results in _fan_out(block, samples, seed, workers) for v in results)
     return total, samples
 
 
@@ -409,12 +417,9 @@ def k_concentration_check(
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"c must be positive, got {c}")
     mu = asymptotic_params(transform).mu
-    center = t / mu
-    radius = c * math.sqrt(t)
-    _, _, _, _, _, far = _tally(
-        transform, t, samples, seed, workers, center=center, radius=radius
-    )
-    return far / samples
+    counts = simulate(transform, t, samples, seed, workers).k_counts
+    k = np.arange(counts.shape[0])
+    return int(counts[np.abs(k - 1 - t / mu) > c * math.sqrt(t)].sum()) / samples
 
 
 def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np.ndarray:

@@ -526,9 +526,8 @@ def _checks_simulation(samples, seed, workers):
     )
 
     # stopped sum = mu * expected count, on shared sample paths
-    t = 5.0
-    ek = montecarlo.estimate_n(lp, t, samples, seed, workers)
-    es = montecarlo.estimate_stopped_sum(lp, t, samples, seed, workers)
+    paths = montecarlo.simulate(lp, 5.0, samples, seed, workers)
+    ek, es = paths.count_estimate(), paths.stopped_sum_estimate()
     mu = asymptotic_params(lp).mu
     dev = abs(ek.mean - es.mean / mu)
     lim = 3.0 * math.hypot(ek.std_error, es.std_error / mu)
@@ -551,11 +550,13 @@ def _checks_simulation(samples, seed, workers):
         )
     )
 
-    # overshoot histogram against the limiting density, quadrature route
+    # overshoot histogram against the limiting density, quadrature route; the
+    # logproduct paths at t=20 also feed the mean-overshoot check below
+    lp20 = montecarlo.simulate(lp, 20.0, samples, seed, workers, bins=50)
+    id_hist = montecarlo.overshoot_histogram(ident, 20.0, samples, 50, seed, workers)
     ok = True
     detail = []
-    for spec in (ident, lp):
-        hist = montecarlo.overshoot_histogram(spec, 20.0, samples, 50, seed, workers)
+    for spec, hist in ((ident, id_hist), (lp, lp20.histogram())):
         probs = montecarlo.limit_overshoot_bin_probs(spec, hist.bin_edges)
         counts = hist.densities * (samples / 50.0)
         expect = probs * samples
@@ -575,7 +576,7 @@ def _checks_simulation(samples, seed, workers):
     )
 
     # mean overshoot approaches the overshoot constant c
-    es = montecarlo.estimate_stopped_sum(lp, 20.0, samples, seed, workers)
+    es = lp20.stopped_sum_estimate()
     c = asymptotic_params(lp).c
     dev = abs((es.mean - 20.0) - c)
     lim = 3.0 * es.std_error

@@ -165,6 +165,12 @@ class TestKnotFile:
         with pytest.raises(DomainError, match="last knot"):
             from_knot_file(p)
 
+    def test_out_of_order_knot_reports_line(self, tmp_path):
+        p = tmp_path / "knots.txt"
+        p.write_text("0 0\n0.6 0.5\n0.4 0.7\n1 1\n")
+        with pytest.raises(DomainError, match="line 3"):
+            from_knot_file(p)
+
 
 class TestParseTransform:
     def test_builtins(self):

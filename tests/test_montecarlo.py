@@ -123,6 +123,53 @@ class TestDrawCap:
         with pytest.raises(ConvergenceError, match="draws"):
             mc.estimate_n(Identity(), 50.0, 64, seed=0)
 
+    def test_cap_counts_draws_per_path(self, monkeypatch):
+        # the block draws about 64 * 21 times in all, but no path of this
+        # seed needs more than 27 draws, so a cap of 100 must not trip
+        monkeypatch.setattr(mc, "_DRAW_CAP", 100)
+        assert mc.estimate_n(Identity(), 10.0, 64, seed=0).mean < 27.0
+        assert mc.paired_domination(10.0, 64, seed=0) == (0, 64)
+
+
+class TestSimulateRecord:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_views_read_the_record(self, monkeypatch, workers):
+        # small blocks so every worker merges several of them
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        spec, t, samples, c = LogProduct(), 3.0, 30_001, 0.5
+        rec = mc.simulate(spec, t, samples, seed=8, workers=workers, bins=20)
+        assert rec.k_counts.sum() == rec.hist_counts.sum() == samples
+        args = dict(seed=8, workers=workers)
+        for got, view in (
+            (rec.count_estimate(), mc.estimate_n(spec, t, samples, **args)),
+            (rec.stopped_sum_estimate(), mc.estimate_stopped_sum(spec, t, samples, **args)),
+        ):
+            assert got.mean == view.mean and got.std_error == view.std_error
+        hist = mc.overshoot_histogram(spec, t, samples, bins=20, **args)
+        assert (rec.histogram().densities == hist.densities).all()
+        k = np.arange(rec.k_counts.shape[0])
+        far = rec.k_counts[np.abs(k - 1 - t / asymptotic_params(spec).mu) > c * math.sqrt(t)]
+        assert 0 < far.sum() < samples
+        assert far.sum() / samples == mc.k_concentration_check(spec, t, samples, c, **args)
+
+    def test_record_matches_the_kernel(self):
+        # one worker, one block: the record summarizes exactly these paths
+        rec = mc.simulate(LogProduct(), 2.0, 5000, seed=4, bins=10)
+        k, over = mc._run_block(LogProduct(), 2.0, 5000, mc._stream(4, 0))
+        assert (rec.k_counts == np.bincount(k)).all()
+        assert rec.overshoot_sum == over.sum() and rec.overshoot_sumsq == np.dot(over, over)
+        assert (rec.hist_counts == np.histogram(over, bins=10, range=(0.0, 1.0))[0]).all()
+        with pytest.raises(ValueError):
+            rec.k_counts[2] = 0
+
+    def test_histogram_needs_bins(self):
+        rec = mc.simulate(Identity(), 1.0, 100, seed=1)
+        assert rec.hist_counts is None
+        with pytest.raises(DomainError, match="bins"):
+            rec.histogram()
+        with pytest.raises(DomainError, match="bins"):
+            mc.simulate(Identity(), 1.0, 100, bins=5)
+
 
 class TestOvershootHistogram:
     def test_mass_normalized(self):
