@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -153,6 +154,8 @@ def solve(spec, t_max, step, fmt, output):
 @_map_errors
 def asympt(spec, threshold):
     """Print the asymptotic line parameters of a transform."""
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
+        raise click.UsageError(f"-t must be finite and >= 0, got {threshold:g}")
     transform = parse_transform(spec)
     p = asymptotic_params(transform)
     click.echo(f"spec = {transform.label}")
@@ -162,8 +165,6 @@ def asympt(spec, threshold):
     click.echo(f"slope = {_fmt(p.slope)}")
     click.echo(f"intercept = {_fmt(p.intercept)}")
     if threshold is not None:
-        if threshold < 0.0:
-            raise click.UsageError(f"-t must be >= 0, got {threshold:g}")
         click.echo(f"asymptote({_fmt(threshold)}) = {_fmt((threshold + p.c) / p.mu)}")
 
 

@@ -215,8 +215,9 @@ def test_criterion_10_stopped_sum_proportionality():
     for spec in (rw.Identity(), rw.LogProduct(), rw.Power(2.0)):
         mu = rw.asymptotic_params(spec).mu
         for t in (1.0, 5.0, 20.0):
-            ek = rw.estimate_n(spec, t, SAMPLES_MED, seed=42)
-            es = rw.estimate_stopped_sum(spec, t, SAMPLES_MED, seed=42)
+            # one pass per path set; both estimates are views of its record
+            paths = rw.simulate(spec, t, SAMPLES_MED, seed=42)
+            ek, es = paths.count_estimate(), paths.stopped_sum_estimate()
             dev = abs(ek.mean - es.mean / mu)
             lim = 3.0 * math.hypot(ek.std_error, es.std_error / mu)
             worst = max(worst, dev / lim)

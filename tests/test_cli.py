@@ -118,8 +118,11 @@ class TestAsympt:
         assert "asymptote(" not in result.output
 
     def test_negative_threshold(self, runner):
-        result = runner.invoke(main, ["asympt", "-t", "-1"])
-        assert result.exit_code == 2
+        for t in ("-1", "nan", "inf"):
+            result = runner.invoke(main, ["asympt", "-t", t])
+            assert result.exit_code == 2, t
+            assert "finite and >= 0" in result.output, t
+            assert "asymptote(" not in result.output, t
 
 
 class TestSimulate:

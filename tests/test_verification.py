@@ -1,5 +1,6 @@
 import pytest
 
+from renewal import verification
 from renewal.bijections import DomainError
 from renewal.verification import SUITES, CheckResult, run_checks
 
@@ -8,25 +9,56 @@ def test_all_suite_names_exposed():
     assert SUITES == ("closed-forms", "bijections", "solver", "simulation")
 
 
-def test_closed_forms_suite_green():
-    results = run_checks(["closed-forms"])
+@pytest.mark.parametrize("suite", ["closed-forms", "bijections", "solver"])
+def test_suite_green(suite):
+    results = run_checks([suite])
     assert results and all(r.passed for r in results), [
         (r.name, r.detail) for r in results if not r.passed
     ]
-    assert all(isinstance(r, CheckResult) and r.suite == "closed-forms" for r in results)
+    assert all(isinstance(r, CheckResult) and r.suite == suite for r in results)
 
 
-def test_bijections_suite_green():
-    results = run_checks(["bijections"])
-    assert results and all(r.passed for r in results), [
-        (r.name, r.detail) for r in results if not r.passed
-    ]
+def test_check_names_pinned():
+    # names and order are part of the output contract; a coarse solver step
+    # and the smallest sample count keep this fast (pass/fail is not asserted)
+    results = run_checks(step=0.01, t_max=3.0, samples=1000)
+    names = {}
+    for r in results:
+        names.setdefault(r.suite, []).append(r.name)
+    assert names == {
+        "closed-forms": [
+            "tail-weight-recurrence", "series-vs-closed", "piece-junction",
+            "series-terms-monotone", "sum-count-endpoints", "mean-bracket-exact",
+            "domination-exact",
+        ],
+        "bijections": [
+            "endpoint-exactness", "roundtrip", "strict-monotonicity",
+            "logproduct-known-points", "mean-increment-analytic",
+            "mean-overshoot-constants", "overshoot-constant-routes",
+            "variance-analytic", "mean-by-parts", "params-in-range",
+        ],
+        "solver": [
+            "solver-vs-product-form", "solver-vs-sum-count", "curve-monotone",
+            "mean-bracket-grid", "domination-grid", "derivative-identity",
+            "asymptote-approach", "self-consistency",
+        ],
+        "simulation": [
+            "sim-vs-exact", "stopped-sum-proportionality", "paired-domination",
+            "overshoot-limit-density", "mean-overshoot-vs-c", "count-concentration",
+            "reproducibility", "tail-bound-shape",
+        ],
+    }
+    assert [r.suite for r in results] == [s for s in SUITES for _ in names[s]]
 
 
-def test_solver_suite_green_at_default_step():
-    results = run_checks(["solver"])
-    assert results and all(r.passed for r in results), [
-        (r.name, r.detail) for r in results if not r.passed
+def test_suite_functions_looked_up_per_call(monkeypatch):
+    # run_checks reads each _checks_<suite> name when it runs, so a function
+    # patched onto the module is the one whose triples come back
+    monkeypatch.setattr(
+        verification, "_checks_closed_forms", lambda: [("sentinel", False, "patched")]
+    )
+    assert run_checks(["closed-forms"]) == [
+        CheckResult(name="sentinel", suite="closed-forms", passed=False, detail="patched")
     ]
 
 
