@@ -75,6 +75,9 @@ class BijectionSpec(abc.ABC):
     """
 
     label: ClassVar[str]
+    # increments at which the density of f(X) jumps; N_f has a derivative
+    # jump at each, and the solver keeps its stencils off them
+    _breaks: ClassVar[tuple] = (1.0,)
 
     @abc.abstractmethod
     def _f(self, x: np.ndarray) -> np.ndarray:
@@ -203,6 +206,10 @@ class PiecewiseLinear(BijectionSpec):
     @property
     def label(self) -> str:  # type: ignore[override]
         return f"piecewise[{len(self.knots)}]"
+
+    @property
+    def _breaks(self) -> tuple:  # type: ignore[override]
+        return tuple(y for _, y in self.knots[1:])
 
     @cached_property
     def _xy(self):

@@ -13,27 +13,30 @@ so its integral is a fixed linear combination of them.  The combination
 weights depend only on f and step, are computed once per solve with the
 adaptive quadrature from ``bijections``, and turn the whole march into
 short dot products.  The first panel (w below f^{-1}(step)) reaches into
-the not-yet-known value N(t_j); there the history is approximated by the
-quadratic through the last three grid points, which keeps the update a
-one-unknown linear solve.
+the not-yet-known value N(t_j); there the history is the quadratic through
+the last three grid points (the line through the last two right after a
+breaking point), which keeps the update a one-unknown linear solve.
 
-History interpolation is piecewise-cubic Hermite with slope estimates of
-fourth order in the interior, clamped by a monotone limiter (slopes kept
-in [0, 3 * min of adjacent increments]), so the interpolant never
-oscillates across the derivative kink the curve has where t passes the
-largest increment.
+N has breaking points (Bellen & Zennaro, Numerical Methods for Delay
+Differential Equations, 2003): it jumps from 0 to 1 at t = 0, and its
+derivative jumps wherever the density of f(X) does, at t = 1 and at each
+knot y of a piecewise-linear f.  The history interpolant is a monotone
+piecewise cubic whose slopes come from one routine, ``_update_slopes``,
+for the march and for curves built from values; no slope stencil reaches
+across a breaking point on the grid.
 
-Discretization error is O(step^2); against the exact counts for the
-identity and logproduct transforms the measured max error on [0, 2] is
-below ``marching_tolerance(step)`` = 10 * step^2 (1e-5 at the default
-step 1e-3).
+With its breaking points on grid nodes the march is third order: at step
+1e-3 the max node error on [0, 2] is 8.4e-11 (identity) and 5.2e-11
+(logproduct).  A breaking point inside a panel costs an order: with t = 1
+off the grid (step 3e-3) node errors are 0.1-0.16 * step^2, and off-grid
+ones 0.15-0.24 * step on the five panels whose stencils reach across it.
+``marching_tolerance(step)`` = 10 * step^2 is the documented envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +64,12 @@ __all__ = [
 # growth rate of the product-form count, used by the derivative identity
 _RATE = math.e / (math.e - 1.0)
 
-_MAX_GRID_POINTS = 50_000_000
+# march cost: a step costs about 2.2 ns per history panel (ceil(1/step) of
+# them) plus a fixed ~11 us, the price of 5000 panels (measured on 2 vCPUs,
+# one BLAS thread, step 1e-5 to 1e-2).  The cap, about 220 s, admits the
+# benchmark's finest step 1/51200 to t_max = 30.
+_STEP_OVERHEAD = 5_000
+_MAX_MARCH_WORK = 1e11
 
 
 def marching_tolerance(step: float) -> float:
@@ -69,62 +77,64 @@ def marching_tolerance(step: float) -> float:
     return 10.0 * step * step
 
 
-def _limited_slopes(v: np.ndarray) -> np.ndarray:
-    """Monotone-limited per-panel slope estimates at every node of ``v``.
+def _update_slopes(v, sl, sr, seg: int, hi: int) -> None:
+    """Set the slopes (value per panel) of nodes hi-2..hi from their segment v[seg..hi].
 
-    Returns slopes in units of value-per-panel (already multiplied by the
-    grid spacing).  Interior nodes use the fourth-order centered stencil
-    where the full five-point window exists, second-order otherwise; the
-    two boundary nodes use one-sided second-order stencils.  Slopes are
-    then clamped to [0, 3 * min(adjacent increments)] (sign-adjusted),
-    which is sufficient for a monotone cubic Hermite interpolant.
+    No stencil leaves the segment, which starts at a breaking point: a node
+    takes the five-point centered stencil where it fits, else the three-point
+    one; the ends take one-sided three-point stencils.  Slopes are clamped to
+    [0, 3 * min of adjacent increments], which keeps the Hermite cubic of
+    increasing values monotone.  ``sl[i]`` and ``sr[i]`` are the slopes at
+    the left and right node of panel i, so a breaking point has one per side.
     """
-    L = v.shape[0]
-    if L < 2:
-        raise DomainError("need at least two values to form slopes")
-    d = np.diff(v)
-    m = np.empty(L)
-    if L == 2:
-        m[:] = d[0]
-        return m
-    m[1:-1] = 0.5 * (v[2:] - v[:-2])
-    if L >= 5:
-        m[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / 12.0
-    m[0] = 0.5 * (-3.0 * v[0] + 4.0 * v[1] - v[2])
-    m[-1] = 0.5 * (3.0 * v[-1] - 4.0 * v[-2] + v[-3])
-
-    left = np.concatenate(([d[0]], d))
-    right = np.concatenate((d, [d[-1]]))
-    sign = np.sign(left)
-    cap = 3.0 * np.minimum(np.abs(left), np.abs(right))
-    m = sign * np.clip(sign * m, 0.0, cap)
-    m[left * right <= 0.0] = 0.0
-    return m
+    for i in range(max(seg, hi - 2), hi + 1):
+        dl = v[i] - v[i - 1] if i > seg else v[i + 1] - v[i]
+        dr = v[i + 1] - v[i] if i < hi else dl
+        if hi - seg == 1:
+            m = dl
+        elif i == seg:
+            m = 0.5 * (-3.0 * v[i] + 4.0 * v[i + 1] - v[i + 2])
+        elif i == hi:
+            m = 0.5 * (3.0 * v[i] - 4.0 * v[i - 1] + v[i - 2])
+        elif i == hi - 2 and i - 2 >= seg:
+            m = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / 12.0
+        else:
+            m = 0.5 * (v[i + 1] - v[i - 1])
+        m = min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
+        sl[i] = m
+        if i > seg:
+            sr[i - 1] = m
 
 
-def _panel_slopes(values: np.ndarray, step: float):
-    """Per-panel slope pairs (at the left and right node of each panel).
+def _slope_sweep(v, sl, sr, spec: BijectionSpec, step: float, n: int):
+    """Set the slopes of v[0..hi] for hi = 0..n, no stencil across a breaking point.
 
-    The curve has a genuine derivative jump where t passes the largest
-    possible increment (t = 1): slope stencils that straddle it would leak
-    O(step) errors into the two surrounding panels.  When t = 1 falls on a
-    grid node the slopes are therefore estimated independently on each
-    side, and the node carries two slopes, one per adjacent panel.  With
-    t = 1 strictly inside a panel (step not dividing 1) the straddling
-    panel keeps the plain estimate; only there is interpolation first
-    order instead of second.
+    The breaking points are node 0 and each of ``spec._breaks`` that is a
+    grid node.  Yields (hi, whether hi is a breaking point) for each hi < n
+    once its slopes are set, so that the march can append v[hi + 1] first.
     """
+    breaks = {0}
+    for b in spec._breaks:
+        k = round(b / step)
+        if 0 < k < n and abs(k * step - b) <= 1e-9:
+            breaks.add(k)
+    seg = 0
+    for hi in range(n + 1):
+        if hi - 1 in breaks:
+            seg = hi - 1
+        if hi:
+            _update_slopes(v, sl, sr, seg, hi)
+        if hi < n:
+            yield hi, hi in breaks
+
+
+def _curve_slopes(values: np.ndarray, spec: BijectionSpec, step: float) -> tuple:
+    """Per-panel (left, right) slopes of ``values``, as the march leaves them."""
     n = values.shape[0] - 1
-    k = round(1.0 / step)
-    if 1 <= k < n and abs(k * step - 1.0) <= 1e-9:
-        sl = _limited_slopes(values[: k + 1])
-        sr = _limited_slopes(values[k:])
-        return (
-            np.concatenate((sl[:-1], sr[:-1])),
-            np.concatenate((sl[1:], sr[1:])),
-        )
-    m = _limited_slopes(values)
-    return m[:-1], m[1:]
+    sl, sr = np.empty(n + 1), np.empty(n + 1)
+    for _ in _slope_sweep(values.tolist(), sl, sr, spec, step, n):
+        pass
+    return sl[:n], sr[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +150,8 @@ class RenewalCurve:
     step: float
     t_max: float
     values: np.ndarray
+    # (left, right) slope per panel; solve hands over the march's own
+    _slopes: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.step > 0.0 and math.isfinite(self.step)):
@@ -160,6 +172,8 @@ class RenewalCurve:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self._slopes is None:
+            object.__setattr__(self, "_slopes", _curve_slopes(vals, self.transform, self.step))
 
     @property
     def n_panels(self) -> int:
@@ -169,10 +183,6 @@ class RenewalCurve:
     def grid(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.step
 
-    @cached_property
-    def _slopes(self) -> tuple:
-        return _panel_slopes(self.values, self.step)
-
     def evaluate(self, t):
         return eval_curve(self, t)
 
@@ -180,9 +190,10 @@ class RenewalCurve:
 def _panel_weights(spec: BijectionSpec, step: float):
     """Per-panel integration weights reused by every marching step.
 
-    Splits w in [0, 1] at the seams w_m = f^{-1}(min(m * step, 1)).  For
-    panel m >= 1 returns the integrals of the four cubic Hermite basis
-    functions composed with u(w) = (m + 1) - f(w) / step; for panel 0
+    Splits w in [0, 1] at the seams w_m = f^{-1}(min(m * step, 1)).  Row
+    m >= 1 of the returned array holds the integrals over panel m of the
+    four cubic Hermite basis functions composed with u(w) = (m + 1) -
+    f(w) / step (for the values at u = 0 and 1, then the slopes); for panel 0
     returns the integrals of the quadratic (and startup linear) Lagrange
     bases in theta(w) = f(w) / step.
     """
@@ -197,16 +208,15 @@ def _panel_weights(spec: BijectionSpec, step: float):
     def basis_int(fn, lo, hi, m):
         return integrate(lambda w: fn((m + 1.0) - spec._f(w) / h), lo, hi, qtol)
 
-    p00 = np.zeros(n_pan)
-    p01 = np.zeros(n_pan)
-    p10 = np.zeros(n_pan)
-    p11 = np.zeros(n_pan)
+    hermite = (
+        lambda u: (2.0 * u - 3.0) * u * u + 1.0,
+        lambda u: (3.0 - 2.0 * u) * u * u,
+        lambda u: u * (1.0 - u) ** 2,
+        lambda u: -u * u * (1.0 - u),
+    )
+    p = np.zeros((n_pan, 4))
     for m in range(1, n_pan):
-        lo, hi = seams[m], seams[m + 1]
-        p00[m] = basis_int(lambda u: (2.0 * u - 3.0) * u * u + 1.0, lo, hi, m)
-        p01[m] = basis_int(lambda u: (3.0 - 2.0 * u) * u * u, lo, hi, m)
-        p10[m] = basis_int(lambda u: u * (1.0 - u) ** 2, lo, hi, m)
-        p11[m] = basis_int(lambda u: -u * u * (1.0 - u), lo, hi, m)
+        p[m] = [basis_int(fn, seams[m], seams[m + 1], m) for fn in hermite]
 
     w1 = seams[1]
 
@@ -218,7 +228,7 @@ def _panel_weights(spec: BijectionSpec, step: float):
     a0 = theta_int(lambda th: 0.5 * th * (th - 1.0))
     b1 = theta_int(lambda th: 1.0 - th)
     b0 = theta_int(lambda th: th)
-    return p00, p01, p10, p11, (a0, a1, a2), (b0, b1)
+    return p, (a0, a1, a2), (b0, b1)
 
 
 def solve(
@@ -231,7 +241,7 @@ def solve(
     """March the renewal equation for ``spec`` up to ``t_max``.
 
     ``step`` above ``step_limit`` (default 0.01) is rejected: the scheme is
-    second order and coarse grids visibly miss the exact counts.  The limit
+    third order, but coarse grids visibly miss the exact counts.  The limit
     is a keyword so diagnostic callers (the verify command's degradation
     demo) can relax it deliberately.
 
@@ -248,64 +258,46 @@ def solve(
     h = float(step)
 
     n = math.ceil(t_max / h - 1e-12)
-    if n + 1 > _MAX_GRID_POINTS:
+    work = n * (math.ceil(1.0 / h - 1e-12) + _STEP_OVERHEAD)
+    if work > _MAX_MARCH_WORK:
         raise DomainError(
-            f"grid of {n + 1} points exceeds the {_MAX_GRID_POINTS} point cap; "
+            f"march work {work:.3g} (steps * (panels + {_STEP_OVERHEAD}), about "
+            f"{work * 2.2e-9:.3g} s) exceeds the cap of {_MAX_MARCH_WORK:.0e}; "
             f"increase step or decrease t_max"
         )
 
-    p00, p01, p10, p11, (a0, a1, a2), (b0, b1) = _panel_weights(spec, h)
-    n_pan = p00.shape[0]
+    p, (a0, a1, a2), (b0, b1) = _panel_weights(spec, h)
+    n_pan = p.shape[0]
     if not (a2 < 1.0 and b1 < 1.0):
         raise ConvergenceError("first-panel weight reached 1; transform too flat near 0")
 
-    def lim(m, dl, dr):
-        if dl * dr <= 0.0:
-            return 0.0
-        sg = 1.0 if dl > 0.0 else -1.0
-        return sg * min(max(sg * m, 0.0), 3.0 * min(abs(dl), abs(dr)))
+    # one row per panel i: v[i], v[i+1] and the slopes at both ends.  With
+    # the weights of panels m = n_pan-1..1 in that order, the history of
+    # step hi + 1 (m = 1..r, i.e. panels i = hi-1 down to hi-r) is one dot
+    # product.
+    rows = np.zeros((n + 1, 4))
+    rows[0, 0] = 1.0
+    flat, wts = rows.reshape(-1), p[:0:-1].reshape(-1)
+    sl, sr = rows[:, 2], rows[:, 3]
+    v = [1.0]  # the stencils read plain floats, the dot products read rows
+    for hi, after_break in _slope_sweep(v, sl, sr, spec, h, n):  # v[0..hi] known
+        r = min(hi, n_pan - 1)
+        hist = float(np.dot(wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
+        # the first panel reaches into v[hi + 1]: quadratic through
+        # v[hi-1..hi+1], linear right after a breaking point
+        if after_break:
+            val = (1.0 + hist + b0 * v[hi]) / (1.0 - b1)
+        else:
+            val = (1.0 + hist + a1 * v[hi] + a0 * v[hi - 1]) / (1.0 - a2)
+        v.append(val)
+        rows[hi, 1] = rows[hi + 1, 0] = val
 
-    v = np.empty(n + 1)
-    s = np.empty(n + 1)
-    v[0] = 1.0
-    v[1] = (1.0 + b0 * v[0]) / (1.0 - b1)
-    # two-point slope estimate; refined to the one-sided stencil at j = 3
-    s[0] = s[1] = v[1] - v[0]
-    for j in range(2, n + 1):
-        if j > 2:
-            # v[j-1] exists now: the slope at j-3 gets its final stencil,
-            # the two window-edge slopes stay provisional second order
-            i = j - 3
-            if i == 0:
-                m = 0.5 * (-3.0 * v[0] + 4.0 * v[1] - v[2])
-            elif i == 1:
-                m = 0.5 * (v[2] - v[0])
-            else:
-                m = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / 12.0
-            dl = v[i] - v[i - 1] if i >= 1 else v[1] - v[0]
-            s[i] = lim(m, dl, v[i + 1] - v[i])
-            dl = v[j - 2] - v[j - 3]
-            dr = v[j - 1] - v[j - 2]
-            s[j - 2] = lim(0.5 * (v[j - 1] - v[j - 3]), dl, dr)
-            s[j - 1] = lim(0.5 * (3.0 * v[j - 1] - 4.0 * v[j - 2] + v[j - 3]), dr, dr)
-        r = min(j - 1, n_pan - 1)
-        hist = 0.0
-        if r >= 1:
-            lo = j - 1 - r
-            hist = (
-                np.dot(p00[1 : r + 1], v[j - 2 : (None if lo == 0 else lo - 1) : -1])
-                + np.dot(p01[1 : r + 1], v[j - 1 : lo : -1])
-                + np.dot(p10[1 : r + 1], s[j - 2 : (None if lo == 0 else lo - 1) : -1])
-                + np.dot(p11[1 : r + 1], s[j - 1 : lo : -1])
-            )
-        v[j] = (1.0 + hist + a1 * v[j - 1] + a0 * v[j - 2]) / (1.0 - a2)
-
-    if not np.all(np.diff(v) > 0.0):
+    if not np.all(np.diff(rows[:, 0]) > 0.0):
         raise ConvergenceError(
             "marched values are not strictly increasing; the grid cannot "
             "resolve this transform at this step"
         )
-    return RenewalCurve(transform=spec, step=h, t_max=t_max, values=v)
+    return RenewalCurve(spec, h, t_max, rows[:, 0], _slopes=(sl[:n].copy(), sr[:n].copy()))
 
 
 def _hermite_eval(values: np.ndarray, slopes: tuple, step: float, x: np.ndarray):

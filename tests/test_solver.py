@@ -70,6 +70,66 @@ class TestAccuracy:
         assert err <= marching_tolerance(5e-2)
 
 
+def _node_error(spec, exact, step):
+    """Max error of the solved nodes on [0, 2] against a closed form."""
+    curve = solve(spec, 2.0, step)
+    sel = curve.grid <= 2.0
+    return max(abs(v - exact(float(t))) for t, v in zip(curve.grid[sel], curve.values[sel]))
+
+
+_CLOSED_FORMS = [(rw.Identity(), uniform_sum_count), (rw.LogProduct(), product_count)]
+
+
+class TestConvergenceOrder:
+    """With its breaking points on grid nodes the march is third order."""
+
+    @pytest.mark.parametrize("spec, exact", _CLOSED_FORMS, ids=["identity", "logproduct"])
+    def test_node_error_at_default_step(self, spec, exact):
+        assert _node_error(spec, exact, 1e-3) <= 1e-9
+
+    @pytest.mark.parametrize("spec, exact", _CLOSED_FORMS, ids=["identity", "logproduct"])
+    def test_halving_step_shrinks_error_sixfold(self, spec, exact):
+        # second order would shrink it 4x, third order 8x
+        ratio = _node_error(spec, exact, 5e-3) / _node_error(spec, exact, 2.5e-3)
+        assert ratio >= 6.0
+
+    def test_knot_breaking_points(self):
+        # every knot y is a node at this step, so the march splits its
+        # stencils there and meets the exact line (t + c) / mu
+        knots = ((0.0, 0.0), (0.4, 0.25), (0.7, 0.625), (1.0, 1.0))
+        x, y = np.array(knots).T
+        dx = np.diff(x)
+        # E f(X) and E f(X)^2 piece by piece, exact for linear pieces
+        mu = np.sum(dx * (y[:-1] + y[1:]) / 2.0)
+        c = np.sum(dx * (y[:-1] ** 2 + y[:-1] * y[1:] + y[1:] ** 2) / 3.0) / (2.0 * mu)
+        curve = solve(rw.PiecewiseLinear(knots), 30.0, 2.5e-3)
+        t = curve.grid
+        sel = (t >= 20.0) & (t <= 30.0)
+        assert np.max(np.abs(curve.values[sel] - (t[sel] + c) / mu)) <= 1e-8
+
+
+class TestSlopeHandOver:
+    """A solved curve and one rebuilt from its values interpolate alike."""
+
+    @pytest.mark.parametrize(
+        "spec, step",
+        [
+            (rw.Identity(), 1e-3),
+            (rw.LogProduct(), 3e-3),  # t = 1 is not a node
+            (rw.PiecewiseLinear(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))), 1e-3),
+        ],
+        ids=["identity", "logproduct-off-grid-kink", "piecewise"],
+    )
+    def test_rebuilt_curve_evaluates_identically(self, spec, step):
+        curve = solve(spec, 3.0, step)
+        rebuilt = RenewalCurve(spec, step, 3.0, curve.values)
+        # one off-grid point in every panel, so every slope pair is read
+        n = curve.n_panels
+        off_grid = (np.arange(n) + np.random.default_rng(5).uniform(0.01, 0.99, n)) * step
+        for t in (curve.grid, off_grid):
+            assert np.array_equal(eval_curve(curve, t), eval_curve(rebuilt, t))
+
+
 class TestSolveValidation:
     def test_bad_t_max(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
