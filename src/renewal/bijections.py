@@ -80,8 +80,12 @@ class BijectionSpec(abc.ABC):
     _breaks: ClassVar[tuple] = (1.0,)
 
     @abc.abstractmethod
-    def _f(self, x: np.ndarray) -> np.ndarray:
-        """Apply f without domain checks (x already validated)."""
+    def _f(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply f without domain checks (x already validated).
+
+        The result may be written to ``out``, which may alias ``x``; some
+        transforms allocate instead, so callers use the return value.
+        """
 
     @abc.abstractmethod
     def _finv(self, u: np.ndarray) -> np.ndarray:
@@ -110,8 +114,8 @@ class Identity(BijectionSpec):
 
     label: ClassVar[str] = "identity"
 
-    def _f(self, x):
-        return +x
+    def _f(self, x, out=None):
+        return np.positive(x, out=out)
 
     def _finv(self, u):
         return +u
@@ -128,9 +132,12 @@ class LogProduct(BijectionSpec):
 
     label: ClassVar[str] = "logproduct"
 
-    def _f(self, x):
-        out = np.log1p(_EM1 * x)
-        return np.where(x == 1.0, 1.0, out)
+    def _f(self, x, out=None):
+        # the pin's mask is taken before out (which may alias x) is written,
+        # and only when x reaches 1, which uniform draws never do
+        one = x == 1.0 if np.max(x, initial=0.0) == 1.0 else None
+        y = np.log1p(np.multiply(x, _EM1, out=out), out=out)
+        return y if one is None else np.where(one, 1.0, y)
 
     def _finv(self, u):
         out = np.expm1(u) / _EM1
@@ -160,8 +167,8 @@ class Power(BijectionSpec):
     def label(self) -> str:  # type: ignore[override]
         return f"power:{self.p:g}"
 
-    def _f(self, x):
-        return np.power(x, self.p)
+    def _f(self, x, out=None):
+        return np.power(x, self.p, out=out)
 
     def _finv(self, u):
         return np.power(u, 1.0 / self.p)
@@ -217,7 +224,8 @@ class PiecewiseLinear(BijectionSpec):
         ys = np.array([k[1] for k in self.knots])
         return xs, ys
 
-    def _f(self, x):
+    def _f(self, x, out=None):
+        # np.interp has no out
         xs, ys = self._xy
         return np.interp(x, xs, ys)
 

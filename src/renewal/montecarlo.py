@@ -1,13 +1,16 @@
 """Monte Carlo estimation of draw counts, stopped sums, and overshoots.
 
-Paths are simulated in vectorized blocks: each round draws one uniform per
-still-active path, applies the transform, and retires paths whose running
-sum exceeded the threshold.  Randomness comes from the counter-based
-Philox generator keyed by (seed, worker index), so every worker owns an
-independent, reproducible substream: results are bit-identical for
+Paths are simulated in vectorized blocks of at most 2^16 paths: each round
+draws one uniform per still-active path, applies the transform, and retires
+paths whose running sum exceeded the threshold.  A block allocates its
+working arrays once, and its rounds reuse them while they stay in cache.
+Randomness comes from PCG64DXSM streams, one
+per worker, seeded by ``SeedSequence(seed, spawn_key=(worker,))``: the
+streams ``SeedSequence(seed).spawn()`` would hand out.  Every worker owns an
+independent, reproducible stream, so results are bit-identical for
 identical (seed, samples, t, transform, worker count) regardless of how
 the workers are scheduled.  They may differ across worker counts, because
-the sample split changes which substream serves which path.
+the sample split changes which stream serves which path.
 
 Sums of the integer draw counts are accumulated exactly (integer
 arithmetic), float accumulators are combined in a fixed block-then-worker
@@ -49,15 +52,18 @@ __all__ = [
     "histogram_payload",
 ]
 
-_MASK64 = (1 << 64) - 1
-_BLOCK = 1 << 20
+_BLOCK = 1 << 16
 _DRAW_CAP = 10**9
 
 
 def _stream(seed: int, worker: int) -> np.random.Generator:
-    """Philox stream for one worker, keyed by (seed, worker index)."""
-    key = np.array([seed & _MASK64, worker & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """PCG64DXSM stream for one worker: child ``worker`` of ``SeedSequence(seed)``.
+
+    ``SeedSequence(seed).spawn(n)`` hands out these same n streams; building
+    one from its spawn key needs no parent.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(worker,))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _check_common(t, samples, seed, workers):
@@ -124,34 +130,49 @@ def sample_k(transform: BijectionSpec, t: float, rng: np.random.Generator):
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    k, over = _run_block(transform, t, 1, rng)
-    return int(k[0]), float(over[0])
+    stopped, over = _run_block(transform, t, 1, rng)
+    # the one path stopped on the block's last round
+    return stopped.shape[0] - 1, float(over[0])
 
 
 def _run_block(transform, t, n, rng):
-    """Simulate n paths; returns (draw counts, overshoots)."""
-    idx = np.arange(n)
+    """Simulate n paths; returns (stopped, over).
+
+    ``stopped[r]`` counts the paths that stopped on draw r, and ``over``
+    holds the overshoots in stop order.  The surviving paths keep their
+    order, so each round's draws reach the same paths as they would with
+    path ids.  The working arrays are allocated once: each round draws into
+    ``u``, transforms in place, compares into ``done`` and compacts the
+    running sums into ``spare``, which then swaps with ``sums``.  (Each
+    ``np.compress`` still takes a temporary index array.)
+    """
+    u = np.empty(n)
     sums = np.zeros(n)
-    k = np.zeros(n, dtype=np.int64)
-    over = np.zeros(n)
-    r = 0
-    while idx.size:
-        r += 1
-        if r > _DRAW_CAP:
+    spare = np.empty(n)
+    done = np.empty(n, dtype=bool)
+    over = np.empty(n)
+    stopped = [0]
+    m = n
+    while m:
+        # every surviving path is about to make draw len(stopped)
+        if len(stopped) > _DRAW_CAP:
             raise ConvergenceError(
                 f"path exceeded {_DRAW_CAP} draws; transform increments are "
                 f"effectively zero"
             )
-        sums += transform._f(rng.random(idx.size))
-        done = sums > t
-        if done.any():
-            hit = idx[done]
-            k[hit] = r
-            over[hit] = sums[done] - t
-            keep = ~done
-            idx = idx[keep]
-            sums = sums[keep]
-    return k, over
+        s = sums[:m]
+        s += transform._f(rng.random(m, out=u[:m]), out=u[:m])
+        d = np.greater(s, t, out=done[:m])
+        hit = np.count_nonzero(d)
+        stopped.append(hit)
+        if hit:
+            stop = over[n - m : n - m + hit]
+            np.compress(d, s, out=stop)
+            stop -= t
+            m -= hit
+            np.compress(np.logical_not(d, out=d), s, out=spare[:m])
+            sums, spare = spare, sums
+    return np.array(stopped, dtype=np.int64), over
 
 
 def _fan_out(block, samples, seed, workers):
@@ -258,9 +279,9 @@ def simulate(
         raise DomainError(f"bins must be an integer >= 10, got {bins!r}")
 
     def block(n, rng):
-        k, over = _run_block(transform, t, n, rng)
+        stopped, over = _run_block(transform, t, n, rng)
         hist = np.histogram(over, bins=bins, range=(0.0, 1.0))[0] if bins else None
-        return np.bincount(k), float(over.sum()), float(np.dot(over, over)), hist
+        return stopped, float(over.sum()), float(np.dot(over, over)), hist
 
     k_counts = np.zeros(0, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.int64) if bins else None

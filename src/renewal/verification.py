@@ -147,31 +147,34 @@ def _checks_closed_forms():
 # ------------------------------------------------------------------ bijections
 
 
+# one transform of each kind, the bijections suite's inputs
+_MENAGERIE = (
+    Identity(),
+    LogProduct(),
+    Power(0.5),
+    Power(2.0),
+    PiecewiseLinear(((0.0, 0.0), (0.25, 0.1), (0.7, 0.8), (1.0, 1.0))),
+)
+
+
 def _checks_bijections():
     out = []
-    specs = [
-        Identity(),
-        LogProduct(),
-        Power(0.5),
-        Power(2.0),
-        PiecewiseLinear(((0.0, 0.0), (0.25, 0.1), (0.7, 0.8), (1.0, 1.0))),
-    ]
-    params = {s: asymptotic_params(s) for s in specs}
+    params = {s: asymptotic_params(s) for s in _MENAGERIE}
     p_id, p_lp = params[Identity()], params[LogProduct()]
 
     ok = all(
-        float(s.forward(0.0)) == 0.0 and float(s.forward(1.0)) == 1.0 for s in specs
+        float(s.forward(0.0)) == 0.0 and float(s.forward(1.0)) == 1.0 for s in _MENAGERIE
     )
     out.append((
         "endpoint-exactness",
         ok,
-        "f(0) == 0 and f(1) == 1 exactly for " + ", ".join(s.label for s in specs),
+        "f(0) == 0 and f(1) == 1 exactly for " + ", ".join(s.label for s in _MENAGERIE),
     ))
 
     worst = 0.0
     worst_label = ""
     x = np.linspace(0.0, 1.0, 1001)
-    for s in specs:
+    for s in _MENAGERIE:
         tol = 1e-9 if isinstance(s, PiecewiseLinear) else 1e-12
         err = float(np.max(np.abs(s.inverse(s.forward(x)) - x)))
         err2 = float(np.max(np.abs(s.forward(s.inverse(x)) - x)))
@@ -181,7 +184,7 @@ def _checks_bijections():
     out.append(("roundtrip", worst <= 1.0, f"worst inverse-composition error {worst_label}"))
 
     x = np.linspace(0.0, 1.0, 10001)
-    ok = all(bool(np.all(np.diff(s.forward(x)) > 0.0)) for s in specs)
+    ok = all(bool(np.all(np.diff(s.forward(x)) > 0.0)) for s in _MENAGERIE)
     out.append((
         "strict-monotonicity",
         ok,
@@ -253,7 +256,7 @@ def _checks_bijections():
     # mu two ways: integral of f, and 1 - integral of the inverse
     worst = 0.0
     worst_label = ""
-    for s in specs:
+    for s in _MENAGERIE:
         mu = params[s].mu
         mu_alt = 1.0 - integrate(lambda u: s._finv(u), 0.0, 1.0, 1e-11)
         if abs(mu - mu_alt) > worst:

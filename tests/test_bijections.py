@@ -18,6 +18,7 @@ from renewal.bijections import (
     integrate,
     parse_transform,
 )
+from renewal.verification import _MENAGERIE
 
 E = math.e
 EM1 = math.e - 1.0
@@ -67,6 +68,16 @@ class TestBijectionContract:
                              [spec.p] if isinstance(spec, Power) else []))
         assert other == spec and hash(other) == hash(spec)
         assert str(spec) == spec.label
+
+
+@pytest.mark.parametrize("spec", _MENAGERIE, ids=lambda s: s.label)
+def test_f_in_place_is_bit_identical(spec):
+    x = np.concatenate((np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, np.nextafter(1.0, 0.0)]))
+    buf = x.copy()
+    got = spec._f(buf, out=buf)
+    assert (got.view(np.uint64) == spec._f(x).view(np.uint64)).all()
+    assert float(got[1000]) == 1.0 and float(got[0]) == 0.0
+    assert not isinstance(spec.forward(0.5), np.ndarray) and np.ndim(spec.forward(0.5)) == 0
 
 
 class TestLogProduct:

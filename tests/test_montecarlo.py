@@ -10,6 +10,7 @@ from renewal.bijections import (
     DomainError,
     Identity,
     LogProduct,
+    PiecewiseLinear,
     Power,
     asymptotic_params,
 )
@@ -131,6 +132,54 @@ class TestDrawCap:
         assert mc.paired_domination(10.0, 64, seed=0) == (0, 64)
 
 
+def _reference_block(transform, t, n, rng):
+    """The kernel written plainly: path ids, and fresh arrays every round."""
+    idx = np.arange(n)
+    sums = np.zeros(n)
+    k = np.zeros(n, dtype=np.int64)
+    over = np.zeros(n)
+    r = 0
+    while idx.size:
+        r += 1
+        sums += transform._f(rng.random(idx.size))
+        done = sums > t
+        k[idx[done]] = r
+        over[idx[done]] = sums[done] - t
+        idx, sums = idx[~done], sums[~done]
+    return k, over
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize(
+        "spec",
+        [Identity(), LogProduct(), PiecewiseLinear(((0.0, 0.0), (0.3, 0.2137), (1.0, 1.0)))],
+        ids=lambda s: s.label,
+    )
+    def test_matches_the_reference(self, spec, n):
+        k, want = _reference_block(spec, 3.0, n, mc._stream(6, 2))
+        rng = mc._stream(6, 2)
+        stopped, over = mc._run_block(spec, 3.0, n, rng)
+        assert stopped.dtype == np.int64 and (stopped == np.bincount(k)).all()
+        assert (np.sort(over) == np.sort(want)).all()
+        # the kernel drew exactly as many uniforms as the reference
+        assert rng.random() == mc._stream(6, 2).random(int(k.sum()) + 1)[-1]
+
+    def test_draw_cap_trips_per_path(self, monkeypatch):
+        k, _ = _reference_block(Identity(), 10.0, 4096, mc._stream(3, 0))
+        monkeypatch.setattr(mc, "_DRAW_CAP", int(k.max()))
+        assert mc._run_block(Identity(), 10.0, 4096, mc._stream(3, 0))[0].sum() == 4096
+        monkeypatch.setattr(mc, "_DRAW_CAP", int(k.max()) - 1)
+        with pytest.raises(ConvergenceError, match="draws"):
+            mc._run_block(Identity(), 10.0, 4096, mc._stream(3, 0))
+
+    def test_streams_are_spawned_children(self):
+        children = np.random.SeedSequence(9).spawn(3)
+        for worker, child in enumerate(children):
+            want = np.random.Generator(np.random.PCG64DXSM(child)).random(4)
+            assert (mc._stream(9, worker).random(4) == want).all()
+
+
 class TestSimulateRecord:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_views_read_the_record(self, monkeypatch, workers):
@@ -155,8 +204,8 @@ class TestSimulateRecord:
     def test_record_matches_the_kernel(self):
         # one worker, one block: the record summarizes exactly these paths
         rec = mc.simulate(LogProduct(), 2.0, 5000, seed=4, bins=10)
-        k, over = mc._run_block(LogProduct(), 2.0, 5000, mc._stream(4, 0))
-        assert (rec.k_counts == np.bincount(k)).all()
+        stopped, over = mc._run_block(LogProduct(), 2.0, 5000, mc._stream(4, 0))
+        assert (rec.k_counts == stopped).all()
         assert rec.overshoot_sum == over.sum() and rec.overshoot_sumsq == np.dot(over, over)
         assert (rec.hist_counts == np.histogram(over, bins=10, range=(0.0, 1.0))[0]).all()
         with pytest.raises(ValueError):
