@@ -5,8 +5,8 @@ with f(0) = 0 and f(1) = 1.  Uniform draws X enter the running sum as
 f(X), and every other module (closed forms, the renewal-equation solver,
 the simulator) is parameterized by one of these transform objects.
 
-The module also carries the adaptive quadrature used throughout the
-package and the computation of the asymptotic line
+The module also carries the batched adaptive quadrature used throughout
+the package and the computation of the asymptotic line
 
     E[draws to exceed t] ~ (t + c) / mu,
 
@@ -78,6 +78,9 @@ class BijectionSpec(abc.ABC):
     # increments at which the density of f(X) jumps; N_f has a derivative
     # jump at each, and the solver keeps its stencils off them
     _breaks: ClassVar[tuple] = (1.0,)
+    # points of (0, 1) where f has a derivative jump; quadrature over x
+    # splits there first
+    _kinks: ClassVar[tuple] = ()
 
     @abc.abstractmethod
     def _f(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -218,6 +221,10 @@ class PiecewiseLinear(BijectionSpec):
     def _breaks(self) -> tuple:  # type: ignore[override]
         return tuple(y for _, y in self.knots[1:])
 
+    @property
+    def _kinks(self) -> tuple:  # type: ignore[override]
+        return tuple(x for x, _ in self.knots[1:-1])
+
     @cached_property
     def _xy(self):
         xs = np.array([k[0] for k in self.knots])
@@ -337,17 +344,101 @@ _GL_NULL = _GL_FINE[1] * _P20(_GL_FINE[0]) * (
 # both rules' nodes, so that one operation maps them onto a panel
 _NODES = np.concatenate((_GL_COARSE[0], _GL_FINE[0]))
 _N_COARSE = _GL_COARSE[0].size
+# panels evaluated per numpy pass: bounds the temporaries (a few MB for five
+# integrands) however many intervals a call holds
+_CHUNK = 512
 
 
-def _panel(g, a: float, b: float):
-    """The 21-point Gauss integral of g over [a, b] and its error estimate."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    coarse = half * float(np.dot(_GL_COARSE[1], g(x[:_N_COARSE])))
-    gf = g(x[_N_COARSE:])
-    fine = half * float(np.dot(_GL_FINE[1], gf))
-    null = half * float(np.dot(_GL_NULL, gf))
-    return fine, max(abs(fine - coarse), abs(null))
+def _split(lo, hi, kinks):
+    """Split each interval [lo, hi] at the kinks strictly inside it.
+
+    Returns the pieces' ends and, per piece, the index of its interval.
+    """
+    owner = np.arange(lo.shape[0])
+    for k in kinks:
+        cut = (lo < k) & (k < hi)
+        if cut.any():
+            lo = np.concatenate((lo, np.full(np.count_nonzero(cut), k)))
+            hi = np.concatenate((np.where(cut, k, hi), hi[cut]))
+            owner = np.concatenate((owner, owner[cut]))
+    return lo, hi, owner
+
+
+def _quad(g, lo, hi, tol: float, kinks=(), max_panels: int = 10_000) -> np.ndarray:
+    """Integrals of the k components of g over each interval [lo[j], hi[j]].
+
+    ``g(x, j)`` takes nodes ``x`` of shape (rows, nodes) and the index ``j``
+    of each row's interval, and returns shape (k, rows, nodes); the result
+    has shape (k, intervals).  Each interval is first split at the ``kinks``
+    inside it (known breakpoints of g, as in QUADPACK's qagp), and then
+    bisected adaptively with the rules above.  A panel is accepted when
+    every component's error estimate is within the interval's budget
+    ``tol * width / length`` or when it is no wider than 16 ulps of its
+    ends, so each interval's accepted panels sum to at most ``tol`` of
+    estimated error.
+
+    Panels wait in one first-in, first-out queue and are evaluated
+    ``_CHUNK`` at a time; flagged panels put their halves at the queue's
+    end.  Each interval's panels are therefore evaluated and summed in the
+    same order whatever the chunk size and whichever intervals share the
+    call, and the reductions are row-wise numpy sums (no BLAS), so the
+    result does not depend on either, nor on the BLAS thread count.
+
+    Raises ``DomainError`` when g is not finite at a node and
+    ``ConvergenceError`` when an interval would need more than
+    ``max_panels`` panels; both name the interval and the panel.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    span = hi - lo
+    density = tol / np.where(span > 0.0, span, np.inf)
+    qlo, qhi, qown = _split(lo, hi, kinks)
+    granted = np.bincount(qown, minlength=lo.shape[0])
+    total = None
+    start = 0
+    while start < qlo.shape[0]:
+        a, b, own = (q[start : start + _CHUNK] for q in (qlo, qhi, qown))
+        start += _CHUNK
+        width = b - a
+        half = 0.5 * width
+        vals = g((0.5 * (a + b))[:, None] + half[:, None] * _NODES, own)
+        gf = vals[..., _N_COARSE:]
+        coarse = half * (vals[..., :_N_COARSE] * _GL_COARSE[1]).sum(-1)
+        fine = half * (gf * _GL_FINE[1]).sum(-1)
+        null = half * (gf * _GL_NULL).sum(-1)
+        err = np.maximum(np.abs(fine - coarse), np.abs(null)).max(axis=0)
+        if total is None:
+            total = np.zeros((lo.shape[0], fine.shape[0]))
+        ok = err <= density[own] * width
+        if not ok.all():
+            nonfinite = ~np.isfinite(err)
+            if nonfinite.any():
+                j = np.argmax(nonfinite)
+                raise DomainError(
+                    f"integrand is not finite on [{a[j]:.6g}, {b[j]:.6g}] (interval "
+                    f"[{lo[own[j]]:.6g}, {hi[own[j]]:.6g}]); the quadrature evaluates "
+                    f"it at both ends of every panel"
+                )
+            ok |= width <= 16.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        np.add.at(total, own[ok], fine[:, ok].T)
+        if ok.all():
+            continue
+        bad = ~ok
+        np.add.at(granted, own[bad], 2)
+        over = granted[own[bad]] > max_panels
+        if over.any():
+            j = np.flatnonzero(bad)[np.argmax(over)]
+            raise ConvergenceError(
+                f"quadrature did not converge to abs_tol={tol:g} within "
+                f"{max_panels} panels on [{lo[own[j]]:.6g}, {hi[own[j]]:.6g}]; "
+                f"worst panel error {err[j]:.3e} on [{a[j]:.6g}, {b[j]:.6g}]"
+            )
+        mid = 0.5 * (a[bad] + b[bad])
+        qlo = np.concatenate((qlo[start:], np.stack((a[bad], mid), axis=1).ravel()))
+        qhi = np.concatenate((qhi[start:], np.stack((mid, b[bad]), axis=1).ravel()))
+        qown = np.concatenate((qown[start:], np.repeat(own[bad], 2)))
+        start = 0
+    return total.T
 
 
 def integrate(
@@ -359,30 +450,33 @@ def integrate(
 ) -> float:
     """Integrate g over [a, b] to absolute tolerance ``abs_tol``.
 
-    Adaptive bisection with fixed rules per panel: the 21-point Gauss value
-    is kept, and its error estimate is the larger of its distance from the
-    11-point Gauss-Lobatto value and a null rule on the Gauss nodes.  ``g``
-    must accept a numpy array of nodes and return the integrand values.  The
-    Lobatto rule samples the panel's ends, so ``g`` is evaluated at ``a`` and
-    ``b`` and must be finite there; sampling the ends is what lets the
-    estimate see a kink that lies closer to an end than the outermost Gauss
-    node.  The per-panel error budget is proportional to panel length, so
-    accepted panels sum to at most ``abs_tol`` of estimated error.
+    A one-interval call of the batched core ``_quad``: adaptive bisection
+    with fixed rules per panel, where the 21-point Gauss value is kept and
+    its error estimate is the larger of its distance from the 11-point
+    Gauss-Lobatto value and a null rule on the Gauss nodes.  Pending panels
+    are evaluated up to ``_CHUNK`` at a time in one call of ``g``, which
+    must accept a flat numpy array of nodes and return the integrand values.  The Lobatto
+    rule samples the panel's ends, so ``g`` is evaluated at ``a`` and ``b``
+    and must be finite there; sampling the ends is what lets the estimate
+    see a kink that lies closer to an end than the outermost Gauss node.
+    The per-panel error budget is proportional to panel length, so accepted
+    panels sum to at most ``abs_tol`` of estimated error.
 
     Every integrand in the package is finite at its interval's ends: the
-    transforms map [0, 1] onto [0, 1] with f(0) = 0 and f(1) = 1 exactly, so
-    the basis polynomials of ``solver._panel_weights``, the moments of f in
-    ``asymptotic_params``, the density 1 - f^{-1}(u) of
+    transforms map [0, 1] onto [0, 1] with f(0) = 0 and f(1) = 1 exactly.
+    ``integrate`` serves the density 1 - f^{-1}(u) of
     ``montecarlo.limit_overshoot_bin_probs``, the clipped history of
     ``solver.self_consistency_residual`` and the integrands of
-    ``verification`` are all bounded on [0, 1].
+    ``verification``, all bounded on [0, 1]; ``solver._panel_weights`` and
+    ``asymptotic_params`` call ``_quad`` directly, with the transform's
+    kinks as first splits.
 
     Raises
     ------
     ConvergenceError
-        If the subdivision limit ``max_panels`` is exhausted before every
-        panel meets its budget (integrable but rough integrands can do this
-        when ``abs_tol`` is very small).  A panel no wider than 16 ulps of
+        If meeting every panel's budget would take more than ``max_panels``
+        panels (integrable but rough integrands can do this when
+        ``abs_tol`` is very small).  A panel no wider than 16 ulps of
         its ends is accepted whatever its estimate, so a bounded jump is
         bisected down to that width and does not raise.
     DomainError
@@ -398,35 +492,11 @@ def integrate(
     if a == b:
         return 0.0
 
-    length = b - a
-    total = 0.0
-    processed = 0
-    stack = [(a, b)]
-    worst = 0.0
-    while stack:
-        lo, hi = stack.pop()
-        fine, err = _panel(g, lo, hi)
-        processed += 1
-        if not math.isfinite(err):
-            raise DomainError(
-                f"integrand is not finite on [{lo:.6g}, {hi:.6g}]; integrate "
-                f"evaluates it at both ends of every panel"
-            )
-        budget = abs_tol * (hi - lo) / length
-        if err <= budget or (hi - lo) <= 16 * math.ulp(max(abs(lo), abs(hi))):
-            total += fine
-            continue
-        if processed >= max_panels:
-            worst = err
-            raise ConvergenceError(
-                f"quadrature did not converge to abs_tol={abs_tol:g} within "
-                f"{max_panels} panels; worst panel error {worst:.3e} on "
-                f"[{lo:.6g}, {hi:.6g}]"
-            )
-        mid = 0.5 * (lo + hi)
-        stack.append((mid, hi))
-        stack.append((lo, mid))
-    return total
+    def g1(x, _):
+        # g takes a flat array of nodes
+        return np.reshape(g(x.ravel()), (1,) + x.shape)
+
+    return float(_quad(g1, [a], [b], abs_tol, max_panels=max_panels)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +542,18 @@ def asymptotic_params(spec: BijectionSpec, abs_tol: float = 1e-10) -> Asymptotic
     f(x) - u over {(u, x) : f(x) >= u} in the unit square, divided by mu.
     Integrating over u first collapses it to the equivalent single
     integral of f(x)^2 / 2, which is what gets evaluated here; the
-    verification suite checks the two routes against each other.
+    verification suite checks the two routes against each other.  E[f] and
+    E[f^2] come from one quadrature call, split first at the kinks of f, so
+    a piecewise-linear f integrates exactly with no bisection.
     """
-    mu = integrate(spec._f, 0.0, 1.0, abs_tol)
-    sigma2 = integrate(lambda x: (spec._f(x) - mu) ** 2, 0.0, 1.0, abs_tol)
-    c = integrate(lambda x: spec._f(x) ** 2, 0.0, 1.0, abs_tol) / (2.0 * mu)
+
+    def moments(x, _):
+        f = spec._f(x)
+        return np.stack((f, f * f))
+
+    (mu,), (ef2,) = _quad(moments, [0.0], [1.0], abs_tol, spec._kinks).tolist()
+    sigma2 = ef2 - mu * mu
+    c = ef2 / (2.0 * mu)
     # guard against tiny negative drift from quadrature roundoff
     if -1e-13 < sigma2 < 0.0:
         sigma2 = 0.0

@@ -350,39 +350,44 @@ def _paired_block(t, n, rng, f_base, f_dominating):
     Both accumulators see the same uniform draw each round; the dominating
     transform (pointwise >= the base on [0, 1]) must never need more draws.
     Returns how many of the n paths violated that (expected: none).
+
+    A path leaves once both sums have passed t, so it violated the order
+    exactly when its base sum had passed t before the round it leaves in.
+    Sums keep growing after they pass t, which changes no stop round, so
+    every surviving path adds both increments.  As in ``_run_block`` the
+    working arrays are allocated once and the survivors keep their order.
     """
-    s1 = np.zeros(n)
-    s2 = np.zeros(n)
-    k1 = np.zeros(n, dtype=np.int64)
-    k2 = np.zeros(n, dtype=np.int64)
-    done1 = np.zeros(n, dtype=bool)
-    done2 = np.zeros(n, dtype=bool)
+    u = np.empty(n)
+    inc = np.empty(n)
+    s1, s2 = np.zeros(n), np.zeros(n)
+    spare1, spare2 = np.empty(n), np.empty(n)
+    done, done2, before = (np.empty(n, dtype=bool) for _ in range(3))
     violations = 0
     r = 0
-    while n:
+    m = n
+    while m:
         r += 1
         if r > _DRAW_CAP:
             raise ConvergenceError(
                 f"coupled path exceeded {_DRAW_CAP} draws; transform increments "
                 f"are effectively zero"
             )
-        u = rng.random(n)
-        act1 = ~done1
-        s1[act1] += f_base(u[act1])
-        k1[act1] += 1
-        done1 = s1 > t
-        act2 = ~done2
-        s2[act2] += f_dominating(u[act2])
-        k2[act2] += 1
-        done2 = s2 > t
-        both = done1 & done2
-        if both.any():
-            violations += int(np.count_nonzero(k2[both] > k1[both]))
-            keep = ~both
-            s1, s2 = s1[keep], s2[keep]
-            k1, k2 = k1[keep], k2[keep]
-            done1, done2 = done1[keep], done2[keep]
-            n = s1.shape[0]
+        a, b = s1[:m], s2[:m]
+        x = rng.random(m, out=u[:m])
+        was = np.greater(a, t, out=before[:m])
+        a += f_base(x, out=inc[:m])
+        b += f_dominating(x, out=x)
+        d = np.greater(a, t, out=done[:m])
+        d &= np.greater(b, t, out=done2[:m])
+        hit = np.count_nonzero(d)
+        if hit:
+            violations += int(np.count_nonzero(np.logical_and(d, was, out=was)))
+            m -= hit
+            keep = np.logical_not(d, out=d)
+            np.compress(keep, a, out=spare1[:m])
+            np.compress(keep, b, out=spare2[:m])
+            s1, spare1 = spare1, s1
+            s2, spare2 = spare2, s2
     return violations
 
 

@@ -10,9 +10,10 @@ step the w-integral is split at the points w_m = f^{-1}(m * step) where
 the history interpolant changes cubic piece; on each such panel the
 integrand is one cubic in the (already computed) grid values and slopes,
 so its integral is a fixed linear combination of them.  The combination
-weights depend only on f and step, are computed once per solve with the
-adaptive quadrature from ``bijections``, and turn the whole march into
-short dot products.  The first panel (w below f^{-1}(step)) reaches into
+weights depend only on f and step, are computed once per solve by one
+call of the batched quadrature from ``bijections`` (every panel at once,
+split first at the kinks of f), and turn the whole march into short dot
+products.  The first panel (w below f^{-1}(step)) reaches into
 the not-yet-known value N(t_j); there the history is the quadratic through
 the last three grid points (the line through the last two right after a
 breaking point), which keeps the update a one-unknown linear solve.
@@ -46,6 +47,7 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     LogProduct,
+    _quad,
     integrate,
 )
 
@@ -195,7 +197,8 @@ def _panel_weights(spec: BijectionSpec, step: float):
     four cubic Hermite basis functions composed with u(w) = (m + 1) -
     f(w) / step (for the values at u = 0 and 1, then the slopes); for panel 0
     returns the integrals of the quadratic (and startup linear) Lagrange
-    bases in theta(w) = f(w) / step.
+    bases in theta(w) = f(w) / step.  Every panel is one interval of a
+    single ``_quad`` call (each to 1e-13), split first at the kinks of f.
     """
     h = step
     n_pan = math.ceil(1.0 / h - 1e-12)
@@ -203,31 +206,28 @@ def _panel_weights(spec: BijectionSpec, step: float):
     sig[-1] = 1.0
     seams = np.asarray(spec._finv(sig), dtype=float)
 
-    qtol = 1e-13
+    # panel 0 integrates the five Lagrange bases (a0, a1, a2, b0, b1), every
+    # other panel m the four Hermite bases and a zero
+    def bases(w, m):
+        th = spec._f(w) / h
+        u = (m + 1.0)[:, None] - th
+        out = np.zeros((5,) + w.shape)
+        out[0] = (2.0 * u - 3.0) * u * u + 1.0
+        out[1] = (3.0 - 2.0 * u) * u * u
+        out[2] = u * (1.0 - u) ** 2
+        out[3] = -u * u * (1.0 - u)
+        first = m == 0
+        if first.any():
+            t = th[first]
+            out[:, first] = (
+                0.5 * t * (t - 1.0), t * (2.0 - t), 0.5 * (t - 1.0) * (t - 2.0), t, 1.0 - t
+            )
+        return out
 
-    def basis_int(fn, lo, hi, m):
-        return integrate(lambda w: fn((m + 1.0) - spec._f(w) / h), lo, hi, qtol)
-
-    hermite = (
-        lambda u: (2.0 * u - 3.0) * u * u + 1.0,
-        lambda u: (3.0 - 2.0 * u) * u * u,
-        lambda u: u * (1.0 - u) ** 2,
-        lambda u: -u * u * (1.0 - u),
-    )
-    p = np.zeros((n_pan, 4))
-    for m in range(1, n_pan):
-        p[m] = [basis_int(fn, seams[m], seams[m + 1], m) for fn in hermite]
-
-    w1 = seams[1]
-
-    def theta_int(fn):
-        return integrate(lambda w: fn(spec._f(w) / h), 0.0, w1, qtol)
-
-    a2 = theta_int(lambda th: 0.5 * (th - 1.0) * (th - 2.0))
-    a1 = theta_int(lambda th: th * (2.0 - th))
-    a0 = theta_int(lambda th: 0.5 * th * (th - 1.0))
-    b1 = theta_int(lambda th: 1.0 - th)
-    b0 = theta_int(lambda th: th)
+    w = _quad(bases, seams[:-1], seams[1:], 1e-13, spec._kinks)
+    a0, a1, a2, b0, b1 = w[:, 0].tolist()
+    p = w[:4].T.copy()
+    p[0] = 0.0
     return p, (a0, a1, a2), (b0, b1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import renewal.bijections as bij
 from renewal.bijections import (
     BUILTIN_TRANSFORMS,
     AsymptoticParams,
@@ -245,6 +246,65 @@ class TestIntegrate:
             integrate(lambda x: np.sin(50.0 * x), 0.0, 1.0, 1e-14, max_panels=4)
 
 
+class TestQuadCore:
+    """The batched core behind ``integrate``, the panel weights and the constants."""
+
+    # interval j integrates _G[_KIND[j]]; the square root's kink at 0.3 makes
+    # [0, 1] and [0.25, 0.5] bisect, the cubic is exact on one panel
+    _G = (lambda x: np.sqrt(np.abs(x - 0.3)), lambda x: x * x * x - x)
+    _KIND = np.array([0, 1, 1, 0, 1])
+    _LO = np.array([0.0, 0.0, 1.0, 0.25, -2.0])
+    _HI = np.array([1.0, 1.0, 3.0, 0.5, -1.5])
+
+    def _g(self, x, j):
+        kind = self._KIND[j][:, None]
+        return np.where(kind == 0, self._G[0](x), self._G[1](x))[None]
+
+    def test_intervals_integrate_as_if_alone(self):
+        got = bij._quad(self._g, self._LO, self._HI, 1e-12)
+        assert got.shape == (1, 5)
+        for j, kind in enumerate(self._KIND):
+            # bit-identical: each interval's panels are summed in its own order
+            assert got[0, j] == integrate(self._G[kind], self._LO[j], self._HI[j], 1e-12)
+
+    def test_every_component_meets_its_budget(self):
+        # the smooth first component alone would accept the first panel
+        got = bij._quad(lambda x, j: np.stack((x, self._G[0](x))), [0.0], [1.0], 1e-12)
+        assert got[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert got[1, 0] == integrate(self._G[0], 0.0, 1.0, 1e-12)
+
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch):
+        want = bij._quad(self._g, self._LO, self._HI, 1e-12)
+        monkeypatch.setattr(bij, "_CHUNK", 2)
+        assert np.array_equal(bij._quad(self._g, self._LO, self._HI, 1e-12), want)
+
+    def test_nonfinite_node_in_one_interval(self):
+        def g(x, j):
+            return np.where((j == 2)[:, None] & (x == 3.0), np.nan, x)[None]
+
+        with pytest.raises(DomainError, match=r"not finite .*interval \[1, 3\]"):
+            bij._quad(g, self._LO, self._HI, 1e-12)
+
+    def test_convergence_error_names_the_interval(self):
+        def g(x, j):
+            return np.where((j == 1)[:, None], np.sin(50.0 * x), x)[None]
+
+        with pytest.raises(ConvergenceError, match=r"8 panels on \[0, 1\]"):
+            bij._quad(g, self._LO, self._HI, 1e-14, max_panels=8)
+
+    def test_kinks_are_first_splits(self):
+        # |x - 0.3| is linear on each side of its kink: two panels, no bisection
+        rows = []
+
+        def g(x, j):
+            rows.append(x.shape[0])
+            return np.abs(x - 0.3)[None]
+
+        got = bij._quad(g, [0.0], [1.0], 1e-15, kinks=(0.3,))
+        assert rows == [2]
+        assert got[0, 0] == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-16)
+
+
 class TestAsymptoticParams:
     def test_identity_constants(self):
         p = asymptotic_params(Identity())
@@ -298,6 +358,30 @@ class TestAsymptoticParams:
         ef2 = (x * y * y + (1.0 - x) * (y * y + y + 1.0)) / 3.0
         assert p.mu == pytest.approx(mu, abs=1e-10)
         assert p.c == pytest.approx(ef2 / (2.0 * mu), abs=1e-10)
+
+    def test_knots_off_the_dyadic_points_integrate_exactly(self, monkeypatch):
+        knots = ((0.0, 0.0), (0.1234567, 0.3141593), (0.4713, 0.5), (0.8662, 0.9021), (1.0, 1.0))
+        x, y = np.array(knots).T
+        dx = np.diff(x)
+        # E f(X) and E f(X)^2 piece by piece, exact for linear pieces
+        mu = np.sum(dx * (y[:-1] + y[1:]) / 2.0)
+        ef2 = np.sum(dx * (y[:-1] ** 2 + y[:-1] * y[1:] + y[1:] ** 2) / 3.0)
+        rounds = []
+        quad = bij._quad
+
+        def spy(g, *args, **kwargs):
+            def counted(x, j):
+                rounds.append(x.shape[0])
+                return g(x, j)
+
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(bij, "_quad", spy)
+        p = asymptotic_params(PiecewiseLinear(knots))
+        # one pass over the four linear pieces: nothing was bisected
+        assert rounds == [4]
+        assert p.mu == pytest.approx(mu, abs=1e-14)
+        assert p.c == pytest.approx(ef2 / (2.0 * mu), abs=1e-14)
 
     @settings(max_examples=20, deadline=None)
     @given(

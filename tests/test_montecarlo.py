@@ -270,6 +270,60 @@ class TestPairedDomination:
         viol, total = mc.paired_domination(2.0, 30_000, seed=1, workers=4)
         assert viol == 0 and total == 30_000
 
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize("swap", [False, True], ids=["ordered", "swapped"])
+    def test_matches_the_reference(self, n, swap):
+        # swapped, the base dominates, so most paths count as violations
+        fs = (Identity()._f, LogProduct()._f)
+        f_base, f_dom = fs[::-1] if swap else fs
+        want, _ = _reference_paired_block(3.0, n, mc._stream(5, 1), f_base, f_dom)
+        rng = mc._stream(5, 1)
+        assert mc._paired_block(3.0, n, rng, f_base, f_dom) == want
+        assert (want > 0) == (swap and n > 1)
+        # the kernel drew exactly as many uniforms as the reference
+        ref = mc._stream(5, 1)
+        _reference_paired_block(3.0, n, ref, f_base, f_dom)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_draw_cap_trips_per_path(self, monkeypatch):
+        fs = (Identity()._f, LogProduct()._f)
+        _, rounds = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *fs)
+        monkeypatch.setattr(mc, "_DRAW_CAP", rounds)
+        assert mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs) == 0
+        monkeypatch.setattr(mc, "_DRAW_CAP", rounds - 1)
+        with pytest.raises(ConvergenceError, match="draws"):
+            mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs)
+
+
+def _reference_paired_block(t, n, rng, f_base, f_dominating):
+    """The coupled-path kernel written plainly: per-path draw counts, fresh arrays.
+
+    Returns the violation count and the number of rounds (most draws of a path).
+    """
+    s1, s2 = np.zeros(n), np.zeros(n)
+    k1, k2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    done1, done2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    violations = rounds = 0
+    while n:
+        rounds += 1
+        u = rng.random(n)
+        act1 = ~done1
+        s1[act1] += f_base(u[act1])
+        k1[act1] += 1
+        done1 = s1 > t
+        act2 = ~done2
+        s2[act2] += f_dominating(u[act2])
+        k2[act2] += 1
+        done2 = s2 > t
+        both = done1 & done2
+        if both.any():
+            violations += int(np.count_nonzero(k2[both] > k1[both]))
+            keep = ~both
+            s1, s2, k1, k2 = s1[keep], s2[keep], k1[keep], k2[keep]
+            done1, done2 = done1[keep], done2[keep]
+            n = s1.shape[0]
+    return violations, rounds
+
 
 class TestChernoffBound:
     def test_pinned_value(self):

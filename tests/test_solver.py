@@ -1,11 +1,13 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import renewal as rw
-from renewal.bijections import DomainError
+import renewal.bijections as bij
+from renewal.bijections import DomainError, from_knot_file, integrate
 from renewal.closed_forms import product_count, uniform_sum_count
 from renewal.solver import (
     RenewalCurve,
@@ -17,7 +19,9 @@ from renewal.solver import (
     self_consistency_residual,
     solve,
     write_curve_csv,
+    _panel_weights,
 )
+from renewal.verification import _MENAGERIE
 
 E = math.e
 
@@ -106,6 +110,61 @@ class TestConvergenceOrder:
         t = curve.grid
         sel = (t >= 20.0) & (t <= 30.0)
         assert np.max(np.abs(curve.values[sel] - (t[sel] + c) / mu)) <= 1e-8
+
+
+def _panel_weights_per_call(spec, h):
+    """The panel weights from one ``integrate`` call per panel and basis."""
+    n_pan = math.ceil(1.0 / h - 1e-12)
+    sig = np.minimum(np.arange(n_pan + 1) * h, 1.0)
+    sig[-1] = 1.0
+    seams = np.asarray(spec._finv(sig), dtype=float)
+    hermite = (
+        lambda u: (2.0 * u - 3.0) * u * u + 1.0,
+        lambda u: (3.0 - 2.0 * u) * u * u,
+        lambda u: u * (1.0 - u) ** 2,
+        lambda u: -u * u * (1.0 - u),
+    )
+    p = np.zeros((n_pan, 4))
+    for m in range(1, n_pan):
+        for j, fn in enumerate(hermite):
+            p[m, j] = integrate(
+                lambda w: fn((m + 1.0) - spec._f(w) / h), seams[m], seams[m + 1], 1e-13
+            )
+    lagrange = (
+        lambda th: 0.5 * th * (th - 1.0),
+        lambda th: th * (2.0 - th),
+        lambda th: 0.5 * (th - 1.0) * (th - 2.0),
+        lambda th: th,
+        lambda th: 1.0 - th,
+    )
+    first = [integrate(lambda w: fn(spec._f(w) / h), 0.0, seams[1], 1e-13) for fn in lagrange]
+    return p, first
+
+
+_KNOTS_TXT = from_knot_file(Path(__file__).parents[1] / "perfbench" / "knots.txt")
+_WEIGHT_SPECS = [pytest.param(s, id=s.label) for s in _MENAGERIE]
+_WEIGHT_SPECS.append(pytest.param(_KNOTS_TXT, id="knots.txt"))
+
+
+class TestPanelWeights:
+    """All panel weights of a solve come from one batched quadrature call."""
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    @pytest.mark.parametrize("spec", _WEIGHT_SPECS)
+    def test_match_per_panel_integrals(self, spec, h):
+        p, (a0, a1, a2), (b0, b1) = _panel_weights(spec, h)
+        want_p, want_first = _panel_weights_per_call(spec, h)
+        assert np.max(np.abs(p - want_p)) <= 1e-17
+        assert np.max(np.abs(np.array([a0, a1, a2, b0, b1]) - want_first)) <= 1e-17
+        assert all(type(w) is float for w in (a0, a1, a2, b0, b1))
+
+    @pytest.mark.parametrize("spec", [rw.Power(0.5), _KNOTS_TXT], ids=["power:0.5", "knots.txt"])
+    def test_chunk_size_does_not_change_them(self, monkeypatch, spec):
+        # power:0.5 bisects its first panel many times; the knots split panels
+        one = _panel_weights(spec, 1e-2)
+        monkeypatch.setattr(bij, "_CHUNK", 7)
+        small = _panel_weights(spec, 1e-2)
+        assert np.array_equal(one[0], small[0]) and one[1:] == small[1:]
 
 
 class TestSlopeHandOver:
