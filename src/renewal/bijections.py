@@ -43,7 +43,6 @@ __all__ = [
     "asymptotic_params",
 ]
 
-_E = math.e
 _EM1 = math.e - 1.0
 
 
@@ -252,28 +251,38 @@ def from_knot_file(path) -> PiecewiseLinear:
 
     One ``x y`` pair per line (whitespace separated).  Blank lines are
     ignored.  The first knot must be ``0 0`` and the last ``1 1``; any
-    malformed line is reported with its line number.
+    malformed line is reported with its line number, and a path that cannot
+    be read as UTF-8 text raises ``DomainError`` naming it.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+    except OSError as err:
+        raise DomainError(f"{path}: cannot read knot file: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise DomainError(
+            f"{path}: knot file is not UTF-8 text ({err.reason} at byte {err.start})"
+        ) from None
     knots = []
     lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise DomainError(
-                    f"{path}: line {lineno}: expected two numbers 'x y', got {raw.rstrip()!r}"
-                )
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise DomainError(
-                    f"{path}: line {lineno}: could not parse {raw.rstrip()!r} as numbers"
-                ) from None
-            knots.append((x, y))
-            lines.append(lineno)
+    # text mode has already turned every line ending into "\n"
+    for lineno, raw in enumerate(content.split("\n"), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise DomainError(
+                f"{path}: line {lineno}: expected two numbers 'x y', got {raw.rstrip()!r}"
+            )
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise DomainError(
+                f"{path}: line {lineno}: could not parse {raw.rstrip()!r} as numbers"
+            ) from None
+        knots.append((x, y))
+        lines.append(lineno)
     try:
         return PiecewiseLinear(tuple(knots))
     except _KnotError as err:
@@ -347,6 +356,8 @@ _N_COARSE = _GL_COARSE[0].size
 # panels evaluated per numpy pass: bounds the temporaries (a few MB for five
 # integrands) however many intervals a call holds
 _CHUNK = 512
+# panels one interval may use before the quadrature gives up on it
+_MAX_PANELS = 10_000
 
 
 def _split(lo, hi, kinks):
@@ -364,7 +375,7 @@ def _split(lo, hi, kinks):
     return lo, hi, owner
 
 
-def _quad(g, lo, hi, tol: float, kinks=(), max_panels: int = 10_000) -> np.ndarray:
+def _quad(g, lo, hi, tol: float, kinks=()) -> np.ndarray:
     """Integrals of the k components of g over each interval [lo[j], hi[j]].
 
     ``g(x, j)`` takes nodes ``x`` of shape (rows, nodes) and the index ``j``
@@ -386,7 +397,7 @@ def _quad(g, lo, hi, tol: float, kinks=(), max_panels: int = 10_000) -> np.ndarr
 
     Raises ``DomainError`` when g is not finite at a node and
     ``ConvergenceError`` when an interval would need more than
-    ``max_panels`` panels; both name the interval and the panel.
+    ``_MAX_PANELS`` panels; both name the interval and the panel.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -425,12 +436,12 @@ def _quad(g, lo, hi, tol: float, kinks=(), max_panels: int = 10_000) -> np.ndarr
             continue
         bad = ~ok
         np.add.at(granted, own[bad], 2)
-        over = granted[own[bad]] > max_panels
+        over = granted[own[bad]] > _MAX_PANELS
         if over.any():
             j = np.flatnonzero(bad)[np.argmax(over)]
             raise ConvergenceError(
                 f"quadrature did not converge to abs_tol={tol:g} within "
-                f"{max_panels} panels on [{lo[own[j]]:.6g}, {hi[own[j]]:.6g}]; "
+                f"{_MAX_PANELS} panels on [{lo[own[j]]:.6g}, {hi[own[j]]:.6g}]; "
                 f"worst panel error {err[j]:.3e} on [{a[j]:.6g}, {b[j]:.6g}]"
             )
         mid = 0.5 * (a[bad] + b[bad])
@@ -446,7 +457,6 @@ def integrate(
     a: float,
     b: float,
     abs_tol: float = 1e-10,
-    max_panels: int = 10_000,
 ) -> float:
     """Integrate g over [a, b] to absolute tolerance ``abs_tol``.
 
@@ -474,7 +484,7 @@ def integrate(
     Raises
     ------
     ConvergenceError
-        If meeting every panel's budget would take more than ``max_panels``
+        If meeting every panel's budget would take more than ``_MAX_PANELS``
         panels (integrable but rough integrands can do this when
         ``abs_tol`` is very small).  A panel no wider than 16 ulps of
         its ends is accepted whatever its estimate, so a bounded jump is
@@ -496,7 +506,7 @@ def integrate(
         # g takes a flat array of nodes
         return np.reshape(g(x.ravel()), (1,) + x.shape)
 
-    return float(_quad(g1, [a], [b], abs_tol, max_panels=max_panels)[0, 0])
+    return float(_quad(g1, [a], [b], abs_tol)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +545,7 @@ class AsymptoticParams:
         return self.c / self.mu
 
 
-def asymptotic_params(spec: BijectionSpec, abs_tol: float = 1e-10) -> AsymptoticParams:
+def asymptotic_params(spec: BijectionSpec) -> AsymptoticParams:
     """Compute (mu, sigma2, c) for a transform by adaptive quadrature.
 
     The mean limiting overshoot c is defined by the region integral of
@@ -551,7 +561,7 @@ def asymptotic_params(spec: BijectionSpec, abs_tol: float = 1e-10) -> Asymptotic
         f = spec._f(x)
         return np.stack((f, f * f))
 
-    (mu,), (ef2,) = _quad(moments, [0.0], [1.0], abs_tol, spec._kinks).tolist()
+    (mu,), (ef2,) = _quad(moments, [0.0], [1.0], 1e-10, spec._kinks).tolist()
     sigma2 = ef2 - mu * mu
     c = ef2 / (2.0 * mu)
     # guard against tiny negative drift from quadrature roundoff

@@ -21,11 +21,7 @@ import math
 from .bijections import ConvergenceError, DomainError
 
 __all__ = [
-    "taylor_exp_neg",
     "exp_tail_weight",
-    "product_series_term",
-    "product_count_01",
-    "product_count_12",
     "product_count",
     "product_count_series",
     "product_count_asymptote",
@@ -128,26 +124,23 @@ def product_count(t: float) -> float:
     return product_count_01(t) if t <= 1.0 else product_count_12(t)
 
 
-def product_count_series(t: float, tol: float = 1e-12) -> float:
+def product_count_series(t: float) -> float:
     """Series evaluation of the product-form count on [0, 1].
 
-    Terms are added in ascending n and the sum stops once |term| < tol
+    Terms are added in ascending n and the sum stops once |term| < 1e-12
     with at least 5 terms taken.  Terms decay geometrically (ratio below
-    1/(e-1)), so the truncated tail is of the same order as tol and the
-    result agrees with ``product_count_01`` within about 10 * tol.
+    1/(e-1)), so the truncated tail is of the same order and the result
+    agrees with ``product_count_01`` within about 1e-11.
     """
     t = _check_unit_t(t)
-    tol = float(tol)
-    if not (0.0 < tol <= 1e-3):
-        raise DomainError(f"tol must be in (0, 1e-3], got {tol}")
     total = 1.0
     for n in range(1, 400):
         term = product_series_term(t, n)
         total += term
-        if abs(term) < tol and n >= 5:
+        if abs(term) < 1e-12 and n >= 5:
             return total
     raise ConvergenceError(  # pragma: no cover - terms decay geometrically
-        f"series did not reach tol={tol:g} within 400 terms"
+        "series did not reach 1e-12 within 400 terms"
     )
 
 

@@ -31,6 +31,7 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     BUILTIN_TRANSFORMS,
+    _as_unit,
     asymptotic_params,
     integrate,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "OvershootHistogram",
     "SimRecord",
     "simulate",
-    "sample_k",
     "estimate_n",
     "estimate_stopped_sum",
     "overshoot_histogram",
@@ -123,16 +123,6 @@ class OvershootHistogram:
         dens.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "densities", dens)
-
-
-def sample_k(transform: BijectionSpec, t: float, rng: np.random.Generator):
-    """Draw one path: the draw count and overshoot for a single threshold crossing."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    stopped, over = _run_block(transform, t, 1, rng)
-    # the one path stopped on the block's last round
-    return stopped.shape[0] - 1, float(over[0])
 
 
 def _run_block(transform, t, n, rng):
@@ -452,9 +442,13 @@ def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np
     """Probability mass of each histogram bin under the limiting overshoot law.
 
     The limiting overshoot density at u is (1 - f^{-1}(u)) / mu; each bin
-    mass is its integral, computed by adaptive quadrature.
+    mass is its integral, computed by adaptive quadrature.  ``edges`` must
+    be a 1-D nondecreasing array of at least 2 entries in [0, 1], where the
+    density is defined.
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = _as_unit(edges, "edges")
+    if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) < 0.0):
+        raise DomainError("edges must be a 1-D nondecreasing array of at least 2 entries")
     mu = asymptotic_params(transform).mu
     probs = np.empty(edges.shape[0] - 1)
     for i in range(probs.shape[0]):

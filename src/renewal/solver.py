@@ -185,9 +185,6 @@ class RenewalCurve:
     def grid(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.step
 
-    def evaluate(self, t):
-        return eval_curve(self, t)
-
 
 def _panel_weights(spec: BijectionSpec, step: float):
     """Per-panel integration weights reused by every marching step.
@@ -380,7 +377,7 @@ def asymptote_gap(curve: RenewalCurve, params: AsymptoticParams, t: float) -> fl
     return eval_curve(curve, t) - (float(t) + params.c) / params.mu
 
 
-def self_consistency_residual(curve: RenewalCurve, t: float, abs_tol: float = 1e-9) -> float:
+def self_consistency_residual(curve: RenewalCurve, t: float) -> float:
     """How well the finished curve satisfies its own renewal equation at t.
 
     Recomputes the right-hand side 1 + integral of N(t - f(w)) dw with the
@@ -402,7 +399,7 @@ def self_consistency_residual(curve: RenewalCurve, t: float, abs_tol: float = 1e
             s = np.clip(t - spec._f(w), 0.0, grid_end)
             return _hermite_eval(curve.values, curve._slopes, curve.step, s)
 
-        rhs = 1.0 + integrate(hist, 0.0, w_end, abs_tol)
+        rhs = 1.0 + integrate(hist, 0.0, w_end, 1e-9)
     return abs(eval_curve(curve, t) - rhs)
 
 

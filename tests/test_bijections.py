@@ -241,9 +241,10 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, 1.0, 0.0)
 
-    def test_panel_budget_exhaustion(self):
+    def test_panel_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(bij, "_MAX_PANELS", 4)
         with pytest.raises(ConvergenceError, match="panels"):
-            integrate(lambda x: np.sin(50.0 * x), 0.0, 1.0, 1e-14, max_panels=4)
+            integrate(lambda x: np.sin(50.0 * x), 0.0, 1.0, 1e-14)
 
 
 class TestQuadCore:
@@ -285,12 +286,13 @@ class TestQuadCore:
         with pytest.raises(DomainError, match=r"not finite .*interval \[1, 3\]"):
             bij._quad(g, self._LO, self._HI, 1e-12)
 
-    def test_convergence_error_names_the_interval(self):
+    def test_convergence_error_names_the_interval(self, monkeypatch):
         def g(x, j):
             return np.where((j == 1)[:, None], np.sin(50.0 * x), x)[None]
 
+        monkeypatch.setattr(bij, "_MAX_PANELS", 8)
         with pytest.raises(ConvergenceError, match=r"8 panels on \[0, 1\]"):
-            bij._quad(g, self._LO, self._HI, 1e-14, max_panels=8)
+            bij._quad(g, self._LO, self._HI, 1e-14)
 
     def test_kinks_are_first_splits(self):
         # |x - 0.3| is linear on each side of its kink: two panels, no bisection

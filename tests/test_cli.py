@@ -116,6 +116,18 @@ class TestSolve:
         assert result.exit_code == 0
         assert result.stdout.splitlines()[0] == "t,N"
 
+    def test_directory_spec_is_a_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["asympt", "--spec", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"{tmp_path}: cannot read knot file" in result.output
+
+    def test_undecodable_knot_file_is_a_usage_error(self, runner, tmp_path):
+        knots = tmp_path / "f.knots"
+        knots.write_bytes(b"\xff0 0\n1 1\n")
+        result = runner.invoke(main, ["asympt", "--spec", str(knots)])
+        assert result.exit_code == 2
+        assert f"{knots}: knot file is not UTF-8 text" in result.output
+
 
 class TestAsympt:
     def test_identity_line(self, runner):

@@ -129,15 +129,6 @@ class TestProductCount:
                 product_count(t), abs=1e-10
             )
 
-    def test_series_honors_loose_tolerance(self):
-        got = product_count_series(0.8, tol=1e-6)
-        assert got == pytest.approx(product_count(0.8), abs=1e-5)
-
-    def test_series_tol_validation(self):
-        for bad in (0.0, -1e-9, 2e-3):
-            with pytest.raises(DomainError):
-                product_count_series(0.5, tol=bad)
-
     def test_asymptote_formula(self):
         assert product_count_asymptote(0.0) == pytest.approx(EM1 * (E - 2.0) / 2.0, abs=1e-15)
         assert product_count_asymptote(2.0) == pytest.approx(

@@ -96,28 +96,6 @@ class TestStoppedSum:
         assert 1.5 < es.mean <= 2.5
 
 
-class TestSampleK:
-    def test_basic_path(self):
-        rng = np.random.default_rng(0)
-        k, over = mc.sample_k(LogProduct(), 3.0, rng)
-        assert k >= 4  # at least ceil(t) increments of size <= 1
-        assert 0.0 < over <= 1.0
-
-    def test_zero_threshold(self):
-        rng = np.random.default_rng(0)
-        k, over = mc.sample_k(Identity(), 0.0, rng)
-        assert k == 1 and 0.0 < over <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            mc.sample_k(Identity(), -0.5, np.random.default_rng(0))
-
-    def test_draw_cap(self, monkeypatch):
-        monkeypatch.setattr(mc, "_DRAW_CAP", 10)
-        with pytest.raises(ConvergenceError, match="draws"):
-            mc.sample_k(Identity(), 50.0, np.random.default_rng(0))
-
-
 class TestDrawCap:
     def test_block_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mc, "_DRAW_CAP", 100)
@@ -259,6 +237,20 @@ class TestLimitOvershootProbs:
             want = E * (b - a) - (math.exp(b) - math.exp(a))
             assert probs[i] == pytest.approx(want, abs=1e-10)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, 0.5, 1.5], [-0.5, 0.5], [0.0, 0.7, 0.3, 1.0], [0.5], [], 0.5,
+         [[0.0, 1.0]], [0.0, math.nan]],
+    )
+    def test_edges_validated(self, edges):
+        # the density 1 - f^{-1}(u) is defined on [0, 1] only
+        with pytest.raises(DomainError, match="edges"):
+            mc.limit_overshoot_bin_probs(Identity(), edges)
+
+    def test_repeated_edge_is_an_empty_bin(self):
+        probs = mc.limit_overshoot_bin_probs(Identity(), [0.0, 0.5, 0.5, 1.0])
+        assert probs == pytest.approx([0.75, 0.0, 0.25], abs=1e-10)
 
 
 class TestPairedDomination:

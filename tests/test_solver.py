@@ -231,9 +231,6 @@ class TestCurveObject:
         with pytest.raises(DomainError, match="t_max"):
             RenewalCurve(rw.Identity(), 0.5, 9.0, np.array([1.0, 2.0, 3.0]))
 
-    def test_evaluate_method_delegates(self, identity_curve):
-        assert identity_curve.evaluate(1.25) == eval_curve(identity_curve, 1.25)
-
 
 class TestEvalDomain:
     def test_out_of_range(self, identity_curve):
