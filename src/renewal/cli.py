@@ -33,6 +33,13 @@ from .bijections import (
 
 _SEED_ENV = "RENEWAL_SEED"
 
+_SPEC = click.option("--spec", default="logproduct", show_default=True,
+                     help="Transform: identity, logproduct, power:<p>, or a knot file path.")
+_SEED = click.option("--seed", type=click.IntRange(min=0), default=None,
+                     help=f"RNG seed (default: ${_SEED_ENV} or 42).")
+_WORKERS = click.option("--workers", type=click.IntRange(1, 256), default=1, show_default=True,
+                        help="Threads that share the simulation; results do not depend on it.")
+
 
 def _map_errors(fn):
     """Translate library errors into the documented exit codes."""
@@ -103,8 +110,7 @@ def exact(target, threshold):
 
 
 @main.command()
-@click.option("--spec", default="logproduct", show_default=True,
-              help="Transform: identity, logproduct, power:<p>, or a knot file path.")
+@_SPEC
 @click.option("--t-max", type=float, required=True, help="March up to this threshold.")
 @click.option("--step", type=float, default=1e-3, show_default=True,
               help="Grid step (1e-5 to 1e-2).")
@@ -147,8 +153,7 @@ def solve(spec, t_max, step, fmt, output):
 
 
 @main.command()
-@click.option("--spec", default="logproduct", show_default=True,
-              help="Transform: identity, logproduct, power:<p>, or a knot file path.")
+@_SPEC
 @click.option("-t", "--threshold", type=float, default=None,
               help="Also print the asymptotic line evaluated at this t.")
 @_map_errors
@@ -169,15 +174,12 @@ def asympt(spec, threshold):
 
 
 @main.command()
-@click.option("--spec", default="logproduct", show_default=True,
-              help="Transform: identity, logproduct, power:<p>, or a knot file path.")
+@_SPEC
 @click.option("-t", "--threshold", type=float, required=True, help="Threshold t.")
 @click.option("--samples", type=click.IntRange(1, 10**9), default=100_000,
               show_default=True, help="Number of simulated paths.")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help=f"RNG seed (default: ${_SEED_ENV} or 42).")
-@click.option("--workers", type=click.IntRange(1, 256), default=1, show_default=True,
-              help="Worker substreams (changes the sample split, still reproducible).")
+@_SEED
+@_WORKERS
 @_map_errors
 def simulate(spec, threshold, samples, seed, workers):
     """Estimate the expected draw count by simulation; JSON on stdout."""
@@ -187,16 +189,14 @@ def simulate(spec, threshold, samples, seed, workers):
 
 
 @main.command()
-@click.option("--spec", default="logproduct", show_default=True,
-              help="Transform: identity, logproduct, power:<p>, or a knot file path.")
+@_SPEC
 @click.option("-t", "--threshold", type=float, required=True, help="Threshold t.")
 @click.option("--samples", type=click.IntRange(1, 10**9), default=100_000,
               show_default=True, help="Number of simulated paths.")
 @click.option("--bins", type=click.IntRange(10, 10_000), default=50, show_default=True,
               help="Histogram bins on [0, 1].")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help=f"RNG seed (default: ${_SEED_ENV} or 42).")
-@click.option("--workers", type=click.IntRange(1, 256), default=1, show_default=True)
+@_SEED
+@_WORKERS
 @_map_errors
 def overshoot(spec, threshold, samples, bins, seed, workers):
     """Simulate the overshoot past the threshold; histogram JSON on stdout."""
@@ -218,9 +218,8 @@ def overshoot(spec, threshold, samples, bins, seed, workers):
               help="Solver march horizon for the solver suite.")
 @click.option("--samples", type=click.IntRange(1000, 10**8), default=1_000_000,
               show_default=True, help="Simulation suite sample count.")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help=f"RNG seed (default: ${_SEED_ENV} or 42).")
-@click.option("--workers", type=click.IntRange(1, 256), default=1, show_default=True)
+@_SEED
+@_WORKERS
 @_map_errors
 def verify(suites, step, t_max, samples, seed, workers):
     """Run cross-route verification; one PASS/FAIL line per check."""

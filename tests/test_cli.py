@@ -195,6 +195,22 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "-t", "-3", "--samples", "1000"])
         assert result.exit_code == 2
 
+    def test_work_cap_refuses_at_once(self, runner, monkeypatch):
+        # about 1.7e12 rounds: weeks of work, refused before any block runs
+        def no_block(*args):
+            raise AssertionError("a block ran before the work cap check")
+
+        monkeypatch.setattr(renewal.montecarlo, "_run_block", no_block)
+        result = runner.invoke(main, ["simulate", "-t", "1e12", "--samples", "1"])
+        assert result.exit_code == 2
+        assert "t=1e+12 with samples=1 would take about 2.58e+07 s" in result.output
+        assert "cap of 300 s; decrease t or samples" in result.output
+
+    def test_workers_do_not_change_the_output(self, runner):
+        args = ["simulate", "-t", "2", "--samples", "70000", "--workers"]
+        one, two = (runner.invoke(main, args + [w]) for w in ("1", "2"))
+        assert one.exit_code == 0 and one.stdout == two.stdout
+
 
 class TestOvershoot:
     def test_payload(self, runner):

@@ -53,6 +53,9 @@ class TestEstimateN:
             dict(t=1.0, samples=100, seed=-1),
             dict(t=1.0, samples=100, workers=0),
             dict(t=1.0, samples=100, workers=1000),
+            dict(t=1.0, samples=True),
+            dict(t=1.0, samples=100, seed=True),
+            dict(t=1.0, samples=100, workers=True),
         ],
     )
     def test_validation(self, kwargs):
@@ -60,6 +63,27 @@ class TestEstimateN:
         samples = kwargs.pop("samples")
         with pytest.raises(DomainError):
             mc.estimate_n(Identity(), t, samples, **kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        got = mc.estimate_n(Identity(), 1.0, np.int64(1000), seed=np.int64(3), workers=np.int32(2))
+        assert got == mc.estimate_n(Identity(), 1.0, 1000, seed=3)
+        assert json.loads(json.dumps(mc.estimate_payload(got)))["samples"] == 1000
+        rec = mc.simulate(Identity(), 1.0, 1000, seed=3, bins=np.int16(10))
+        assert rec.hist_counts.shape == (10,)
+        with pytest.raises(DomainError, match="bins"):
+            mc.simulate(Identity(), 1.0, 1000, bins=True)
+
+    def test_work_cap_refuses_before_any_block(self, monkeypatch):
+        # about 2e12 rounds of 15 us each: refused before a block runs
+        def no_block(*args):
+            raise AssertionError("a block ran before the work cap check")
+
+        monkeypatch.setattr(mc, "_run_block", no_block)
+        monkeypatch.setattr(mc, "_paired_block", no_block)
+        with pytest.raises(DomainError, match=r"t=1e\+12 with samples=1 .* cap of 300 s"):
+            mc.estimate_n(LogProduct(), 1e12, 1)
+        with pytest.raises(DomainError, match="decrease t or samples"):
+            mc.paired_domination(1e12, 1)
 
 
 class TestReproducibility:
@@ -81,6 +105,44 @@ class TestReproducibility:
     def test_worker_split_covers_all_samples(self):
         est = mc.estimate_n(Identity(), 0.0, 12_345, seed=9, workers=7)
         assert est.mean == 1.0 and est.samples == 12_345
+
+
+def _record_fields(rec):
+    return (rec.k_counts.tolist(), rec.overshoot_sum, rec.overshoot_sumsq,
+            None if rec.hist_counts is None else rec.hist_counts.tolist())
+
+
+class TestWorkerInvariance:
+    def test_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        recs = [mc.simulate(LogProduct(), 3.0, 30_001, seed=8, workers=w, bins=20)
+                for w in (1, 2, 3, 7)]
+        assert all(_record_fields(r) == _record_fields(recs[0]) for r in recs[1:])
+
+    def test_real_block_size(self):
+        samples = 2 * mc._BLOCK + 17
+        one, two = (mc.simulate(Identity(), 2.0, samples, seed=4, workers=w) for w in (1, 2))
+        assert _record_fields(one) == _record_fields(two)
+
+    def test_paired_domination(self, monkeypatch):
+        # swapped transforms, so the violation counts are not all zero
+        paired = mc._paired_block
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        monkeypatch.setattr(mc, "_paired_block", lambda t, n, rng, a, b: paired(t, n, rng, b, a))
+        got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
+        assert got[0][0] > 0 and got == [got[0]] * 4
+
+    def test_block_b_walks_stream_b(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        rec = mc.simulate(LogProduct(), 2.0, 10_000, seed=6, workers=3)
+        k_counts = np.zeros(0, dtype=np.int64)
+        sum_o = 0.0
+        for b, n in enumerate((4096, 4096, 1808)):
+            stopped, over = mc._run_block(LogProduct(), 2.0, n, mc._stream(6, b))
+            k_counts = np.pad(k_counts, (0, max(0, stopped.shape[0] - k_counts.shape[0])))
+            k_counts[: stopped.shape[0]] += stopped
+            sum_o += float(over.sum())
+        assert rec.k_counts.tolist() == k_counts.tolist() and rec.overshoot_sum == sum_o
 
 
 class TestStoppedSum:

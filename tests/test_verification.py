@@ -84,3 +84,5 @@ def test_validation():
         run_checks(["solver"], t_max=1.0)
     with pytest.raises(DomainError):
         run_checks(["simulation"], samples=10)
+    with pytest.raises(DomainError, match="samples"):
+        run_checks(["simulation"], samples=True)
