@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .bijections import ConvergenceError, DomainError
+from .bijections import ConvergenceError, DomainError, _as_int
 
 __all__ = [
     "exp_tail_weight",
@@ -58,8 +58,7 @@ def taylor_exp_neg(t: float, n: int) -> float:
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = _as_int("n", n, 1)
     total = 0.0
     comp = 0.0
     term = 1.0
@@ -82,8 +81,7 @@ def exp_tail_weight(t: float, n: int) -> float:
     which the verification suite checks to 1e-12.
     """
     t = _check_unit_t(t)
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    n = _as_int("n", n, 0)
     if n == 0:
         # empty partial sum, weight is exactly 1
         return 1.0
@@ -94,8 +92,7 @@ def exp_tail_weight(t: float, n: int) -> float:
 def product_series_term(t: float, n: int) -> float:
     """n-th term of the series for the product-form count: weight / (e-1)^n."""
     t = _check_unit_t(t)
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    n = _as_int("n", n, 0)
     if n == 0:
         return 1.0
     return exp_tail_weight(t, n) / _EM1**n

@@ -58,7 +58,8 @@ def test_tracer_patches_and_restores_the_real_modules(monkeypatch):
         assert tracer._patched
         for module, attr, orig in tracer._patched:
             assert getattr(module, attr) is not orig, (module.__name__, attr)
-        solver.solve(bijections.Identity(), 0.1, 0.01)
+        curve = solver.solve(bijections.Identity(), 0.1, 0.01)
+        solver.self_consistency_residual(curve, 0.05)  # integrates by name
         montecarlo.estimate_n(bijections.Identity(), 1.0, 100, seed=0)
         montecarlo.limit_overshoot_bin_probs(bijections.Identity(), [0.0, 0.5, 1.0])
     finally:

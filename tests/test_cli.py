@@ -90,15 +90,15 @@ class TestSolve:
         assert result.exit_code == 2
 
     def test_work_cap_refuses_at_once(self, runner, monkeypatch):
-        # 4e7 nodes, each with dot products 1e5 panels wide: hours of work,
-        # refused before any panel weight is computed
+        # 4e7 nodes, some 2.6 GB at the march's peak, refused before any
+        # panel weight is computed
         def no_weights(*args):
             raise AssertionError("panel weights computed before the cap check")
 
         monkeypatch.setattr(renewal.solver, "_panel_weights", no_weights)
         result = runner.invoke(main, ["solve", "--t-max", "400", "--step", "1e-5"])
         assert result.exit_code == 2
-        assert "march work 4.2e+12" in result.output
+        assert "4e+07 nodes take about 2.56 GB" in result.output
         assert "cap" in result.output
         assert "increase step or decrease t_max" in result.output
 

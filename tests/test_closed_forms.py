@@ -73,6 +73,25 @@ class TestExpTailWeight:
             exp_tail_weight(0.5, -1)
 
 
+class TestSeriesIndex:
+    """The series helpers take n as any integer, numpy's included, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "fn, n",
+        [(taylor_exp_neg, 4), (exp_tail_weight, 3), (product_series_term, 3)],
+        ids=["taylor_exp_neg", "exp_tail_weight", "product_series_term"],
+    )
+    def test_numpy_integers_match_ints(self, fn, n):
+        for kind in (np.int64, np.int32, np.uint8):
+            assert fn(0.5, kind(n)) == fn(0.5, n)
+
+    @pytest.mark.parametrize("fn", [taylor_exp_neg, exp_tail_weight, product_series_term])
+    @pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(2.0), "2"])
+    def test_bools_and_floats_rejected(self, fn, bad):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            fn(0.5, bad)
+
+
 class TestProductSeriesTerm:
     def test_zeroth_term(self):
         assert product_series_term(0.7, 0) == 1.0

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from renewal.bijections import (
     PiecewiseLinear,
     Power,
     asymptotic_params,
+    from_knot_file,
+    integrate,
 )
 from renewal.closed_forms import product_count, uniform_sum_count
+from renewal.verification import _MENAGERIE
 
 E = math.e
+_KNOTS_TXT = from_knot_file(Path(__file__).parents[1] / "perfbench" / "knots.txt")
+_BIN_SPECS = [pytest.param(s, id=s.label) for s in _MENAGERIE]
+_BIN_SPECS.append(pytest.param(_KNOTS_TXT, id="knots.txt"))
 
 
 class TestEstimateN:
@@ -309,6 +316,19 @@ class TestLimitOvershootProbs:
         # the density 1 - f^{-1}(u) is defined on [0, 1] only
         with pytest.raises(DomainError, match="edges"):
             mc.limit_overshoot_bin_probs(Identity(), edges)
+
+    @pytest.mark.parametrize("spec", _BIN_SPECS)
+    def test_matches_per_bin_integrals(self, spec):
+        # one batched quadrature over all bins, split at the knot ys, against
+        # one adaptive integral per bin
+        edges = np.linspace(0.0, 1.0, 51)
+        got = mc.limit_overshoot_bin_probs(spec, edges)
+        per_bin = [
+            integrate(lambda u: 1.0 - spec._finv(u), a, b, 1e-12)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        want = np.array(per_bin) / asymptotic_params(spec).mu
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_repeated_edge_is_an_empty_bin(self):
         probs = mc.limit_overshoot_bin_probs(Identity(), [0.0, 0.5, 0.5, 1.0])

@@ -1,12 +1,15 @@
 import io
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import renewal as rw
 import renewal.bijections as bij
+import renewal.solver as solver
 from renewal.bijections import DomainError, from_knot_file, integrate
 from renewal.closed_forms import product_count, uniform_sum_count
 from renewal.solver import (
@@ -19,6 +22,8 @@ from renewal.solver import (
     self_consistency_residual,
     solve,
     write_curve_csv,
+    _final_slopes,
+    _first_clip,
     _panel_weights,
 )
 from renewal.verification import _MENAGERIE
@@ -187,6 +192,257 @@ class TestSlopeHandOver:
         off_grid = (np.arange(n) + np.random.default_rng(5).uniform(0.01, 0.99, n)) * step
         for t in (curve.grid, off_grid):
             assert np.array_equal(eval_curve(curve, t), eval_curve(rebuilt, t))
+
+
+# -------------------------------------------------- the looped march, inline
+# The march as it was before the FFT tail: every step one dot product, and
+# the slopes swept node by node.  It is the reference for the tail, for the
+# fallback to the loop and for the vectorized final slopes.
+
+
+def _update_slopes_ref(v, sl, sr, seg, hi):
+    for i in range(max(seg, hi - 2), hi + 1):
+        dl = v[i] - v[i - 1] if i > seg else v[i + 1] - v[i]
+        dr = v[i + 1] - v[i] if i < hi else dl
+        if hi - seg == 1:
+            m = dl
+        elif i == seg:
+            m = 0.5 * (-3.0 * v[i] + 4.0 * v[i + 1] - v[i + 2])
+        elif i == hi:
+            m = 0.5 * (3.0 * v[i] - 4.0 * v[i - 1] + v[i - 2])
+        elif i == hi - 2 and i - 2 >= seg:
+            m = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / 12.0
+        else:
+            m = 0.5 * (v[i + 1] - v[i - 1])
+        m = min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
+        sl[i] = m
+        if i > seg:
+            sr[i - 1] = m
+
+
+def _slope_sweep_ref(v, sl, sr, breaks, n):
+    seg = 0
+    for hi in range(n + 1):
+        if hi - 1 in breaks:
+            seg = hi - 1
+        if hi:
+            _update_slopes_ref(v, sl, sr, seg, hi)
+        if hi < n:
+            yield hi, hi in breaks
+
+
+def _looped_solve(spec, t_max, step):
+    """Values and per-panel (left, right) slopes of the looped march."""
+    n = math.ceil(t_max / step - 1e-12)
+    breaks = {0}
+    for b in spec._breaks:
+        k = round(b / step)
+        if 0 < k < n and abs(k * step - b) <= 1e-9:
+            breaks.add(k)
+    p, (a0, a1, a2), (b0, b1) = _panel_weights(spec, step)
+    n_pan = p.shape[0]
+    rows = np.zeros((n + 1, 4))
+    rows[0, 0] = 1.0
+    flat, wts = rows.reshape(-1), p[:0:-1].reshape(-1)
+    sl, sr = rows[:, 2], rows[:, 3]
+    v = [1.0]
+    for hi, after_break in _slope_sweep_ref(v, sl, sr, breaks, n):
+        r = min(hi, n_pan - 1)
+        hist = float(np.dot(wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
+        if after_break:
+            val = (1.0 + hist + b0 * v[hi]) / (1.0 - b1)
+        else:
+            val = (1.0 + hist + a1 * v[hi] + a0 * v[hi - 1]) / (1.0 - a2)
+        v.append(val)
+        rows[hi, 1] = rows[hi + 1, 0] = val
+    return rows[:, 0].copy(), (sl[:n].copy(), sr[:n].copy())
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _tail_calls(monkeypatch):
+    """Record the node each call of the FFT tail starts from."""
+    starts = []
+    tail = solver._tail
+
+    def spy(v, start, *args):
+        starts.append(start)
+        return tail(v, start, *args)
+
+    monkeypatch.setattr(solver, "_tail", spy)
+    return starts
+
+
+_OFF_GRID_KNOTS = rw.PiecewiseLinear(((0.0, 0.0), (0.3, 0.2137), (0.7, 0.6071), (1.0, 1.0)))
+_TAIL_CASES = [
+    pytest.param(rw.Identity(), 1e-2, 100.0, id="identity"),
+    pytest.param(rw.LogProduct(), 1e-2, 100.0, id="logproduct"),
+    pytest.param(rw.Power(0.5), 1e-2, 100.0, id="power:0.5"),
+    pytest.param(_KNOTS_TXT, 1e-2, 100.0, id="knots.txt"),
+    pytest.param(rw.Power(5.0), 1e-2, 100.0, id="power:5"),
+    pytest.param(rw.LogProduct(), 1e-3, 20.0, id="logproduct-1e-3"),
+    pytest.param(rw.LogProduct(), 3e-3, 100.0, id="logproduct-t1-off-grid"),
+    pytest.param(_OFF_GRID_KNOTS, 1e-2, 100.0, id="off-grid-knot-ys"),
+]
+
+
+class TestTail:
+    """Past the handover the march is a linear recurrence, solved in FFT blocks."""
+
+    @pytest.mark.parametrize("spec, step, t_max", _TAIL_CASES)
+    def test_matches_the_loop(self, monkeypatch, spec, step, t_max):
+        starts = _tail_calls(monkeypatch)
+        curve = solve(spec, t_max, step)
+        assert len(starts) == 1 and starts[0] < curve.n_panels  # the tail ran
+        values, slopes = _looped_solve(spec, t_max, step)
+        assert np.max(np.abs(curve.values - values) / values) <= 1e-13
+        # a slope is a difference of nearby values, so it is held to 1e-13 of
+        # the value at its node, not of itself
+        for got, want in zip(curve._slopes, slopes):
+            assert np.max(np.abs(got - want) / values[:-1]) <= 1e-13
+
+    def test_handover_falls_after_the_last_breaking_point(self, monkeypatch):
+        # t = 1 at step 3e-3 lies inside a panel: the loop still covers it and
+        # one history window past it
+        starts = _tail_calls(monkeypatch)
+        solve(rw.LogProduct(), 5.0, 3e-3)
+        assert starts == [math.ceil(1.0 / 3e-3) + math.ceil(1.0 / 3e-3) + 2]
+
+    @pytest.mark.parametrize("step", [1e-3, 3e-3, 1e-2, 2.5e-3])
+    def test_short_solves_are_all_loop(self, monkeypatch, step):
+        starts = _tail_calls(monkeypatch)
+        curve = solve(rw.LogProduct(), 2.0, step)
+        values, slopes = _looped_solve(rw.LogProduct(), 2.0, step)
+        assert starts == []
+        assert np.array_equal(curve.values, values)
+        for got, want in zip(curve._slopes, slopes):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_reported_clip_falls_back_to_the_loop(self, monkeypatch):
+        # a clip at the first tail step leaves the whole curve to the loop
+        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: start)
+        curve = solve(rw.LogProduct(), 30.0, 1e-2)
+        values, slopes = _looped_solve(rw.LogProduct(), 30.0, 1e-2)
+        assert np.array_equal(_bits(curve.values), _bits(values))
+        for got, want in zip(curve._slopes, slopes):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_clip_inside_the_tail_loops_from_there(self, monkeypatch):
+        tail_only = solve(rw.Identity(), 30.0, 1e-2)
+        clip = 2 * 100 + 2 + 137
+        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: clip)
+        curve = solve(rw.Identity(), 30.0, 1e-2)
+        values, _ = _looped_solve(rw.Identity(), 30.0, 1e-2)
+        assert np.array_equal(curve.values[: clip + 1], tail_only.values[: clip + 1])
+        assert not np.array_equal(curve.values[clip + 1 :], tail_only.values[clip + 1 :])
+        assert np.max(np.abs(curve.values - values) / values) <= 1e-13
+
+    def test_a_limiter_that_acts_in_the_tail_leaves_it_to_the_loop(self, monkeypatch):
+        # f(X) is near 1/2 with probability 0.98, so N rises in steps a
+        # half apart for long after t = 2 and the limiter acts there
+        clips = []
+        first_clip = solver._first_clip
+        monkeypatch.setattr(
+            solver, "_first_clip", lambda *args: clips.append(first_clip(*args)) or clips[-1]
+        )
+        spec = rw.PiecewiseLinear(((0.0, 0.0), (0.01, 0.49), (0.99, 0.51), (1.0, 1.0)))
+        curve = solve(spec, 30.0, 1e-2)
+        values, _ = _looped_solve(spec, 30.0, 1e-2)
+        assert clips == [2 * 100 + 2]
+        assert np.array_equal(curve.values, values)
+
+    def test_fallback_is_refused_when_the_loop_would_take_too_long(self, monkeypatch):
+        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: start)
+        monkeypatch.setattr(solver, "_MAX_MARCH_WORK", 1e6)  # admits the tail, not the loop
+        with pytest.raises(DomainError, match=r"the slope limiter acts at t = 2\.02.*cap"):
+            solve(rw.LogProduct(), 30.0, 1e-2)
+
+
+class TestTailBlocks:
+    """The FFT blocks solve any linear recurrence, whatever sum(c) is."""
+
+    @pytest.mark.parametrize("k, excess", [(5, 0.0), (40, 3e-4), (700, -2e-3)])
+    def test_match_the_recurrence_step_by_step(self, k, excess):
+        rng = np.random.default_rng(k)
+        c = rng.uniform(0.0, 1.0, k)
+        c *= (1.0 + excess) / c.sum()
+        start = k + 3
+        v = np.empty(start + 3000)
+        v[: start + 1] = 1.0 + np.cumsum(rng.uniform(0.5, 1.0, start + 1))
+        want = v.copy()
+        for j in range(start, want.shape[0] - 1):
+            want[j + 1] = math.fsum([0.7, *(c * want[j::-1][:k])])
+        solver._tail(v, start, 0.7, c, math.fsum([*c, -1.0]))
+        assert np.max(np.abs(v - want) / want) <= 1e-13
+
+
+class TestFirstClip:
+    """The vectorized limiter check names the first step whose stages clip."""
+
+    @staticmethod
+    def _first_clip_ref(v, start, n_pan):
+        def clamp(m, dl, dr):
+            return min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
+
+        for hi in range(start, len(v) - 1):
+            stages = [
+                (0.5 * (3.0 * v[hi] - 4.0 * v[hi - 1] + v[hi - 2]), v[hi] - v[hi - 1], v[hi] - v[hi - 1]),
+                (0.5 * (v[hi] - v[hi - 2]), v[hi - 1] - v[hi - 2], v[hi] - v[hi - 1]),
+            ]
+            for x in range(hi - n_pan + 1, hi - 1):
+                five = (v[x - 2] - 8.0 * v[x - 1] + 8.0 * v[x + 1] - v[x + 2]) / 12.0
+                stages.append((five, v[x] - v[x - 1], v[x + 1] - v[x]))
+            if any(clamp(m, dl, dr) != m for m, dl, dr in stages):
+                return hi
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_pan=st.integers(3, 8),
+        lead=st.integers(2, 6),
+        steps=st.integers(1, 30),
+        jumps=st.lists(st.tuples(st.integers(0, 60), st.sampled_from([-0.1, 0.0, 0.01, 5.0])), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_step_by_step_check(self, n_pan, lead, steps, jumps, seed):
+        start = n_pan + lead
+        inc = np.random.default_rng(seed).uniform(0.5, 1.0, start + steps)
+        for at, size in jumps:
+            inc[at % inc.size] = size
+        v = np.concatenate([[1.0], 1.0 + np.cumsum(inc)])
+        assert _first_clip(v, start, n_pan) == self._first_clip_ref(v.tolist(), start, n_pan)
+
+
+class TestFinalSlopes:
+    """One vectorized pass gives the slopes the node-by-node sweep leaves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inc=st.lists(st.floats(-1.0, 4.0, allow_nan=False), min_size=1, max_size=40),
+        cuts=st.sets(st.integers(1, 39), max_size=8),
+        step=st.sampled_from([1e-3, 0.25]),
+    )
+    def test_bit_identical_to_the_sweep(self, inc, cuts, step):
+        v = np.concatenate([[1.0], 1.0 + np.cumsum(inc)])
+        n = v.shape[0] - 1
+        breaks = sorted({0} | {k for k in cuts if k < n})
+        sl, sr = np.empty(n + 1), np.empty(n + 1)
+        for _ in _slope_sweep_ref(v.tolist(), sl, sr, set(breaks), n):
+            pass
+        got = _final_slopes(v, breaks)
+        assert np.array_equal(_bits(got[0]), _bits(sl[:n]))
+        assert np.array_equal(_bits(got[1]), _bits(sr[:n]))
+
+    def test_rebuilding_a_long_curve_is_fast(self):
+        curve = solve(rw.LogProduct(), 100.0, 1e-3)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            RenewalCurve(curve.transform, curve.step, curve.t_max, curve.values)
+            best = min(best, time.perf_counter() - t0)
+        assert curve.values.shape[0] > 10**5 and best < 0.02
 
 
 class TestSolveValidation:
