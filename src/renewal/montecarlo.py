@@ -142,8 +142,10 @@ def _run_block(transform, t, n, rng):
     order, so each round's draws reach the same paths as they would with
     path ids.  The working arrays are allocated once: each round draws into
     ``u``, transforms in place, compares into ``done`` and compacts the
-    running sums into ``spare``, which then swaps with ``sums``.  (Each
-    ``np.compress`` still takes a temporary index array.)
+    running sums into ``spare``, which then swaps with ``sums``.  Each
+    compaction is ``np.take`` of a temporary index array with
+    ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
+    default ``mode="raise"``) fills a buffer and copies it into ``out``.
     """
     u = np.empty(n)
     sums = np.zeros(n)
@@ -166,10 +168,11 @@ def _run_block(transform, t, n, rng):
         stopped.append(hit)
         if hit:
             stop = over[n - m : n - m + hit]
-            np.compress(d, s, out=stop)
+            np.take(s, np.flatnonzero(d), out=stop, mode="clip")
             stop -= t
             m -= hit
-            np.compress(np.logical_not(d, out=d), s, out=spare[:m])
+            keep = np.flatnonzero(np.logical_not(d, out=d))
+            np.take(s, keep, out=spare[:m], mode="clip")
             sums, spare = spare, sums
     return np.array(stopped, dtype=np.int64), over
 
@@ -377,9 +380,9 @@ def _paired_block(t, n, rng, f_base, f_dominating):
         if hit:
             violations += int(np.count_nonzero(np.logical_and(d, was, out=was)))
             m -= hit
-            keep = np.logical_not(d, out=d)
-            np.compress(keep, a, out=spare1[:m])
-            np.compress(keep, b, out=spare2[:m])
+            keep = np.flatnonzero(np.logical_not(d, out=d))
+            np.take(a, keep, out=spare1[:m], mode="clip")
+            np.take(b, keep, out=spare2[:m], mode="clip")
             s1, spare1 = spare1, s1
             s2, spare2 = spare2, s2
     return violations

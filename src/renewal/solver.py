@@ -93,6 +93,9 @@ _TAIL_NODE_WORK = 150
 _MAX_MARCH_WORK = 1e11
 _NODE_BYTES = 64
 _MAX_MARCH_BYTES = 1e9
+# lines of CSV formatted per string operation: larger chunks format no
+# faster and hold more memory at once
+_CSV_LINES = 1024
 
 
 def marching_tolerance(step: float) -> float:
@@ -620,13 +623,18 @@ def self_consistency_residual(curve: RenewalCurve, t: float) -> float:
 
 
 def write_curve_csv(curve: RenewalCurve, fh) -> None:
-    """Write the curve as CSV with header ``t,N``, 17 significant digits."""
-    grid = curve.grid
-    lines = ["t,N\n"]
-    lines.extend(
-        f"{grid[j]:.17g},{curve.values[j]:.17g}\n" for j in range(grid.shape[0])
-    )
-    fh.write("".join(lines))
+    """Write the curve as CSV with header ``t,N``, 17 significant digits.
+
+    Each chunk of up to ``_CSV_LINES`` lines is formatted by one ``%``
+    operation and written to ``fh`` before the next is built, so beyond
+    what ``fh`` keeps the writer holds one chunk's Python floats and string,
+    never the whole curve's.
+    """
+    grid, values = curve.grid, curve.values
+    fh.write("t,N\n")
+    for lo in range(0, grid.shape[0], _CSV_LINES):
+        pairs = np.column_stack((grid[lo : lo + _CSV_LINES], values[lo : lo + _CSV_LINES]))
+        fh.write(("%.17g,%.17g\n" * pairs.shape[0]) % tuple(pairs.ravel().tolist()))
 
 
 def curve_json_payload(curve: RenewalCurve) -> dict:

@@ -294,6 +294,37 @@ class TestQuadCore:
         with pytest.raises(ConvergenceError, match=r"8 panels on \[0, 1\]"):
             bij._quad(g, self._LO, self._HI, 1e-14)
 
+    def test_graded_intervals_ignore_chunk_and_neighbours(self, monkeypatch):
+        # sqrt(x - lo) is singular at each interval's left end, which is graded
+        lo, hi = np.array([0.0, 0.5, 0.0, 1.0]), np.array([1.0, 2.0, 1e-3, 1.5])
+
+        def g(x, j):
+            # a node may round to just below its panel's left end
+            return np.sqrt(np.abs(x - lo[j][:, None]))[None]
+
+        calls = []
+
+        def counted(x, j):
+            calls.append(x.shape[0])
+            return g(x, j)
+
+        want = bij._quad(counted, lo, hi, 1e-12)
+        # bisection alone takes 58 rounds here, grading 10
+        assert len(calls) <= 12
+        assert want[0] == pytest.approx(2.0 / 3.0 * (hi - lo) ** 1.5, rel=1e-12)
+        for j in range(lo.shape[0]):
+            alone = bij._quad(lambda x, _: g(x, np.full(x.shape[0], j)), [lo[j]], [hi[j]], 1e-12)
+            assert alone[0, 0] == want[0, j]
+        monkeypatch.setattr(bij, "_CHUNK", 2)
+        assert np.array_equal(bij._quad(g, lo, hi, 1e-12), want)
+
+    def test_panel_cap_counts_every_graded_piece(self, monkeypatch):
+        # [0, 1] and [0, 1/2] and [0, 1/4] are bisected (7 panels so far), then
+        # [0, 1/8] is graded into 25 pieces: 32 panels, checked before the cut
+        monkeypatch.setattr(bij, "_MAX_PANELS", 31)
+        with pytest.raises(ConvergenceError, match=r"31 panels on \[0, 1\].* on \[0, 0.125\]"):
+            integrate(np.sqrt, 0.0, 1.0, 1e-12)
+
     def test_kinks_are_first_splits(self):
         # |x - 0.3| is linear on each side of its kink: two panels, no bisection
         rows = []
@@ -332,6 +363,24 @@ class TestAsymptoticParams:
         assert ph.mu == pytest.approx(2.0 / 3.0, abs=1e-11)
         assert ph.sigma2 == pytest.approx(0.5 - 4.0 / 9.0, abs=1e-11)
         assert ph.c == pytest.approx(0.375, abs=1e-10)
+
+    def test_power_half_grades_its_singular_end(self, monkeypatch):
+        # sqrt(x) at 0 took 45 rounds of bisection; graded it takes 6
+        rounds = []
+        quad = bij._quad
+
+        def spy(g, *args, **kwargs):
+            def counted(x, j):
+                rounds.append(x.shape[0])
+                return g(x, j)
+
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(bij, "_quad", spy)
+        p = asymptotic_params(Power(0.5))
+        assert len(rounds) <= 8
+        assert abs(p.mu - 2.0 / 3.0) <= 2e-16
+        assert abs(p.c - 0.375) <= 2e-16
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -33,8 +33,11 @@ class TestExact:
         assert "solve" in result.output
 
     def test_sum_overflow_cap(self, runner):
-        result = runner.invoke(main, ["exact", "--target", "sum", "-t", "40"])
-        assert result.exit_code == 2
+        # 29.9 is where the series was 1.66 off and still exited 0
+        for t in ("40", "29.9"):
+            result = runner.invoke(main, ["exact", "--target", "sum", "-t", t])
+            assert result.exit_code == 2
+            assert "precision" in result.output
 
     def test_missing_target(self, runner):
         result = runner.invoke(main, ["exact", "-t", "1"])

@@ -1,6 +1,7 @@
 import io
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +164,30 @@ class TestPanelWeights:
         assert np.max(np.abs(np.array([a0, a1, a2, b0, b1]) - want_first)) <= 1e-17
         assert all(type(w) is float for w in (a0, a1, a2, b0, b1))
 
+    @pytest.mark.parametrize(
+        "spec, rounds",
+        [(rw.Identity(), 1), (rw.LogProduct(), 1), (_KNOTS_TXT, 1), (rw.Power(0.5), 8)],
+        ids=["identity", "logproduct", "knots.txt", "power:0.5"],
+    )
+    def test_rounds(self, monkeypatch, spec, rounds):
+        # power:0.5's first panel is singular at w = 0: graded, not bisected 40 times
+        calls = []
+        quad = solver._quad
+
+        def spy(g, *args, **kwargs):
+            def counted(x, j):
+                calls.append(x.shape[0])
+                return g(x, j)
+
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_quad", spy)
+        _panel_weights(spec, 1e-2)
+        assert len(calls) <= rounds
+
     @pytest.mark.parametrize("spec", [rw.Power(0.5), _KNOTS_TXT], ids=["power:0.5", "knots.txt"])
     def test_chunk_size_does_not_change_them(self, monkeypatch, spec):
-        # power:0.5 bisects its first panel many times; the knots split panels
+        # power:0.5 grades its first panel; the knots split panels
         one = _panel_weights(spec, 1e-2)
         monkeypatch.setattr(bij, "_CHUNK", 7)
         small = _panel_weights(spec, 1e-2)
@@ -561,6 +583,40 @@ class TestSerialization:
         # 17 significant digits reproduce the doubles exactly
         assert np.array_equal(data[:, 1], curve.values)
         assert np.array_equal(data[:, 0], curve.grid)
+
+    @pytest.mark.parametrize(
+        "spec", [rw.Identity(), rw.Power(0.5), _KNOTS_TXT], ids=["identity", "power:0.5", "knots.txt"]
+    )
+    def test_csv_matches_a_per_line_writer(self, spec):
+        def per_line(curve, fh):
+            grid = curve.grid
+            lines = ["t,N\n"]
+            lines.extend(
+                f"{grid[j]:.17g},{curve.values[j]:.17g}\n" for j in range(grid.shape[0])
+            )
+            fh.write("".join(lines))
+
+        curve = solve(spec, 82.0, 1e-2)
+        # 8201 lines: the writer's chunks and a partial last one
+        assert curve.values.shape[0] > solver._CSV_LINES + 1
+        got, want = io.StringIO(), io.StringIO()
+        write_curve_csv(curve, got)
+        per_line(curve, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_csv_memory_per_node(self):
+        # the per-line writer peaked at 134 bytes per node: every line at once
+        curve = solve(rw.LogProduct(), 20.0, 1e-4)
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            write_curve_csv(curve, buf)
+            text = buf.getvalue()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == curve.values.shape[0] + 1
+        assert peak / curve.values.shape[0] < 100.0
 
     def test_json_payload(self):
         curve = solve(rw.Identity(), 1.0, 1e-2)
