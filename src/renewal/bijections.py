@@ -172,7 +172,6 @@ class Power(BijectionSpec):
     """
 
     p: float
-    label_prefix: ClassVar[str] = "power"
 
     def __post_init__(self):
         p = self.p

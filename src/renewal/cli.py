@@ -14,11 +14,10 @@ seed from --seed, then the RENEWAL_SEED environment variable, then 42).
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
 import json
 import math
-import os
 import sys
 
 import click
@@ -31,12 +30,10 @@ from .bijections import (
     parse_transform,
 )
 
-_SEED_ENV = "RENEWAL_SEED"
-
 _SPEC = click.option("--spec", default="logproduct", show_default=True,
                      help="Transform: identity, logproduct, power:<p>, or a knot file path.")
-_SEED = click.option("--seed", type=click.IntRange(min=0), default=None,
-                     help=f"RNG seed (default: ${_SEED_ENV} or 42).")
+_SEED = click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
+                     envvar="RENEWAL_SEED", show_envvar=True, help="RNG seed.")
 _WORKERS = click.option("--workers", type=click.IntRange(1, 256), default=1, show_default=True,
                         help="Threads that share the simulation; results do not depend on it.")
 
@@ -55,21 +52,6 @@ def _map_errors(fn):
             sys.exit(3)
 
     return wrapper
-
-
-def _resolve_seed(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get(_SEED_ENV)
-    if env is None:
-        return 42
-    try:
-        value = int(env)
-    except ValueError:
-        raise click.UsageError(f"{_SEED_ENV} must be an integer, got {env!r}")
-    if value < 0:
-        raise click.UsageError(f"{_SEED_ENV} must be nonnegative, got {value}")
-    return value
 
 
 def _fmt(x: float) -> str:
@@ -111,9 +93,10 @@ def exact(target, threshold):
 
 @main.command()
 @_SPEC
-@click.option("--t-max", type=float, required=True, help="March up to this threshold.")
-@click.option("--step", type=float, default=1e-3, show_default=True,
-              help="Grid step (1e-5 to 1e-2).")
+@click.option("--t-max", type=click.FloatRange(0, 1e4, min_open=True), required=True,
+              help="March up to this threshold.")
+@click.option("--step", type=click.FloatRange(1e-5, 1e-2), default=1e-3, show_default=True,
+              help="Grid step.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Curve output format.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -121,20 +104,9 @@ def exact(target, threshold):
 @_map_errors
 def solve(spec, t_max, step, fmt, output):
     """Solve the renewal equation and emit the whole curve."""
-    if not 0.0 < t_max <= 1e4:
-        raise click.UsageError(f"--t-max must be in (0, 1e4], got {t_max:g}")
-    if not 1e-5 <= step <= 1e-2:
-        raise click.UsageError(f"--step must be in [1e-5, 1e-2], got {step:g}")
     transform = parse_transform(spec)
     curve = solver.solve(transform, t_max, step)
-    if fmt == "csv":
-        buf = io.StringIO()
-        solver.write_curve_csv(curve, buf)
-        payload = buf.getvalue()
-    else:
-        payload = json.dumps(solver.curve_json_payload(curve), indent=2) + "\n"
-    params = asymptotic_params(transform)
-    gap = solver.asymptote_gap(curve, params, t_max)
+    gap = solver.asymptote_gap(curve, asymptotic_params(transform), t_max)
     summary = (
         f"spec = {transform.label}\n"
         f"step = {_fmt(curve.step)}\n"
@@ -142,14 +114,15 @@ def solve(spec, t_max, step, fmt, output):
         f"N(t_max) = {_fmt(solver.eval_curve(curve, t_max))}\n"
         f"asymptote gap at t_max = {gap:.3e}"
     )
-    if output is None:
-        click.echo(payload, nl=False)
-        click.echo(summary, err=True)
-    else:
-        # compute everything first so a failure never leaves a partial file
-        with open(output, "w") as fh:
-            fh.write(payload)
-        click.echo(summary)
+    # everything that can fail has run, so a failure never leaves a partial file
+    stdout = contextlib.nullcontext(click.get_text_stream("stdout"))
+    with stdout if output is None else open(output, "w") as fh:
+        if fmt == "csv":
+            solver.write_curve_csv(curve, fh)
+        else:
+            fh.write(json.dumps(solver.curve_json_payload(curve), indent=2) + "\n")
+        fh.flush()
+    click.echo(summary, err=output is None)
 
 
 @main.command()
@@ -184,7 +157,7 @@ def asympt(spec, threshold):
 def simulate(spec, threshold, samples, seed, workers):
     """Estimate the expected draw count by simulation; JSON on stdout."""
     transform = parse_transform(spec)
-    est = montecarlo.estimate_n(transform, threshold, samples, _resolve_seed(seed), workers)
+    est = montecarlo.estimate_n(transform, threshold, samples, seed, workers)
     click.echo(json.dumps(montecarlo.estimate_payload(est), indent=2))
 
 
@@ -201,9 +174,7 @@ def simulate(spec, threshold, samples, seed, workers):
 def overshoot(spec, threshold, samples, bins, seed, workers):
     """Simulate the overshoot past the threshold; histogram JSON on stdout."""
     transform = parse_transform(spec)
-    hist = montecarlo.overshoot_histogram(
-        transform, threshold, samples, bins, _resolve_seed(seed), workers
-    )
+    hist = montecarlo.overshoot_histogram(transform, threshold, samples, bins, seed, workers)
     click.echo(json.dumps(montecarlo.histogram_payload(hist), indent=2))
 
 
@@ -228,7 +199,7 @@ def verify(suites, step, t_max, samples, seed, workers):
         step=step,
         t_max=t_max,
         samples=samples,
-        seed=_resolve_seed(seed),
+        seed=seed,
         workers=workers,
     )
     failed = 0

@@ -282,7 +282,9 @@ def simulate(
     def block(n, rng):
         stopped, over = _run_block(transform, t, n, rng)
         hist = np.histogram(over, bins=bins, range=(0.0, 1.0))[0] if bins else None
-        return stopped, float(over.sum()), float(np.dot(over, over)), hist
+        # einsum, not np.dot: OpenBLAS splits a long dot across its threads,
+        # so its sum would depend on the BLAS thread count
+        return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
 
     k_counts = np.zeros(0, dtype=np.int64)
     hist = np.zeros(bins, dtype=np.int64) if bins else None
@@ -481,8 +483,8 @@ def estimate_payload(est: SimEstimate) -> dict:
 def histogram_payload(hist: OvershootHistogram) -> dict:
     """JSON-ready dict for an overshoot histogram."""
     return {
-        "bin_edges": [float(x) for x in hist.bin_edges],
-        "densities": [float(x) for x in hist.densities],
+        "bin_edges": hist.bin_edges.tolist(),
+        "densities": hist.densities.tolist(),
         "samples": hist.samples,
         "t": hist.t,
     }

@@ -643,6 +643,6 @@ def curve_json_payload(curve: RenewalCurve) -> dict:
         "spec": curve.transform.label,
         "step": curve.step,
         "t_max": curve.t_max,
-        "t": [float(x) for x in curve.grid],
-        "N": [float(x) for x in curve.values],
+        "t": curve.grid.tolist(),
+        "N": curve.values.tolist(),
     }

@@ -29,6 +29,7 @@ from .bijections import (
     PiecewiseLinear,
     Power,
     _as_int,
+    _quad,
     asymptotic_params,
     integrate,
 )
@@ -222,19 +223,16 @@ def _checks_bijections():
     ))
 
     # the defining region integral for c, evaluated as written (inner integral
-    # over x above f^-1(u), then over u) must match the collapsed single-quad route
-    def c_nested(s, outer_tol=1e-9):
-        def inner(u):
-            lo = float(s._finv(np.asarray(u)))
-            return integrate(lambda x: s._f(x) - u, lo, 1.0, outer_tol / 10.0)
+    # over x above f^-1(u), then over u) must match the collapsed single-quad route;
+    # each batch of outer nodes u takes one _quad call over its intervals [f^-1(u), 1]
+    def c_nested(s):
+        def inner(us):
+            def g(x, j):
+                return (s._f(x) - us[j, None])[None]
 
-        num = integrate(
-            lambda us: np.array([inner(float(u)) for u in np.atleast_1d(us)]),
-            0.0,
-            1.0,
-            outer_tol,
-        )
-        return num / params[s].mu
+            return _quad(g, s._finv(us), np.ones_like(us), 1e-10)[0]
+
+        return integrate(inner, 0.0, 1.0, 1e-9) / params[s].mu
 
     e1 = abs(c_nested(Identity()) - p_id.c)
     e2 = abs(c_nested(LogProduct()) - p_lp.c)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -6,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 import renewal
+from renewal import solver
+from renewal.bijections import LogProduct
 from renewal.cli import main
 from renewal.closed_forms import product_count, uniform_sum_count
 
@@ -91,6 +94,27 @@ class TestSolve:
     def test_t_max_range_enforced(self, runner):
         result = runner.invoke(main, ["solve", "--t-max", "20000"])
         assert result.exit_code == 2
+        # nan passes the option's range check and is refused by solver.solve
+        result = runner.invoke(main, ["solve", "--t-max", "nan"])
+        assert result.exit_code == 2
+        assert "t_max must be a positive finite number, got nan" in result.output
+
+    def test_stdout_is_the_writer_output(self, runner):
+        # 3001 lines, so the writer streams three chunks straight to stdout
+        result = runner.invoke(main, ["solve", "--t-max", "3", "--step", "1e-3"])
+        assert result.exit_code == 0
+        buf = io.StringIO()
+        solver.write_curve_csv(solver.solve(LogProduct(), 3.0, 1e-3), buf)
+        assert result.stdout == buf.getvalue()
+        assert "N(t_max) =" in result.stderr
+
+    def test_refused_solve_leaves_no_file(self, runner, tmp_path):
+        out = tmp_path / "f"
+        result = runner.invoke(
+            main, ["solve", "--t-max", "400", "--step", "1e-5", "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
     def test_work_cap_refuses_at_once(self, runner, monkeypatch):
         # 4e7 nodes, some 2.6 GB at the march's peak, refused before any
@@ -187,12 +211,23 @@ class TestSimulate:
         assert json.loads(result.output)["seed"] == 5
 
     def test_env_seed_malformed(self, runner):
+        for env in ("many", "-1"):
+            result = runner.invoke(
+                main,
+                ["simulate", "-t", "1", "--samples", "1000"],
+                env={"RENEWAL_SEED": env},
+            )
+            assert result.exit_code == 2, env
+            assert "RENEWAL_SEED" in result.output, env
+
+    def test_empty_env_seed_means_unset(self, runner):
         result = runner.invoke(
             main,
             ["simulate", "-t", "1", "--samples", "1000"],
-            env={"RENEWAL_SEED": "many"},
+            env={"RENEWAL_SEED": ""},
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 0
+        assert json.loads(result.output)["seed"] == 42
 
     def test_negative_threshold(self, runner):
         result = runner.invoke(main, ["simulate", "-t", "-3", "--samples", "1000"])

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,10 +256,29 @@ class TestSimulateRecord:
         rec = mc.simulate(LogProduct(), 2.0, 5000, seed=4, bins=10)
         stopped, over = mc._run_block(LogProduct(), 2.0, 5000, mc._stream(4, 0))
         assert (rec.k_counts == stopped).all()
-        assert rec.overshoot_sum == over.sum() and rec.overshoot_sumsq == np.dot(over, over)
+        assert rec.overshoot_sum == over.sum()
+        assert rec.overshoot_sumsq == np.einsum("i,i->", over, over)
         assert (rec.hist_counts == np.histogram(over, bins=10, range=(0.0, 1.0))[0]).all()
         with pytest.raises(ValueError):
             rec.k_counts[2] = 0
+
+    def test_record_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product over 2^16 paths across its threads;
+        # the overshoot sum of squares must not take that route
+        code = (
+            "from renewal import montecarlo as mc; from renewal.bijections import LogProduct; "
+            "print(mc.simulate(LogProduct(), 20, 2**17, seed=1).overshoot_sumsq.hex())"
+        )
+        src = str(Path(mc.__file__).parents[1])
+        out = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert out[0] == out[1]
 
     def test_histogram_needs_bins(self):
         rec = mc.simulate(Identity(), 1.0, 100, seed=1)
