@@ -120,7 +120,7 @@ def solve(spec, t_max, step, fmt, output):
         if fmt == "csv":
             solver.write_curve_csv(curve, fh)
         else:
-            fh.write(json.dumps(solver.curve_json_payload(curve), indent=2) + "\n")
+            solver.write_curve_json(curve, fh)
         fh.flush()
     click.echo(summary, err=output is None)
 

@@ -18,19 +18,23 @@ quadratic through the last three grid points (the line through the last
 two right after a breaking point), which keeps the update a one-unknown
 linear solve.
 
-The march runs in two parts.  A Python loop of short dot products steps
-the nodes up to the handover node: the last breaking point (rounded up to
-a node), plus one history window (ceil(1/step) nodes), plus the
-five-point stencil's reach of 2.  Past it no step reads a slope whose
-stencil meets a breaking point, so while the slope limiter leaves every
-slope as its stencil gives it, each step is one fixed linear recurrence
-v[j+1] = alpha + sum_k c[k] * v[j-k].  The tail solves it in FFT blocks of
-at least ceil(1/step) nodes (``_tail``), then one vectorized pass
-(``_first_clip``) checks that the limiter would have left every slope
-stage of the tail as it is.  Where it would not, the loop takes over from
-that step, so its output there is the looped march's.  The tail agrees
-with the loop to about 1e-14 relative; against the recurrence evaluated
-in extended precision it is the closer of the two.
+The march is one blocked solve from node 0.  Between breaking points each
+step is the same linear recurrence v[j+1] = alpha + sum_k c[k] * v[j-k]
+(the slopes it reads are unclamped stencil stages, so each panel's
+weights act on values alone) plus a known forcing: the panel weights times
+the difference between each frozen slope and the five-point stage the
+recurrence assumes.  That difference is nonzero only next to a breaking
+point, whose stencils it cuts, at node 0, whose history is zero, and where
+the slope limiter clipped a slope.  ``_tail`` solves the recurrence in FFT
+blocks of at least ceil(1/step) nodes, and one vectorized pass
+(``_first_clip``) checks each run of blocks for a slope stage the limiter
+would change.  Only a few steps loop in Python (``_loop``): the three from
+each breaking node, where the first panel takes the line and the stencils
+still grow, and the three from each step where the check finds the limiter
+acting; their frozen slopes then join the forcing.  A looped step is the
+looped march's step bit for bit, and sums its history without BLAS, so no
+output depends on the BLAS thread count.  The blocks agree with a march
+looped throughout to about 1e-14 relative.
 
 N has breaking points (Bellen & Zennaro, Numerical Methods for Delay
 Differential Equations, 2003): it jumps from 0 to 1 at t = 0, and its
@@ -41,16 +45,21 @@ steps it node by node in the loop, and ``_final_slopes`` applies it to a
 whole curve at once with the same arithmetic, bit for bit.  No slope
 stencil reaches across a breaking point on the grid.
 
-With its breaking points on grid nodes the march is third order: at step
-1e-3 the max node error on [0, 2] is 8.4e-11 (identity) and 5.2e-11
-(logproduct).  A breaking point inside a panel costs an order: with t = 1
-off the grid (step 3e-3) node errors are 0.1-0.16 * step^2, and off-grid
-ones 0.15-0.24 * step on the five panels whose stencils reach across it.
+With its breaking points on grid nodes the march is fourth order, but for
+the two nodes after each breaking point, which are third order.  On
+[0, 2] the max node error sits at t = 2 * step (identity) or t = 1 + step
+(logproduct) and falls 8x per halving of step: 8.6e-8 and 5.7e-8 at step
+1e-2, 8.4e-11 and 5.2e-11 at 1e-3.  On [1.1, 2] it falls 16x per halving,
+from 7.8e-9 (identity) and 8.1e-9 (logproduct) at 1e-2.  A breaking point
+inside a panel costs an order: with t = 1 off the grid (step 3e-3) node
+errors are 0.1-0.16 * step^2, and off-grid ones 0.15-0.24 * step on the
+five panels whose stencils reach across it.
 ``marching_tolerance(step)`` = 10 * step^2 is the documented envelope.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -75,24 +84,29 @@ __all__ = [
     "self_consistency_residual",
     "marching_tolerance",
     "write_curve_csv",
+    "write_curve_json",
     "curve_json_payload",
 ]
 
 # growth rate of the product-form count, used by the derivative identity
 _RATE = math.e / (math.e - 1.0)
 
-# march cost in units of about 2.9 ns (measured on 2 vCPUs, one BLAS thread,
+# march cost in units of about 75 ns (measured on 2 vCPUs, one BLAS thread,
 # step 1e-5 to 1e-2): a looped step costs one unit per history panel
-# (ceil(1/step) of them) plus a fixed ~7 us, the price of 2500 panels; a
-# node of the FFT tail, with its limiter check and final slopes, about
-# 0.4 us.  The cap, about 290 s, holds the loop alone to steps above about
-# 5e-6.  At its peak the march holds about 64 bytes per node.
-_WORK_UNIT_S = 2.9e-9
-_STEP_OVERHEAD = 2_500
-_TAIL_NODE_WORK = 150
-_MAX_MARCH_WORK = 1e11
+# (ceil(1/step) of them) plus a fixed ~45 us, the price of 600 panels, its
+# share of its stretch's window slopes included; a blocked node, with its
+# limiter check and final slopes, about 0.35 us.  The cap, about 300 s,
+# holds the blocks alone to about 8e8 nodes, so the 1 GB memory cap trips
+# first.  At its peak the march holds about 64 bytes per node.
+_WORK_UNIT_S = 75e-9
+_STEP_OVERHEAD = 600
+_NODE_WORK = 5
+_MAX_MARCH_WORK = 4e9
 _NODE_BYTES = 64
 _MAX_MARCH_BYTES = 1e9
+# steps per limiter check at most, unless a block is longer: a check holds
+# about 200 bytes per step
+_CHECK_STEPS = 4096
 # lines of CSV formatted per string operation: larger chunks format no
 # faster and hold more memory at once
 _CSV_LINES = 1024
@@ -152,10 +166,14 @@ def _break_nodes(spec: BijectionSpec, step: float, n: int) -> list:
     return sorted(breaks)
 
 
-def _clamp(m, dl, dr):
-    """``_update_slopes``'s limiter on arrays: m in [0, 3 * min(dl, dr)], 0 unless both rise."""
-    lim = np.minimum(np.maximum(m, 0.0), 3.0 * np.minimum(dl, dr))
-    return np.where((dl > 0.0) & (dr > 0.0), lim, 0.0)
+def _clamp(m, low):
+    """``_update_slopes``'s limiter on arrays: m in [0, 3 * low], 0 unless low > 0.
+
+    ``low`` is the smaller of the increments on either side of the node.
+    """
+    lim = np.maximum(m, 0.0)
+    np.minimum(lim, 3.0 * low, out=lim)  # in place: a curve's slopes are its memory peak
+    return np.where(low > 0.0, lim, 0.0)
 
 
 def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
@@ -178,7 +196,7 @@ def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
     m[2 : n - 1] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / 12.0
     near = np.concatenate([lo + 1, hi - 1])[np.tile(hi - lo > 1, 2)]
     m[near] = m3[near]
-    inner = _clamp(m[1:n], d[:-1], d[1:])
+    inner = _clamp(m[1:n], np.minimum(d[:-1], d[1:]))
     sl = np.empty(n)
     sr = np.empty(n)
     sl[1:] = inner
@@ -186,10 +204,10 @@ def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
     one = hi - lo == 1
     two = np.minimum(lo + 2, n)
     first = np.where(one, d[lo], 0.5 * (-3.0 * v[lo] + 4.0 * v[lo + 1] - v[two]))
-    sl[lo] = _clamp(first, d[lo], d[lo])
+    sl[lo] = _clamp(first, d[lo])
     back = np.maximum(hi - 2, 0)
     last = np.where(one, d[hi - 1], 0.5 * (3.0 * v[hi] - 4.0 * v[hi - 1] + v[back]))
-    sr[hi - 1] = _clamp(last, d[hi - 1], d[hi - 1])
+    sr[hi - 1] = _clamp(last, d[hi - 1])
     return sl, sr
 
 
@@ -282,18 +300,19 @@ def _panel_weights(spec: BijectionSpec, step: float):
     return p, (a0, a1, a2), (b0, b1)
 
 
-def _check_cost(n: int, looped: int, n_pan: int, why: str = "") -> None:
+def _check_cost(n: int, looped: int, n_pan: int, redone: int = 0, why: str = "") -> None:
     """Refuse a march of n steps, ``looped`` of them looped, that costs too much.
 
-    ``why`` prefixes the refusal.
+    ``redone`` counts the nodes the blocks solve a second time, past a
+    limiter clip; ``why`` prefixes the refusal.
     """
-    work = looped * (n_pan + _STEP_OVERHEAD) + (n - looped) * _TAIL_NODE_WORK
+    work = looped * (n_pan + _STEP_OVERHEAD) + (n + redone) * _NODE_WORK
     size = (n + 1) * _NODE_BYTES
     causes = []
     if work > _MAX_MARCH_WORK:
         causes.append(
             f"march work {work:.3g} ({looped} looped steps * ({n_pan} panels + "
-            f"{_STEP_OVERHEAD}) + {n - looped} tail nodes * {_TAIL_NODE_WORK}, about "
+            f"{_STEP_OVERHEAD}) + {n + redone} blocked nodes * {_NODE_WORK}, about "
             f"{work * _WORK_UNIT_S:.3g} s) exceeds the cap of {_MAX_MARCH_WORK:.0e}"
         )
     if size > _MAX_MARCH_BYTES:
@@ -305,57 +324,66 @@ def _check_cost(n: int, looped: int, n_pan: int, why: str = "") -> None:
         raise DomainError(why + "; ".join(causes) + "; increase step or decrease t_max")
 
 
-def _march(v0: list, n: int, weights, breaks: list) -> np.ndarray:
-    """The looped march from the known values v0 = v[0..q] to node n.
+def _loop(v: np.ndarray, j: int, stop: int, weights, breaks: list) -> tuple:
+    """Loop the march's steps j..stop-1 from the known v[0..j], writing v[j+1..stop].
 
-    Step hi (q <= hi < n) sets the slopes of nodes hi-2..hi from their
-    segment (``_update_slopes``; a segment starts at each of the breaking
-    nodes ``breaks``) and then solves for v[hi + 1].  The slopes of the nodes
-    below q - 2 are the final ones of v0 (``_final_slopes``): later steps
-    leave them as they are.
+    Step hi sets the slopes of nodes hi-2..hi from their segment
+    (``_update_slopes``; a segment starts at each of the breaking nodes
+    ``breaks``) and then solves for v[hi + 1].  The older slopes it reads
+    are those ``_final_slopes`` gives the window v[a..j], a = max(0, j -
+    n_pan - 1): no step reads a panel below a + 2, whose slopes the
+    window's start does not cut.  Returns a and the window's per-panel
+    (left, right) slopes as step ``stop`` leaves them, final up to node
+    stop - 2.
     """
     p, (a0, a1, a2), (b0, b1) = weights
     n_pan = p.shape[0]
-    q = len(v0) - 1
+    a = max(0, j - n_pan - 1)
+    brk = {0} | {k - a for k in breaks if k > a}  # window indices; a starts a segment
+    q, end = j - a, stop - a
+    lv = v[a : j + 1].tolist()  # the stencils read plain floats, the dot products read rows
     # one row per panel i: v[i], v[i+1] and the slopes at both ends.  With
     # the weights of panels m = n_pan-1..1 in that order, the history of
     # step hi + 1 (m = 1..r, i.e. panels i = hi-1 down to hi-r) is one dot
-    # product.
-    rows = np.zeros((n + 1, 4))
-    rows[: q + 1, 0] = v0
-    rows[:q, 1] = v0[1:]
+    # product
+    rows = np.zeros((end + 1, 4))
+    rows[: q + 1, 0] = lv
+    rows[:q, 1] = lv[1:]
     if q:
-        rows[:q, 2], rows[:q, 3] = _final_slopes(np.array(v0), [k for k in breaks if k < q])
+        rows[:q, 2], rows[:q, 3] = _final_slopes(np.array(lv), sorted(k for k in brk if k < q))
     flat, wts = rows.reshape(-1), p[:0:-1].reshape(-1)
     sl, sr = rows[:, 2], rows[:, 3]
-    v = list(v0)  # the stencils read plain floats, the dot products read rows
-    brk = set(breaks)
-    seg = max(k for k in breaks if k < max(q, 1))
-    for hi in range(q, n):  # v[0..hi] known
+    seg = max(k for k in brk if k < max(q, 1))
+    for hi in range(q, end + 1):
         if hi - 1 in brk:
             seg = hi - 1
         if hi:
-            _update_slopes(v, sl, sr, seg, hi)
-        r = min(hi, n_pan - 1)
-        hist = float(np.dot(wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
+            _update_slopes(lv, sl, sr, seg, hi)
+        if hi == end:
+            break
+        r = min(a + hi, n_pan - 1)
+        # an einsum, not np.dot: BLAS splits a long dot product across its
+        # threads, and the sum then depends on their number
+        hist = float(np.einsum("i,i->", wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
         # the first panel reaches into v[hi + 1]: quadratic through
         # v[hi-1..hi+1], linear right after a breaking point
         if hi in brk:
-            val = (1.0 + hist + b0 * v[hi]) / (1.0 - b1)
+            val = (1.0 + hist + b0 * lv[hi]) / (1.0 - b1)
         else:
-            val = (1.0 + hist + a1 * v[hi] + a0 * v[hi - 1]) / (1.0 - a2)
-        v.append(val)
+            val = (1.0 + hist + a1 * lv[hi] + a0 * lv[hi - 1]) / (1.0 - a2)
+        lv.append(val)
         rows[hi, 1] = rows[hi + 1, 0] = val
-    return rows[:, 0]
+    v[j + 1 : stop + 1] = lv[q + 1 :]
+    return a, sl, sr
 
 
 def _tail_recurrence(weights) -> tuple:
-    """(alpha, c, sum(c) - 1) of the march's step v[hi+1] = alpha + sum_k c[k] * v[hi-k] in the tail.
+    """(alpha, c, sum(c) - 1) of the march's step v[hi+1] = alpha + sum_k c[k] * v[hi-k] between breaking points.
 
-    Past the handover every slope the step reads is one unclamped stage: the
-    one-sided stencil at node hi, the three-point one at hi - 1 and the
-    five-point one behind; each panel's Hermite weights then act on values
-    alone.  c has n_pan + 2 entries.
+    The step reads each slope as one unclamped stage: the one-sided stencil
+    at node hi, the three-point one at hi - 1 and the five-point one behind;
+    each panel's Hermite weights then act on values alone.  c has n_pan + 2
+    entries.
     """
     p, (a0, a1, a2), _ = weights
     n_pan = p.shape[0]
@@ -380,13 +408,18 @@ def _tail_recurrence(weights) -> tuple:
 
 
 def _series_inverse(a: np.ndarray, size: int) -> np.ndarray:
-    """The first ``size`` coefficients of 1 / a(z), a[0] = 1, by Newton doubling.
+    """The first ``size`` coefficients of 1 / a(z), a[0] = 1.
 
-    Each doubling g <- g - g * (a * g - 1) takes two FFT products.
+    The first 16 come from the recurrence g[i] = -sum_j a[j] * g[i - j]
+    (an FFT call costs as much as that at these lengths), the rest by
+    Newton doubling: each g <- g - g * (a * g - 1) takes two FFT products.
     """
     fft = np.fft
-    g = np.ones(1)
-    m = 1
+    head, g = a[1:16].tolist(), [1.0]
+    for _ in range(1, min(size, 16)):
+        g.append(-sum(x * y for x, y in zip(head, g[::-1])))
+    g = np.array(g)
+    m = g.size
     while m < size:
         m2 = min(2 * m, size)
         k = 1 << (m2 + m - 2).bit_length()
@@ -397,8 +430,21 @@ def _series_inverse(a: np.ndarray, size: int) -> np.ndarray:
     return g
 
 
-def _tail(v: np.ndarray, start: int, alpha: float, c: np.ndarray, excess: float) -> None:
-    """Fill v[start+1..] by v[j+1] = alpha + sum_k c[k] * v[j-k], in FFT blocks.
+def _blocks(alpha: float, c: np.ndarray, excess: float) -> tuple:
+    """What ``_tail`` needs of the recurrence, its FFT spectra computed once per solve."""
+    k = c.shape[0]
+    block = 1 << max((2 * k - 1).bit_length() - 1, 9)  # at least k nodes, and 512
+    d = np.concatenate([[0.0], c])  # d[i] weighs v[j - i] in v[j]
+    inverse = _series_inverse(np.concatenate([[1.0], -c]), block)
+    # the line R + S * i (i = 1, 2, ... nodes past the block's start - 1)
+    # obeys the recurrence up to alpha - S * mean_lag + (sum(c) - 1) * line
+    mean_lag = math.fsum((np.arange(1, k + 1) * c).tolist())
+    spectra = np.fft.rfft(d, 2 * block), np.fft.rfft(inverse, 2 * block)
+    return alpha, excess, mean_lag, k, block, spectra
+
+
+def _tail(v: np.ndarray, start: int, stop: int, g: np.ndarray, blocks: tuple):
+    """Fill v[start+1..stop] by v[j+1] = alpha + g[j] + sum_k c[k] * v[j-k], in FFT blocks.
 
     A block of L nodes gets its older history by one FFT convolution and
     then solves its triangular Toeplitz system by a second one, with the
@@ -409,50 +455,118 @@ def _tail(v: np.ndarray, start: int, alpha: float, c: np.ndarray, excess: float)
     (``excess``) and sum_k (k + 1) * c[k].  u stays small, so the FFTs'
     rounding, which scales with what they transform, does not grow with N
     and does not pile up block after block.
+
+    The limiter check (``_first_clip``) runs at stop and whenever the
+    unchecked steps outnumber the checked ones or ``_CHECK_STEPS``: a clip
+    wastes at most one block more than came before it, and the check's
+    arrays stay small.  Returns the first step at which the limiter would
+    act, or None.
     """
     fft = np.fft
-    k = c.shape[0]
-    # FFT length; blocks of L = size / 2 >= k nodes, and at least 512
-    size = 1 << max((2 * k - 1).bit_length(), 10)
-    block = size // 2
-    d = np.concatenate([[0.0], c])  # d[i] weighs v[j - i] in v[j]
-    df = fft.rfft(d, size)
-    gf = fft.rfft(_series_inverse(np.concatenate([[1.0], -c]), block), size)
-    # the line R + S * i (i = 1, 2, ... nodes past the block's start - 1)
-    # obeys the recurrence up to alpha - S * mean_lag + (sum(c) - 1) * line
-    mean_lag = math.fsum((np.arange(1, k + 1) * c).tolist())
+    alpha, excess, mean_lag, k, block, (df, gf) = blocks
+    size = 2 * block
     back = np.arange(1 - k, 1.0)  # node offsets of the history, last one 0
     ahead = np.arange(1, block + 1.0)
-    for s in range(start + 1, v.shape[0], block):
+    checked = start + 1  # steps below it passed the check
+    for s in range(start + 1, stop + 1, block):
         base, rise = v[s - 1], v[s - 1] - v[s - 2]
         older = fft.irfft(fft.rfft(v[s - k : s] - (base + rise * back), size) * df, size)
         force = (alpha - rise * mean_lag) + excess * (base + rise * ahead) + older[k : k + block]
+        known = g[s - 1 : min(s - 1 + block, stop)]
+        force[: known.size] += known
         u = fft.irfft(fft.rfft(force, size) * gf, size)[:block]
-        v[s : s + block] = ((base + rise * ahead) + u)[: v.shape[0] - s]
+        e = min(s + block, stop + 1)
+        v[s:e] = ((base + rise * ahead) + u)[: e - s]
+        if e > stop or e - 1 - checked >= min(checked - start, _CHECK_STEPS):
+            clip = _first_clip(v, checked - 1, e - 1)
+            if clip is not None:
+                return clip
+            checked = e - 1
+    return None
 
 
-def _first_clip(v: np.ndarray, start: int, n_pan: int):
-    """The first tail step hi >= start at which the limiter would act, or None.
+def _first_clip(v: np.ndarray, lo: int, hi: int):
+    """The first of steps lo..hi-1 at which the limiter would act, or None.
 
-    Step hi reads the one-sided stage of node hi, the three-point stage of
-    hi - 1 and the five-point stages of hi - n_pan + 1..hi - 2.  A stage
-    passes when the limiter leaves it as it is.
+    Step s reads the one-sided stage of node s, the three-point stage of
+    s - 1 and the five-point stage of s - 2.  A stage passes when the
+    limiter leaves it as it is.  Step lo's five-point stage is not checked:
+    that node's slope is already in the forcing.
     """
-    n = v.shape[0] - 1
-    d = v[1:] - v[:-1]
-    a = start
-    one = 0.5 * (3.0 * v[a:n] - 4.0 * v[a - 1 : n - 1] + v[a - 2 : n - 2])  # node x, step x
-    three = 0.5 * (v[a:n] - v[a - 2 : n - 2])  # node x - 1, step x
-    bad = [
-        np.flatnonzero(_clamp(one, d[a - 1 : n - 1], d[a - 1 : n - 1]) != one)[:1] + a,
-        np.flatnonzero(_clamp(three, d[a - 2 : n - 2], d[a - 1 : n - 1]) != three)[:1] + a,
-    ]
-    a -= n_pan - 1  # node x, first read at step max(x + 2, start)
-    five = (v[a - 2 : n - 4] - 8.0 * v[a - 1 : n - 3] + 8.0 * v[a + 1 : n - 1] - v[a + 2 : n]) / 12.0
-    x = np.flatnonzero(_clamp(five, d[a - 1 : n - 3], d[a : n - 2]) != five)[:1] + a
-    bad.append(np.maximum(x + 2, start))
-    steps = np.concatenate(bad)
-    return int(steps.min()) if steps.size else None
+    w = v[lo - 3 : hi]  # nodes lo-3..hi-1
+    d = w[1:] - w[:-1]
+    m = np.zeros((3, hi - lo))
+    m[0] = 0.5 * (3.0 * w[3:] - 4.0 * w[2:-1] + w[1:-2])
+    m[1] = 0.5 * (w[3:] - w[1:-2])
+    m[2, 1:] = (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / 12.0
+    low = np.empty((3, hi - lo))
+    low[0] = d[2:]
+    np.minimum(d[1:-1], d[2:], out=low[1])
+    np.minimum(d[:-2], d[1:-1], out=low[2])
+    bad = np.flatnonzero(_clamp(m, low) != m)
+    return lo + int((bad % (hi - lo)).min()) if bad.size else None
+
+
+def _march(n: int, weights, breaks: list, step: float) -> np.ndarray:
+    """The march to node n: looped steps at each breaking node and limiter clip, FFT blocks between.
+
+    Between them a step is the recurrence of ``_tail_recurrence`` plus a
+    known forcing: the panel weights times the difference between each
+    frozen slope and the five-point stage the recurrence assumes there.  It
+    is nonzero only at the nodes next to a breaking point, whose stencils
+    the break cuts, at node 0, whose history is zero, and where the limiter
+    clipped a slope.  The loop takes the three steps from each breaking
+    node b (the first one on the line; by step b + 3 the slopes of the
+    nodes up to b + 1 are frozen) and from each clip that a block's check
+    finds; each stretch's frozen slopes then join the forcing.
+    """
+    p = weights[0]
+    n_pan = p.shape[0]
+    blocks = _blocks(*_tail_recurrence(weights))
+    alpha, _, _, pad, block, _ = blocks
+    buf = np.zeros(pad + n + 1)  # N(s) = 0 for s < 0: the recurrence reads zeros there
+    buf[pad] = 1.0
+    v = buf[pad:]
+    g = np.zeros_like(buf)  # the known forcing of step hi, at buf[pad + hi]
+    # weights of node x's left slope, right slope and value (as the right
+    # end of panel x - 1) in step x + k, k = 2..n_pan-1
+    pw = np.zeros((n_pan + 1, 4))
+    pw[:n_pan] = p * alpha
+    kernels = (pw[2:-1, 2], pw[3:, 3], pw[3:, 1])
+    j, frozen, looped, redone = 0, -2, 0, 0
+    while True:
+        stop = j + 3
+        for b in breaks:
+            if j <= b < stop:
+                stop = b + 3
+        stop = min(stop, n)
+        a, sl, sr = _loop(v, j, stop, weights, breaks)
+        looped += stop - j
+        if stop == n:
+            return v
+        # the slopes frozen since the last blocks, against the five-point stage
+        x = np.arange(max(j - 2, frozen), stop - 1)
+        at = pad + x
+        five = (buf[at - 2] - 8.0 * buf[at - 1] + 8.0 * buf[at + 1] - buf[at + 2]) / 12.0
+        left = np.where(x >= 0, sl[np.maximum(x - a, 0)], 0.0) - five
+        right = np.where(x >= 1, sr[np.maximum(x - a - 1, 0)], 0.0) - five
+        lost = np.where(x == 0, -1.0, 0.0)  # N(0) as the end of a panel below 0
+        for i in np.flatnonzero((left != 0.0) | (right != 0.0) | (lost != 0.0)):
+            dst = g[at[i] + 2 : at[i] + n_pan]
+            dst += (left[i] * kernels[0] + right[i] * kernels[1] + lost[i] * kernels[2])[: dst.size]
+        frozen = stop - 1
+        end = min([b for b in breaks if b >= stop] + [n])
+        clip = _tail(buf, pad + stop, pad + end, g, blocks) if end > stop else None
+        if clip is None and end == n:
+            return v
+        if clip is None:
+            j = end
+            continue
+        # a clip costs a looped stretch and the blocks solved past it
+        j = clip - pad
+        redone += j - stop + block
+        why = f"the slope limiter acts at t = {j * step:g}, so "
+        _check_cost(n, looped + 3 * (1 + sum(b > j for b in breaks)), n_pan, redone, why)
 
 
 def solve(
@@ -465,14 +579,16 @@ def solve(
     """March the renewal equation for ``spec`` up to ``t_max``.
 
     ``step`` above ``step_limit`` (default 0.01) is rejected: the scheme is
-    third order, but coarse grids visibly miss the exact counts.  The limit
-    is a keyword so diagnostic callers (the verify command's degradation
-    demo) can relax it deliberately.
+    fourth order away from the breaking points and third order on the two
+    nodes after each, but coarse grids visibly miss the exact counts.  The limit is a keyword so diagnostic
+    callers (the verify command's degradation demo) can relax it
+    deliberately.
 
     Raises ``DomainError`` before any work if the march would exceed its
-    work or memory cap, and ``ConvergenceError`` if the panel-weight
-    quadrature fails or the marched values stop increasing (a sign the grid
-    cannot resolve f).
+    work or memory cap (and during it, if limiter clips would take it past
+    the work cap), and ``ConvergenceError`` if the panel-weight quadrature
+    fails or the marched values stop increasing (a sign the grid cannot
+    resolve f).
     """
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be a positive finite number, got {t_max!r}")
@@ -485,29 +601,15 @@ def solve(
 
     n = math.ceil(t_max / h - 1e-12)
     n_pan = math.ceil(1.0 / h - 1e-12)
-    # the handover node: past the last breaking point (rounded up to a node),
-    # one history window and the five-point stencil's reach, no step reads
-    # a slope whose stencil meets a breaking point
-    handover = max((math.ceil(b / h) for b in spec._breaks), default=0) + n_pan + 2
-    _check_cost(n, min(n, handover), n_pan)
+    breaks = _break_nodes(spec, h, n)
+    _check_cost(n, 3 * len(breaks), n_pan)
 
     weights = _panel_weights(spec, h)
     _, (_, _, a2), (_, b1) = weights
     if not (a2 < 1.0 and b1 < 1.0):
         raise ConvergenceError("first-panel weight reached 1; transform too flat near 0")
 
-    breaks = _break_nodes(spec, h, n)
-    v = _march([1.0], min(n, handover), weights, breaks)
-    if n > handover:
-        v = np.concatenate([v, np.empty(n - handover)])
-        _tail(v, handover, *_tail_recurrence(weights))
-        clip = _first_clip(v, handover, n_pan)
-        if clip is not None:
-            # the limiter acts from step clip on: march on with it from there
-            why = f"the slope limiter acts at t = {clip * h:g}, past the handover, so "
-            _check_cost(n, handover + n - clip, n_pan, why)
-            v = _march(v[: clip + 1].tolist(), n, weights, breaks)
-
+    v = _march(n, weights, breaks, h)
     if not np.all(np.diff(v) > 0.0):
         raise ConvergenceError(
             "marched values are not strictly increasing; the grid cannot "
@@ -635,6 +737,25 @@ def write_curve_csv(curve: RenewalCurve, fh) -> None:
     for lo in range(0, grid.shape[0], _CSV_LINES):
         pairs = np.column_stack((grid[lo : lo + _CSV_LINES], values[lo : lo + _CSV_LINES]))
         fh.write(("%.17g,%.17g\n" * pairs.shape[0]) % tuple(pairs.ravel().tolist()))
+
+
+def write_curve_json(curve: RenewalCurve, fh) -> None:
+    """Write ``json.dumps(curve_json_payload(curve), indent=2)`` and a newline.
+
+    Each chunk of up to ``_CSV_LINES`` numbers is joined from their
+    ``repr``s (what ``json`` writes for a finite float) and written to
+    ``fh`` before the next is built, so the writer holds one chunk, never
+    the whole curve.
+    """
+    fh.write(
+        f'{{\n  "spec": {json.dumps(curve.transform.label)},\n'
+        f'  "step": {curve.step!r},\n  "t_max": {curve.t_max!r},\n'
+    )
+    for key, arr, tail in (("t", curve.grid, ","), ("N", curve.values, "\n}")):
+        fh.write(f'  "{key}": [\n    ')
+        for lo in range(0, arr.shape[0], _CSV_LINES):
+            fh.write((",\n    " if lo else "") + ",\n    ".join(map(repr, arr[lo : lo + _CSV_LINES].tolist())))
+        fh.write(f"\n  ]{tail}\n")
 
 
 def curve_json_payload(curve: RenewalCurve) -> dict:

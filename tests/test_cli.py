@@ -108,6 +108,13 @@ class TestSolve:
         assert result.stdout == buf.getvalue()
         assert "N(t_max) =" in result.stderr
 
+    def test_json_stdout_is_json_dumps(self, runner):
+        # 3001 nodes: the writer streams three chunks of each list
+        result = runner.invoke(main, ["solve", "--t-max", "3", "--step", "1e-3", "--format", "json"])
+        assert result.exit_code == 0
+        payload = solver.curve_json_payload(solver.solve(LogProduct(), 3.0, 1e-3))
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"
+
     def test_refused_solve_leaves_no_file(self, runner, tmp_path):
         out = tmp_path / "f"
         result = runner.invoke(

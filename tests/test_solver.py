@@ -1,5 +1,10 @@
+import hashlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -91,7 +96,29 @@ _CLOSED_FORMS = [(rw.Identity(), uniform_sum_count), (rw.LogProduct(), product_c
 
 
 class TestConvergenceOrder:
-    """With its breaking points on grid nodes the march is third order."""
+    """With its breaking points on grid nodes the march is fourth order, but
+    for the two nodes after each breaking point, which are third order."""
+
+    @pytest.mark.parametrize(
+        "spec, exact, worst",
+        [(rw.Identity(), uniform_sum_count, 2), (rw.LogProduct(), product_count, 1)],
+        ids=["identity", "logproduct"],
+    )
+    def test_order_ladder(self, spec, exact, worst):
+        # h = 1/100 ... 1/800: the max node error on [0, 2] sits on the
+        # second node after t = 0 (identity) or the first after t = 1
+        # (logproduct) and shrinks about 8x per halving; on [1.1, 2] it
+        # shrinks about 16x
+        errs = []
+        for k in range(4):
+            curve = solve(spec, 2.0, 1.0 / (100 * 2**k))
+            t = curve.grid
+            err = np.abs(curve.values - [exact(float(x)) for x in t])
+            at = 2 if worst == 2 else round(1.0 / curve.step) + 1
+            assert int(np.argmax(err)) == at
+            errs.append((err.max(), err[t >= 1.1].max()))
+        for (e0, l0), (e1, l1) in zip(errs, errs[1:]):
+            assert e0 / e1 >= 7.0 and l0 / l1 >= 14.0
 
     @pytest.mark.parametrize("spec, exact", _CLOSED_FORMS, ids=["identity", "logproduct"])
     def test_node_error_at_default_step(self, spec, exact):
@@ -99,7 +126,8 @@ class TestConvergenceOrder:
 
     @pytest.mark.parametrize("spec, exact", _CLOSED_FORMS, ids=["identity", "logproduct"])
     def test_halving_step_shrinks_error_sixfold(self, spec, exact):
-        # second order would shrink it 4x, third order 8x
+        # second order would shrink it 4x, third order 8x (the max error
+        # sits right after a breaking point)
         ratio = _node_error(spec, exact, 5e-3) / _node_error(spec, exact, 2.5e-3)
         assert ratio >= 6.0
 
@@ -217,9 +245,9 @@ class TestSlopeHandOver:
 
 
 # -------------------------------------------------- the looped march, inline
-# The march as it was before the FFT tail: every step one dot product, and
-# the slopes swept node by node.  It is the reference for the tail, for the
-# fallback to the loop and for the vectorized final slopes.
+# The march as it was before the FFT blocks: every step one dot product, and
+# the slopes swept node by node.  It is the reference for the blocks, for the
+# steps that still loop and for the vectorized final slopes.
 
 
 def _update_slopes_ref(v, sl, sr, seg, hi):
@@ -253,8 +281,12 @@ def _slope_sweep_ref(v, sl, sr, breaks, n):
             yield hi, hi in breaks
 
 
-def _looped_solve(spec, t_max, step):
-    """Values and per-panel (left, right) slopes of the looped march."""
+def _looped_solve(spec, t_max, step, given=None):
+    """Values and per-panel (left, right) slopes of the looped march.
+
+    With ``given`` values, step hi reads given[0..hi] in place of its own
+    earlier results, so values[hi + 1] is what a looped step makes of them.
+    """
     n = math.ceil(t_max / step - 1e-12)
     breaks = {0}
     for b in spec._breaks:
@@ -267,37 +299,66 @@ def _looped_solve(spec, t_max, step):
     rows[0, 0] = 1.0
     flat, wts = rows.reshape(-1), p[:0:-1].reshape(-1)
     sl, sr = rows[:, 2], rows[:, 3]
-    v = [1.0]
+    v, out = [1.0], [1.0]
     for hi, after_break in _slope_sweep_ref(v, sl, sr, breaks, n):
         r = min(hi, n_pan - 1)
-        hist = float(np.dot(wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
+        # no BLAS: a threaded dot product sums in another order
+        hist = float(np.einsum("i,i->", wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
         if after_break:
             val = (1.0 + hist + b0 * v[hi]) / (1.0 - b1)
         else:
             val = (1.0 + hist + a1 * v[hi] + a0 * v[hi - 1]) / (1.0 - a2)
-        v.append(val)
-        rows[hi, 1] = rows[hi + 1, 0] = val
-    return rows[:, 0].copy(), (sl[:n].copy(), sr[:n].copy())
+        out.append(val)
+        v.append(val if given is None else float(given[hi + 1]))
+        rows[hi, 1] = rows[hi + 1, 0] = v[-1]
+    return np.array(out), (sl[:n].copy(), sr[:n].copy())
 
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def _tail_calls(monkeypatch):
-    """Record the node each call of the FFT tail starts from."""
-    starts = []
-    tail = solver._tail
+def _march_calls(monkeypatch):
+    """Record the steps of each looped stretch and the first step of each blocked one."""
+    calls = {"loop": [], "tail": []}
+    loop, tail = solver._loop, solver._tail
 
-    def spy(v, start, *args):
-        starts.append(start)
-        return tail(v, start, *args)
+    def spy_loop(v, j, stop, *args):
+        calls["loop"].append((j, stop))
+        return loop(v, j, stop, *args)
 
-    monkeypatch.setattr(solver, "_tail", spy)
-    return starts
+    def spy_tail(v, start, stop, g, blocks):
+        calls["tail"].append(start - blocks[3])  # the buffer holds k zeros before node 0
+        return tail(v, start, stop, g, blocks)
+
+    monkeypatch.setattr(solver, "_loop", spy_loop)
+    monkeypatch.setattr(solver, "_tail", spy_tail)
+    return calls
+
+
+def _looped_steps(calls):
+    return [hi for j, stop in calls["loop"] for hi in range(j, stop)]
+
+
+def _assert_matches_the_loop(curve, values, slopes):
+    assert np.max(np.abs(curve.values - values) / values) <= 1e-13
+    # a slope is a difference of nearby values, so it is held to 1e-13 of
+    # the value at its node, not of itself
+    for got, want in zip(curve._slopes, slopes):
+        assert np.max(np.abs(got - want) / values[:-1]) <= 1e-13
+
+
+def _assert_loop_is_the_reference(curve, calls):
+    # every looped step makes of its history exactly what the looped march does
+    stepped, _ = _looped_solve(curve.transform, curve.t_max, curve.step, given=curve.values)
+    looped = np.array(_looped_steps(calls)) + 1
+    assert np.array_equal(_bits(curve.values[looped]), _bits(stepped[looped]))
 
 
 _OFF_GRID_KNOTS = rw.PiecewiseLinear(((0.0, 0.0), (0.3, 0.2137), (0.7, 0.6071), (1.0, 1.0)))
+# f(X) is near 1/2 with probability 0.98, so N rises in steps a half apart
+# for long after t = 2, and the limiter acts there again and again
+_HALF_STEPS = rw.PiecewiseLinear(((0.0, 0.0), (0.01, 0.49), (0.99, 0.51), (1.0, 1.0)))
 _TAIL_CASES = [
     pytest.param(rw.Identity(), 1e-2, 100.0, id="identity"),
     pytest.param(rw.LogProduct(), 1e-2, 100.0, id="logproduct"),
@@ -311,40 +372,73 @@ _TAIL_CASES = [
 
 
 class TestTail:
-    """Past the handover the march is a linear recurrence, solved in FFT blocks."""
+    """One march from node 0: looped steps at each breaking node and clip, FFT blocks between."""
 
     @pytest.mark.parametrize("spec, step, t_max", _TAIL_CASES)
     def test_matches_the_loop(self, monkeypatch, spec, step, t_max):
-        starts = _tail_calls(monkeypatch)
+        calls = _march_calls(monkeypatch)
         curve = solve(spec, t_max, step)
-        assert len(starts) == 1 and starts[0] < curve.n_panels  # the tail ran
-        values, slopes = _looped_solve(spec, t_max, step)
-        assert np.max(np.abs(curve.values - values) / values) <= 1e-13
-        # a slope is a difference of nearby values, so it is held to 1e-13 of
-        # the value at its node, not of itself
-        for got, want in zip(curve._slopes, slopes):
-            assert np.max(np.abs(got - want) / values[:-1]) <= 1e-13
+        assert calls["tail"] and calls["tail"][0] == 3  # the blocks start at node 3
+        _assert_matches_the_loop(curve, *_looped_solve(spec, t_max, step))
+        _assert_loop_is_the_reference(curve, calls)
 
-    def test_handover_falls_after_the_last_breaking_point(self, monkeypatch):
-        # t = 1 at step 3e-3 lies inside a panel: the loop still covers it and
-        # one history window past it
-        starts = _tail_calls(monkeypatch)
-        solve(rw.LogProduct(), 5.0, 3e-3)
-        assert starts == [math.ceil(1.0 / 3e-3) + math.ceil(1.0 / 3e-3) + 2]
+    @pytest.mark.parametrize(
+        "spec, step, breaks, clips",
+        [
+            (rw.Identity(), 1e-2, 2, 0),
+            (rw.LogProduct(), 1e-2, 2, 0),
+            (rw.LogProduct(), 3e-3, 1, 0),  # t = 1 is not a node
+            (rw.Power(0.5), 1e-2, 2, 0),  # its clip at step 2 falls in node 0's stretch
+            (_KNOTS_TXT, 1e-2, 3, 0),
+            (_HALF_STEPS, 1e-2, 4, 12),
+        ],
+        ids=["identity", "logproduct", "logproduct-t1-off-grid", "power:0.5", "knots.txt", "half-steps"],
+    )
+    def test_loops_three_steps_per_breaking_node_and_clip(self, monkeypatch, spec, step, breaks, clips):
+        calls = _march_calls(monkeypatch)
+        found = []
+        first_clip = solver._first_clip
+        monkeypatch.setattr(
+            solver, "_first_clip", lambda *args: found.append(first_clip(*args)) or found[-1]
+        )
+        solve(spec, 30.0, step)
+        assert len([c for c in found if c is not None]) == clips
+        assert len(_looped_steps(calls)) <= 3 * (breaks + clips)
+        assert len(calls["loop"]) <= breaks + clips
 
     @pytest.mark.parametrize("step", [1e-3, 3e-3, 1e-2, 2.5e-3])
-    def test_short_solves_are_all_loop(self, monkeypatch, step):
-        starts = _tail_calls(monkeypatch)
+    def test_short_solves_match_the_loop(self, monkeypatch, step):
+        calls = _march_calls(monkeypatch)
         curve = solve(rw.LogProduct(), 2.0, step)
         values, slopes = _looped_solve(rw.LogProduct(), 2.0, step)
-        assert starts == []
-        assert np.array_equal(curve.values, values)
-        for got, want in zip(curve._slopes, slopes):
-            assert np.array_equal(_bits(got), _bits(want))
+        assert calls["tail"]
+        _assert_matches_the_loop(curve, values, slopes)
+        _assert_loop_is_the_reference(curve, calls)
+        # the steps from node 0 loop before any block: bit for bit the loop's
+        assert np.array_equal(_bits(curve.values[:4]), _bits(values[:4]))
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        # at 12800 panels OpenBLAS splits a dot product across its threads;
+        # the looped steps sum their history without BLAS
+        code = (
+            "import hashlib; from renewal.solver import solve; from renewal.bijections import Identity; "
+            "print(hashlib.sha256(solve(Identity(), 2.0, 7.8125e-05).values.tobytes()).hexdigest())"
+        )
+        src = str(Path(solver.__file__).parents[1])
+        out = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert out[0] == out[1]
 
     def test_reported_clip_falls_back_to_the_loop(self, monkeypatch):
-        # a clip at the first tail step leaves the whole curve to the loop
-        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: start)
+        # a clip at the first step of every check leaves the whole curve to
+        # the loop, three steps at a time
+        monkeypatch.setattr(solver, "_first_clip", lambda v, lo, hi: lo)
         curve = solve(rw.LogProduct(), 30.0, 1e-2)
         values, slopes = _looped_solve(rw.LogProduct(), 30.0, 1e-2)
         assert np.array_equal(_bits(curve.values), _bits(values))
@@ -352,51 +446,70 @@ class TestTail:
             assert np.array_equal(_bits(got), _bits(want))
 
     def test_clip_inside_the_tail_loops_from_there(self, monkeypatch):
-        tail_only = solve(rw.Identity(), 30.0, 1e-2)
+        blocks_only = solve(rw.Identity(), 30.0, 1e-2)
         clip = 2 * 100 + 2 + 137
-        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: clip)
+
+        def clip_once(v, lo, hi):
+            at = clip + v.shape[0] - 3001  # the buffer holds zeros before node 0
+            return at if lo <= at < hi else None
+
+        monkeypatch.setattr(solver, "_first_clip", clip_once)
+        calls = _march_calls(monkeypatch)
         curve = solve(rw.Identity(), 30.0, 1e-2)
-        values, _ = _looped_solve(rw.Identity(), 30.0, 1e-2)
-        assert np.array_equal(curve.values[: clip + 1], tail_only.values[: clip + 1])
-        assert not np.array_equal(curve.values[clip + 1 :], tail_only.values[clip + 1 :])
-        assert np.max(np.abs(curve.values - values) / values) <= 1e-13
+        assert (clip, clip + 3) in calls["loop"] and calls["tail"][-1] == clip + 3
+        assert np.array_equal(curve.values[: clip + 1], blocks_only.values[: clip + 1])
+        assert not np.array_equal(curve.values[clip + 1 :], blocks_only.values[clip + 1 :])
+        _assert_matches_the_loop(curve, *_looped_solve(rw.Identity(), 30.0, 1e-2))
+        _assert_loop_is_the_reference(curve, calls)
 
     def test_a_limiter_that_acts_in_the_tail_leaves_it_to_the_loop(self, monkeypatch):
-        # f(X) is near 1/2 with probability 0.98, so N rises in steps a
-        # half apart for long after t = 2 and the limiter acts there
-        clips = []
-        first_clip = solver._first_clip
-        monkeypatch.setattr(
-            solver, "_first_clip", lambda *args: clips.append(first_clip(*args)) or clips[-1]
-        )
-        spec = rw.PiecewiseLinear(((0.0, 0.0), (0.01, 0.49), (0.99, 0.51), (1.0, 1.0)))
-        curve = solve(spec, 30.0, 1e-2)
-        values, _ = _looped_solve(spec, 30.0, 1e-2)
-        assert clips == [2 * 100 + 2]
-        assert np.array_equal(curve.values, values)
+        calls = _march_calls(monkeypatch)
+        curve = solve(_HALF_STEPS, 30.0, 1e-2)
+        found = [j for j, _ in calls["loop"] if j not in (0, 49, 51, 100)]
+        assert found and min(found) < 200 < max(found)  # clips before and after t = 2
+        _assert_matches_the_loop(curve, *_looped_solve(_HALF_STEPS, 30.0, 1e-2))
+        _assert_loop_is_the_reference(curve, calls)
 
     def test_fallback_is_refused_when_the_loop_would_take_too_long(self, monkeypatch):
-        monkeypatch.setattr(solver, "_first_clip", lambda v, start, n_pan: start)
-        monkeypatch.setattr(solver, "_MAX_MARCH_WORK", 1e6)  # admits the tail, not the loop
-        with pytest.raises(DomainError, match=r"the slope limiter acts at t = 2\.02.*cap"):
+        clips = []
+
+        def every_step(v, lo, hi):
+            clips.append(lo - (v.shape[0] - 3001))  # the step, past the buffer's zeros
+            return lo
+
+        monkeypatch.setattr(solver, "_first_clip", every_step)
+        monkeypatch.setattr(solver, "_MAX_MARCH_WORK", 1e6)  # admits the blocks, not the loop
+        with pytest.raises(DomainError, match=r"the slope limiter acts at t = ([\d.]+).*cap") as exc:
             solve(rw.LogProduct(), 30.0, 1e-2)
+        assert f"t = {clips[-1] * 1e-2:g}, " in str(exc.value)
 
 
 class TestTailBlocks:
-    """The FFT blocks solve any linear recurrence, whatever sum(c) is."""
+    """The FFT blocks solve any linear recurrence with a known forcing, whatever sum(c) is."""
 
-    @pytest.mark.parametrize("k, excess", [(5, 0.0), (40, 3e-4), (700, -2e-3)])
-    def test_match_the_recurrence_step_by_step(self, k, excess):
+    @pytest.mark.parametrize(
+        "k, excess, forced",
+        [
+            pytest.param(5, 0.0, False, id="5-0.0"),
+            pytest.param(40, 3e-4, False, id="40-0.0003"),
+            pytest.param(700, -2e-3, False, id="700--0.002"),
+            pytest.param(40, 3e-4, True, id="40-0.0003-forced"),
+        ],
+    )
+    def test_match_the_recurrence_step_by_step(self, monkeypatch, k, excess, forced):
+        monkeypatch.setattr(solver, "_first_clip", lambda v, lo, hi: None)
         rng = np.random.default_rng(k)
         c = rng.uniform(0.0, 1.0, k)
         c *= (1.0 + excess) / c.sum()
         start = k + 3
         v = np.empty(start + 3000)
         v[: start + 1] = 1.0 + np.cumsum(rng.uniform(0.5, 1.0, start + 1))
+        g = rng.uniform(-0.1, 0.1, v.shape[0]) if forced else np.zeros(v.shape[0])
         want = v.copy()
         for j in range(start, want.shape[0] - 1):
-            want[j + 1] = math.fsum([0.7, *(c * want[j::-1][:k])])
-        solver._tail(v, start, 0.7, c, math.fsum([*c, -1.0]))
+            want[j + 1] = math.fsum([0.7, g[j], *(c * want[j::-1][:k])])
+        blocks = solver._blocks(0.7, c, math.fsum([*c, -1.0]))
+        assert solver._tail(v, start, v.shape[0] - 1, g, blocks) is None
         assert np.max(np.abs(v - want) / want) <= 1e-13
 
 
@@ -404,37 +517,37 @@ class TestFirstClip:
     """The vectorized limiter check names the first step whose stages clip."""
 
     @staticmethod
-    def _first_clip_ref(v, start, n_pan):
+    def _first_clip_ref(v, lo, hi):
         def clamp(m, dl, dr):
             return min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
 
-        for hi in range(start, len(v) - 1):
+        for s in range(lo, hi):
             stages = [
-                (0.5 * (3.0 * v[hi] - 4.0 * v[hi - 1] + v[hi - 2]), v[hi] - v[hi - 1], v[hi] - v[hi - 1]),
-                (0.5 * (v[hi] - v[hi - 2]), v[hi - 1] - v[hi - 2], v[hi] - v[hi - 1]),
+                (0.5 * (3.0 * v[s] - 4.0 * v[s - 1] + v[s - 2]), v[s] - v[s - 1], v[s] - v[s - 1]),
+                (0.5 * (v[s] - v[s - 2]), v[s - 1] - v[s - 2], v[s] - v[s - 1]),
             ]
-            for x in range(hi - n_pan + 1, hi - 1):
+            if s > lo:
+                x = s - 2
                 five = (v[x - 2] - 8.0 * v[x - 1] + 8.0 * v[x + 1] - v[x + 2]) / 12.0
                 stages.append((five, v[x] - v[x - 1], v[x + 1] - v[x]))
             if any(clamp(m, dl, dr) != m for m, dl, dr in stages):
-                return hi
+                return s
         return None
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n_pan=st.integers(3, 8),
-        lead=st.integers(2, 6),
+        lo=st.integers(3, 8),
         steps=st.integers(1, 30),
         jumps=st.lists(st.tuples(st.integers(0, 60), st.sampled_from([-0.1, 0.0, 0.01, 5.0])), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_a_step_by_step_check(self, n_pan, lead, steps, jumps, seed):
-        start = n_pan + lead
-        inc = np.random.default_rng(seed).uniform(0.5, 1.0, start + steps)
+    def test_matches_a_step_by_step_check(self, lo, steps, jumps, seed):
+        inc = np.random.default_rng(seed).uniform(0.5, 1.0, lo + steps)
         for at, size in jumps:
             inc[at % inc.size] = size
         v = np.concatenate([[1.0], 1.0 + np.cumsum(inc)])
-        assert _first_clip(v, start, n_pan) == self._first_clip_ref(v.tolist(), start, n_pan)
+        hi = v.shape[0] - 1
+        assert _first_clip(v, lo, hi) == self._first_clip_ref(v.tolist(), lo, hi)
 
 
 class TestFinalSlopes:
@@ -617,6 +730,35 @@ class TestSerialization:
             tracemalloc.stop()
         assert text.count("\n") == curve.values.shape[0] + 1
         assert peak / curve.values.shape[0] < 100.0
+
+    @pytest.mark.parametrize("t_max", [1.0, 10.23, 10.24, 20.48], ids=["101", "1024", "1025", "2049"])
+    def test_json_matches_json_dumps(self, t_max):
+        # node counts on and across the writer's chunk boundaries
+        curve = solve(rw.LogProduct(), t_max, 1e-2)
+        buf = io.StringIO()
+        solver.write_curve_json(curve, buf)
+        assert buf.getvalue() == json.dumps(curve_json_payload(curve), indent=2) + "\n"
+
+    def test_json_memory_per_node(self):
+        # json.dumps of the whole payload peaked near 300 bytes per node
+        class Digest:
+            def __init__(self):
+                self.sha, self.size = hashlib.sha256(), 0
+
+            def write(self, text):
+                self.sha.update(text.encode())
+                self.size += len(text)
+
+        curve = solve(rw.LogProduct(), 20.0, 1e-4)
+        sink = Digest()
+        tracemalloc.start()
+        try:
+            solver.write_curve_json(curve, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 30 * curve.values.shape[0]
+        assert peak / curve.values.shape[0] < 30.0
 
     def test_json_payload(self):
         curve = solve(rw.Identity(), 1.0, 1e-2)
