@@ -17,11 +17,13 @@ a sharp self-test of the whole evaluation chain.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .bijections import ConvergenceError, DomainError, _as_int
 
 __all__ = [
     "exp_tail_weight",
+    "exp_tail_weights",
     "product_count",
     "product_count_series",
     "product_count_asymptote",
@@ -49,26 +51,53 @@ def _check_unit_t(t: float, name: str = "t") -> float:
     return t
 
 
+def _taylor_partials(t: float):
+    """Partial Taylor sums of exp(-t), one per term: for n = 1, 2, ... the sum
+    of (-t)^k / k! for k < n, from one compensated (Kahan) accumulation."""
+    total = 0.0
+    comp = 0.0
+    term = 1.0
+    k = 0
+    while True:
+        y = term - comp
+        tmp = total + y
+        comp = (tmp - total) - y
+        total = tmp
+        yield total
+        k += 1
+        term *= -t / k
+
+
+def _tail_weights(t: float):
+    """exp_tail_weight(t, n) for n = 1, 2, ..., from one running partial sum."""
+    et = math.exp(t)
+    sign = 1.0
+    for partial in _taylor_partials(t):
+        sign = -sign
+        yield sign * (1.0 - partial * et)
+
+
 def taylor_exp_neg(t: float, n: int) -> float:
     """Partial Taylor sum of exp(-t): sum of (-t)^k / k! for k < n.
 
     Summed in ascending k with compensated (Kahan) accumulation so the
-    alternating terms cancel without picking up accumulation error.
+    alternating terms cancel without picking up accumulation error.  The
+    sum of the first n terms is the n-th partial sum of that one loop, so
+    ``exp_tail_weights`` and ``product_count_series`` read every partial
+    sum from a single pass and match this function bit for bit.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
     n = _as_int("n", n, 1)
-    total = 0.0
-    comp = 0.0
-    term = 1.0
-    for k in range(n):
-        y = term - comp
-        tmp = total + y
-        comp = (tmp - total) - y
-        total = tmp
-        term *= -t / (k + 1)
-    return total
+    return next(islice(_taylor_partials(t), n - 1, None))
+
+
+def exp_tail_weights(t: float, n: int) -> list:
+    """``[exp_tail_weight(t, k) for k in range(n + 1)]`` in one O(n) pass."""
+    t = _check_unit_t(t)
+    n = _as_int("n", n, 0)
+    return [1.0, *islice(_tail_weights(t), n)]
 
 
 def exp_tail_weight(t: float, n: int) -> float:
@@ -80,13 +109,7 @@ def exp_tail_weight(t: float, n: int) -> float:
 
     which the verification suite checks to 1e-12.
     """
-    t = _check_unit_t(t)
-    n = _as_int("n", n, 0)
-    if n == 0:
-        # empty partial sum, weight is exactly 1
-        return 1.0
-    sign = -1.0 if n % 2 else 1.0
-    return sign * (1.0 - taylor_exp_neg(t, n) * math.exp(t))
+    return exp_tail_weights(t, n)[-1]
 
 
 def product_series_term(t: float, n: int) -> float:
@@ -127,12 +150,15 @@ def product_count_series(t: float) -> float:
     Terms are added in ascending n and the sum stops once |term| < 1e-12
     with at least 5 terms taken.  Terms decay geometrically (ratio below
     1/(e-1)), so the truncated tail is of the same order and the result
-    agrees with ``product_count_01`` within about 1e-11.
+    agrees with ``product_count_01`` within about 1e-11.  The tail weights
+    come from one running partial sum of exp(-t)'s Taylor series, so the
+    whole series costs O(terms), and each term equals ``product_series_term``
+    bit for bit.
     """
     t = _check_unit_t(t)
     total = 1.0
-    for n in range(1, 400):
-        term = product_series_term(t, n)
+    for n, weight in zip(range(1, 400), _tail_weights(t)):
+        term = weight / _EM1**n
         total += term
         if abs(term) < 1e-12 and n >= 5:
             return total

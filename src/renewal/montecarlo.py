@@ -162,7 +162,8 @@ def _run_block(transform, t, n, rng):
                 f"effectively zero"
             )
         s = sums[:m]
-        s += transform._f(rng.random(m, out=u[:m]), out=u[:m])
+        x = rng.random(m, out=u[:m])
+        s += transform._f(x, out=x)
         d = np.greater(s, t, out=done[:m])
         hit = np.count_nonzero(d)
         stopped.append(hit)

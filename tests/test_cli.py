@@ -64,6 +64,20 @@ class TestSolve:
         assert data[0, 1] == 1.0
         assert data[-1, 1] == pytest.approx(math.e, abs=1e-5)
 
+    def test_smallest_power_is_refused(self, runner):
+        # N(step) - 1 ~ step^10 rounds to 0, so the curve is not strictly increasing
+        result = runner.invoke(main, ["solve", "--spec", "power:0.1", "--t-max", "5"])
+        assert result.exit_code == 3
+        assert "not strictly increasing" in result.output
+
+    @pytest.mark.parametrize("step", ["1e-2", "1e-3"])
+    def test_power_0_2_solves(self, runner, step):
+        result = runner.invoke(
+            main, ["solve", "--spec", "power:0.2", "--t-max", "5", "--step", step]
+        )
+        assert result.exit_code == 0
+        assert "N(t_max) =" in result.output
+
     def test_csv_to_stdout_repeatable(self, runner):
         args = ["solve", "--spec", "logproduct", "--t-max", "1", "--step", "0.01"]
         a = runner.invoke(main, args)

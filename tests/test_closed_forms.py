@@ -8,6 +8,7 @@ from renewal.bijections import DomainError
 from renewal.closed_forms import (
     SUM_COUNT_T_CAP,
     exp_tail_weight,
+    exp_tail_weights,
     product_count,
     product_count_01,
     product_count_12,
@@ -71,6 +72,68 @@ class TestExpTailWeight:
             exp_tail_weight(-0.1, 2)
         with pytest.raises(DomainError):
             exp_tail_weight(0.5, -1)
+
+
+def _taylor_restarted(t, n):
+    # the partial sum restarted for each n, as the series was once evaluated
+    total = 0.0
+    comp = 0.0
+    term = 1.0
+    for k in range(n):
+        y = term - comp
+        tmp = total + y
+        comp = (tmp - total) - y
+        total = tmp
+        term *= -t / (k + 1)
+    return total
+
+
+def _weight_restarted(t, n):
+    if n == 0:
+        return 1.0
+    sign = -1.0 if n % 2 else 1.0
+    return sign * (1.0 - _taylor_restarted(t, n) * math.exp(t))
+
+
+def _series_restarted(t):
+    total = 1.0
+    for n in range(1, 400):
+        term = _weight_restarted(t, n) / EM1**n
+        total += term
+        if abs(term) < 1e-12 and n >= 5:
+            return total
+    raise AssertionError("no convergence")
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestOnePass:
+    """One running partial sum gives what the restarted O(n^2) loops gave, bit for bit."""
+
+    T = np.linspace(0.0, 1.0, 41).tolist() + [1e-300, 0.123456789]
+
+    def test_tail_weights(self):
+        for t in self.T:
+            ref = [_weight_restarted(t, n) for n in range(61)]
+            assert _hex(exp_tail_weights(t, 60)) == _hex(ref)
+            assert _hex(exp_tail_weight(t, n) for n in range(61)) == _hex(ref)
+            assert _hex(taylor_exp_neg(t, n) for n in range(1, 61)) == _hex(
+                _taylor_restarted(t, n) for n in range(1, 61)
+            )
+
+    def test_product_count_series(self):
+        for t in np.linspace(0.0, 1.0, 201).tolist() + self.T:
+            assert product_count_series(t).hex() == _series_restarted(t).hex()
+
+    def test_weights_list(self):
+        assert exp_tail_weights(0.5, 0) == [1.0]
+        assert len(exp_tail_weights(0.5, 7)) == 8
+        with pytest.raises(DomainError):
+            exp_tail_weights(1.5, 3)
+        with pytest.raises(DomainError):
+            exp_tail_weights(0.5, -1)
 
 
 class TestSeriesIndex:

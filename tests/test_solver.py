@@ -672,6 +672,23 @@ class TestAsymptote:
             assert abs(g10) < abs(g2)
 
 
+def _residual_one_interval(curve, t):
+    """The residual at one t as one ``integrate`` call over [0, f^-1(t)]."""
+    spec = curve.transform
+    w_end = 1.0 if t >= 1.0 else float(spec._finv(np.asarray(t)))
+    if w_end <= 0.0:
+        rhs = 1.0
+    else:
+        grid_end = curve.n_panels * curve.step
+
+        def hist(w):
+            s = np.clip(t - spec._f(w), 0.0, grid_end)
+            return solver._hermite_eval(curve.values, curve._slopes, curve.step, s)
+
+        rhs = 1.0 + integrate(hist, 0.0, w_end, 1e-9)
+    return abs(eval_curve(curve, t) - rhs)
+
+
 class TestSelfConsistency:
     def test_residual_bounded(self, logproduct_curve):
         rng = np.random.default_rng(0)
@@ -682,6 +699,41 @@ class TestSelfConsistency:
     def test_validates_t(self, logproduct_curve):
         with pytest.raises(DomainError):
             self_consistency_residual(logproduct_curve, -1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [rw.Identity(), rw.LogProduct(), rw.Power(0.5), _KNOTS_TXT],
+        ids=["identity", "logproduct", "power:0.5", "knots.txt"],
+    )
+    def test_array_equals_one_point_calls(self, spec):
+        # one batched quadrature over every t's interval, each residual bit
+        # for bit the one-interval integral: t = 0, t < 1 and t >= 1
+        curve = solve(spec, 3.0, 1e-2)
+        rng = np.random.default_rng(3)
+        ts = np.concatenate((
+            [0.0, 1e-12, 0.5, 1.0, 3.0],
+            rng.uniform(0.0, 1.0, 20),
+            rng.uniform(1.0, 3.0, 20),
+        ))
+        got = self_consistency_residual(curve, ts)
+        assert got.shape == ts.shape
+        ref = [_residual_one_interval(curve, t) for t in ts.tolist()]
+        one = [self_consistency_residual(curve, t) for t in ts.tolist()]
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert np.array_equal(_bits(got), _bits(one))
+        grid = self_consistency_residual(curve, ts[:40].reshape(5, 8))
+        assert np.array_equal(_bits(grid.ravel()), _bits(got[:40]))
+
+    def test_scalar_returns_float(self, logproduct_curve):
+        for t in (0.0, 0.5, 2.0, np.float64(2.0)):
+            assert type(self_consistency_residual(logproduct_curve, t)) is float
+        assert self_consistency_residual(logproduct_curve, 0.0) == 0.0
+
+    def test_array_out_of_range_names_the_range(self, logproduct_curve):
+        for ts in ([0.5, 10.5], [-0.1, 2.0]):
+            with pytest.raises(DomainError, match=r"\[0, 10\]"):
+                self_consistency_residual(logproduct_curve, np.array(ts))
+        assert self_consistency_residual(logproduct_curve, np.array([])).shape == (0,)
 
 
 class TestSerialization:
