@@ -3,8 +3,11 @@
 A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  A
 block is simulated in vectorized rounds: each round draws one uniform per
 still-active path, applies the transform, and retires paths whose running
-sum exceeded the threshold.  A block allocates its working arrays once,
-and its rounds reuse them while they stay in cache.
+sum exceeded the threshold.  Increments never exceed 1, so no path can stop
+in the first floor(t) rounds, which skip the stop test.  Each pass holds
+one workspace: every worker thread makes its working arrays the first time
+it runs a block, and its later blocks and their rounds reuse them while
+they stay in cache.  The workspace is freed when the pass returns.
 
 The block is the unit of randomness as well as of work: block b draws from
 its own PCG64DXSM stream, child b of ``SeedSequence(seed)``.  Workers are
@@ -17,6 +20,7 @@ Integer draw counts are summed exactly and float sums in block order.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,8 +56,9 @@ __all__ = [
 
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
-# one-thread kernel cost measured on 2 vCPUs: 12-14 ns per draw for the
-# closed-form transforms (26 for a piecewise-linear one), 9-17 us per round
+# one-thread kernel cost measured on 2 vCPUs: 6-10 ns per draw for the
+# closed-form transforms (20-24 for a piecewise-linear one), 5-15 us per
+# round; the cap's estimate takes 15 of each
 _NS_PER_DRAW = 15.0
 _US_PER_ROUND = 15.0
 _MAX_SIM_SECONDS = 300.0
@@ -134,25 +139,56 @@ class OvershootHistogram:
         object.__setattr__(self, "densities", dens)
 
 
-def _run_block(transform, t, n, rng):
+def _arrays(ws, n, dtypes):
+    """One ``n``-entry array per type code in ``dtypes``, contents undefined.
+
+    Without a workspace the arrays are fresh.  With one (the
+    ``threading.local`` of a pass) they are views of the calling thread's
+    ``_BLOCK``-entry arrays for ``dtypes``, made the first time it asks.
+    """
+    if ws is None:
+        return [np.empty(n, dtype=c) for c in dtypes]
+    arrays = ws.__dict__.get(dtypes)
+    if arrays is None:
+        arrays = ws.__dict__[dtypes] = [np.empty(_BLOCK, dtype=c) for c in dtypes]
+    return [a[:n] for a in arrays]
+
+
+def _free_rounds(t):
+    """Rounds in which no path can stop: the first floor(t), at most ``_DRAW_CAP``.
+
+    Every increment is at most f(1) = 1 and float addition rounds
+    monotonically, so a sum of r <= floor(t) increments is at most r <= t.
+    Past ``_DRAW_CAP`` the caller's cap check trips before the next draw.
+    """
+    return min(math.floor(t), _DRAW_CAP)
+
+
+def _run_block(transform, t, n, rng, ws=None):
     """Simulate n paths; returns (stopped, over).
 
     ``stopped[r]`` counts the paths that stopped on draw r, and ``over``
     holds the overshoots in stop order.  The surviving paths keep their
     order, so each round's draws reach the same paths as they would with
-    path ids.  The working arrays are allocated once: each round draws into
-    ``u``, transforms in place, compares into ``done`` and compacts the
-    running sums into ``spare``, which then swaps with ``sums``.  Each
+    path ids.  The working arrays come from the pass workspace ``ws``
+    (fresh ones when it is None; ``over`` is one of them): each round draws
+    into ``u``, transforms in place, compares into ``done`` and compacts
+    the running sums into ``spare``, which then swaps with ``sums``.  Each
     compaction is ``np.take`` of a temporary index array with
     ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
     default ``mode="raise"``) fills a buffer and copies it into ``out``.
+    The index array dies within its round: one kept alive into the next
+    round made the allocator hand out fresh pages, about 900 KB of page
+    faults per block at t = 20.  The first ``_free_rounds(t)`` rounds only
+    draw and add.
     """
-    u = np.empty(n)
-    sums = np.zeros(n)
-    spare = np.empty(n)
-    done = np.empty(n, dtype=bool)
-    over = np.empty(n)
-    stopped = [0]
+    u, sums, spare, over, done = _arrays(ws, n, "dddd?")
+    sums.fill(0.0)
+    free = _free_rounds(t)
+    for _ in range(free):
+        x = rng.random(n, out=u)
+        sums += transform._f(x, out=x)
+    stopped = [0] * (free + 1)
     m = n
     while m:
         # every surviving path is about to make draw len(stopped)
@@ -172,22 +208,43 @@ def _run_block(transform, t, n, rng):
             np.take(s, np.flatnonzero(d), out=stop, mode="clip")
             stop -= t
             m -= hit
-            keep = np.flatnonzero(np.logical_not(d, out=d))
-            np.take(s, keep, out=spare[:m], mode="clip")
+            np.take(s, np.flatnonzero(np.logical_not(d, out=d)), out=spare[:m], mode="clip")
             sums, spare = spare, sums
     return np.array(stopped, dtype=np.int64), over
 
 
+def _bin_counts(over, bins, ws=None):
+    """``np.histogram(over, bins, range=(0, 1))[0]`` for ``over`` in (0, 1].
+
+    numpy's equal-width arithmetic without its temporaries: the bin of x is
+    ``int(x * bins)``, x = 1 going to the last bin, then one down where x is
+    below that bin's left edge and one up where it reaches the next bin's
+    (never past the last bin, which is closed).  numpy's range filter is
+    left out: overshoots lie in (0, 1].
+    """
+    lo = np.linspace(0.0, 1.0, bins + 1)
+    hi = np.append(lo[1:-1], np.inf)
+    x, idx, flag = _arrays(ws, over.shape[0], "dp?")
+    np.copyto(idx, np.multiply(over, bins, out=x), casting="unsafe")
+    np.minimum(idx, bins - 1, out=idx)
+    idx -= np.less(over, np.take(lo, idx, out=x, mode="clip"), out=flag)
+    idx += np.greater_equal(over, np.take(hi, idx, out=x, mode="clip"), out=flag)
+    return np.bincount(idx, minlength=bins)
+
+
 def _fan_out(block, samples, seed, workers):
-    """Run ``block(n, rng)`` on every block of a pass; results in block order.
+    """Run ``block(n, rng, ws)`` on every block of a pass; results in block order.
 
     Block b holds the next ``min(_BLOCK, samples - b * _BLOCK)`` paths and
     draws from ``_stream(seed, b)``, so its result depends neither on the
-    worker count nor on which thread runs it.
+    worker count nor on which thread runs it.  ``ws`` is the pass
+    workspace, one ``threading.local`` shared by the blocks and dropped
+    with the threads when the pass returns.
     """
+    ws = threading.local()
 
     def run(b):
-        return block(min(_BLOCK, samples - b * _BLOCK), _stream(seed, b))
+        return block(min(_BLOCK, samples - b * _BLOCK), _stream(seed, b), ws)
 
     blocks = range(-(-samples // _BLOCK))
     if workers == 1:
@@ -280,9 +337,9 @@ def simulate(
         bins = _as_int("bins", bins, 10)
     t, samples, seed, workers = _check_common(transform, t, samples, seed, workers)
 
-    def block(n, rng):
-        stopped, over = _run_block(transform, t, n, rng)
-        hist = np.histogram(over, bins=bins, range=(0.0, 1.0))[0] if bins else None
+    def block(n, rng, ws):
+        stopped, over = _run_block(transform, t, n, rng, ws)
+        hist = _bin_counts(over, bins, ws) if bins else None
         # einsum, not np.dot: OpenBLAS splits a long dot across its threads,
         # so its sum would depend on the BLAS thread count
         return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
@@ -344,7 +401,7 @@ def overshoot_histogram(
     return simulate(transform, t, samples, seed, workers, bins=bins).histogram()
 
 
-def _paired_block(t, n, rng, f_base, f_dominating):
+def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
     """Coupled paths driven by shared uniforms; returns count of order violations.
 
     Both accumulators see the same uniform draw each round; the dominating
@@ -355,15 +412,19 @@ def _paired_block(t, n, rng, f_base, f_dominating):
     exactly when its base sum had passed t before the round it leaves in.
     Sums keep growing after they pass t, which changes no stop round, so
     every surviving path adds both increments.  As in ``_run_block`` the
-    working arrays are allocated once and the survivors keep their order.
+    working arrays come from the pass workspace ``ws``, the survivors keep
+    their order, and the first ``_free_rounds(t)`` rounds only draw and add:
+    neither sum can pass t in them.
     """
-    u = np.empty(n)
-    inc = np.empty(n)
-    s1, s2 = np.zeros(n), np.zeros(n)
-    spare1, spare2 = np.empty(n), np.empty(n)
-    done, done2, before = (np.empty(n, dtype=bool) for _ in range(3))
+    u, inc, s1, s2, spare1, spare2, done, done2, before = _arrays(ws, n, "dddddd???")
+    s1.fill(0.0)
+    s2.fill(0.0)
+    r = _free_rounds(t)
+    for _ in range(r):
+        x = rng.random(n, out=u)
+        s1 += f_base(x, out=inc)
+        s2 += f_dominating(x, out=x)
     violations = 0
-    r = 0
     m = n
     while m:
         r += 1
@@ -386,6 +447,7 @@ def _paired_block(t, n, rng, f_base, f_dominating):
             keep = np.flatnonzero(np.logical_not(d, out=d))
             np.take(a, keep, out=spare1[:m], mode="clip")
             np.take(b, keep, out=spare2[:m], mode="clip")
+            del keep  # before the next round allocates its own: see _run_block
             s1, spare1 = spare1, s1
             s2, spare2 = spare2, s2
     return violations
@@ -406,8 +468,8 @@ def paired_domination(
     # identity's sums take the longer: its mean increment is the smaller
     t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
 
-    def block(n, rng):
-        return _paired_block(t, n, rng, ident._f, logp._f)
+    def block(n, rng, ws):
+        return _paired_block(t, n, rng, ident._f, logp._f, ws)
 
     return sum(_fan_out(block, samples, seed, workers)), samples
 

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +140,8 @@ class TestWorkerInvariance:
         # swapped transforms, so the violation counts are not all zero
         paired = mc._paired_block
         monkeypatch.setattr(mc, "_BLOCK", 4096)
-        monkeypatch.setattr(mc, "_paired_block", lambda t, n, rng, a, b: paired(t, n, rng, b, a))
+        monkeypatch.setattr(mc, "_paired_block",
+                            lambda t, n, rng, a, b, ws: paired(t, n, rng, b, a, ws))
         got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
         assert got[0][0] > 0 and got == [got[0]] * 4
 
@@ -223,11 +226,131 @@ class TestKernel:
         with pytest.raises(ConvergenceError, match="draws"):
             mc._run_block(Identity(), 10.0, 4096, mc._stream(3, 0))
 
+    @pytest.mark.parametrize("kernel", ["_run_block", "_paired_block"])
+    def test_draw_cap_below_the_free_rounds(self, monkeypatch, kernel):
+        # t = 10 leaves every path running for 10 rounds; a cap of 5 must
+        # trip before draw 6, after exactly 5 rounds of 64 draws
+        args = (Identity(), 10.0) if kernel == "_run_block" else (10.0,)
+        fs = () if kernel == "_run_block" else (Identity()._f, LogProduct()._f)
+        monkeypatch.setattr(mc, "_DRAW_CAP", 5)
+        rng = mc._stream(3, 0)
+        with pytest.raises(ConvergenceError, match="draws"):
+            getattr(mc, kernel)(*args, 64, rng, *fs)
+        ref = mc._stream(3, 0)
+        ref.random(5 * 64)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_workspace_reuse_matches_fresh_arrays(self):
+        # a workspace left dirty by a longer block must not leak into the next
+        ws = threading.local()
+        for n, t in ((4096, 3.0), (7, 5.5), (4096, 0.0)):
+            got = mc._run_block(LogProduct(), t, n, mc._stream(1, n), ws)
+            want = mc._run_block(LogProduct(), t, n, mc._stream(1, n))
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+            fs = (Identity()._f, LogProduct()._f)
+            assert (mc._paired_block(t, n, mc._stream(2, n), *fs[::-1], ws)
+                    == mc._paired_block(t, n, mc._stream(2, n), *fs[::-1]))
+
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
         for worker, child in enumerate(children):
             want = np.random.Generator(np.random.PCG64DXSM(child)).random(4)
             assert (mc._stream(9, worker).random(4) == want).all()
+
+
+class TestBinCounts:
+    @pytest.mark.parametrize("bins", [10, 17, 50, 1000])
+    def test_matches_np_histogram_at_the_edges(self, bins):
+        # on, one ulp above and one ulp below every edge, and 0 and 1
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        x = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0),
+                            [0.0, 1.0], mc._stream(0, 0).random(5000)])
+        x = x[(x >= 0.0) & (x <= 1.0)]
+        want = np.histogram(x, bins, range=(0.0, 1.0))[0]
+        assert (mc._bin_counts(x, bins) == want).all()
+        ws = threading.local()
+        for _ in range(2):
+            assert (mc._bin_counts(x, bins, ws) == want).all()
+
+
+# records of 2 * _BLOCK + 17 paths at seed 42, computed by the kernel that
+# allocated per block and histogrammed with np.histogram
+_N_GOLDEN = 2 * mc._BLOCK + 17
+_GOLDEN = {
+    "identity": (
+        Identity(), 1.0, None,
+        [0, 0, 65541, 43683, 16418, 4338, 927, 155, 24, 3],
+        "0x1.6f2da174cdc39p+15", "0x1.7f607fc7cb0cbp+14", None,
+    ),
+    "logproduct": (
+        LogProduct(), 20.0, 17,
+        [0] * 25 + [1, 15, 122, 501, 1649, 4070, 7562, 11647, 15499, 17949, 18151, 16192,
+                    13270, 9629, 6347, 3942, 2230, 1228, 584, 281, 122, 58, 29, 6, 2, 1, 2],
+        "0x1.6fc7c768ed637p+15", "0x1.8072587b0b40ap+14",
+        [13061, 12384, 12049, 11489, 10820, 10539, 9612, 9008, 8303, 7440, 6708, 5734,
+         4799, 3881, 2914, 1749, 599],
+    ),
+    "power:0.5": (
+        Power(0.5), 5.0, None,
+        [0] * 6 + [4292, 35973, 50965, 28806, 8956, 1793, 272, 31, 0, 1],
+        "0x1.8008f4c41da86p+15", "0x1.99dae3c71fe88p+14", None,
+    ),
+    "knots.txt": (
+        _KNOTS_TXT, 3.0, 10,
+        [0] * 4 + [492, 3374, 10061, 17982, 22972, 23349, 19685, 14123, 9123, 5178, 2647,
+                   1259, 503, 218, 77, 31, 8, 5, 2],
+        "0x1.1fedbbecd2343p+15", "0x1.0664203ed2ad0p+14",
+        [32505, 26327, 21591, 16418, 11527, 8112, 6413, 4546, 2726, 924],
+    ),
+}
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(_GOLDEN))
+    def test_record_is_bit_identical(self, name, workers):
+        spec, t, bins, k_counts, o, o2, hist = _GOLDEN[name]
+        assert mc._BLOCK == 1 << 16
+        rec = mc.simulate(spec, t, _N_GOLDEN, seed=42, workers=workers, bins=bins)
+        assert rec.k_counts.tolist() == k_counts
+        assert (rec.overshoot_sum.hex(), rec.overshoot_sumsq.hex()) == (o, o2)
+        assert (None if rec.hist_counts is None else rec.hist_counts.tolist()) == hist
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_paired_domination_count(self, monkeypatch, workers):
+        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (0, _N_GOLDEN)
+        # swapped transforms, so the count is not 0
+        paired = mc._paired_block
+        monkeypatch.setattr(mc, "_paired_block",
+                            lambda t, n, rng, a, b, ws: paired(t, n, rng, b, a, ws))
+        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("paired", [False, True], ids=["simulate", "paired"])
+    def test_reused_across_blocks_and_freed_with_the_pass(self, monkeypatch, workers, paired):
+        arrays = mc._arrays
+        refs, ids = [], set()
+
+        def recording(ws, n, dtypes):
+            views = arrays(ws, n, dtypes)
+            assert ws is not None and all(v.base.shape == (mc._BLOCK,) for v in views)
+            refs.extend(weakref.ref(v.base) for v in views)
+            ids.update(id(v.base) for v in views)
+            return views
+
+        monkeypatch.setattr(mc, "_arrays", recording)
+        if paired:
+            mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
+            per_thread = len("dddddd???")
+        else:
+            mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
+            per_thread = len("dddd?") + len("dp?")
+        # three blocks: each thread makes its arrays once
+        assert len(refs) == 3 * per_thread
+        assert len(ids) <= workers * per_thread and (workers > 1 or len(ids) == per_thread)
+        assert all(ref() is None for ref in refs)
 
 
 class TestSimulateRecord:
