@@ -56,10 +56,9 @@ __all__ = [
 
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
-# one-thread kernel cost measured on 2 vCPUs: 6-10 ns per draw for the
-# closed-form transforms (20-24 for a piecewise-linear one), 5-15 us per
-# round; the cap's estimate takes 15 of each
-_NS_PER_DRAW = 15.0
+# one-thread kernel cost measured on 2 vCPUs: 5-15 us per round, which the
+# cap's estimate takes as 15; the cost per draw is the transform's
+# (``BijectionSpec._ns_per_draw``)
 _US_PER_ROUND = 15.0
 _MAX_SIM_SECONDS = 300.0
 
@@ -84,7 +83,7 @@ def _check_common(transform, t, samples, seed, workers):
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
     rounds = 1.0 + t / asymptotic_params(transform).mu
     blocks = -(-samples // _BLOCK)
-    seconds = rounds * (samples * _NS_PER_DRAW * 1e-9 + blocks * _US_PER_ROUND * 1e-6)
+    seconds = rounds * (samples * transform._ns_per_draw * 1e-9 + blocks * _US_PER_ROUND * 1e-6)
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(
             f"simulating t={t:g} with samples={samples} would take about {seconds:.3g} s "

@@ -24,14 +24,11 @@ step is the same linear recurrence v[j+1] = alpha + sum_k c[k] * v[j-k]
 weights act on values alone) plus a known forcing: the panel weights times
 the difference between each frozen slope and the five-point stage the
 recurrence assumes.  That difference is nonzero only next to a breaking
-point, whose stencils it cuts, at node 0, whose history is zero, and where
-the slope limiter clipped a slope.  ``_tail`` solves the recurrence in FFT
-blocks of at least ceil(1/step) nodes, and one vectorized pass
-(``_first_clip``) checks each run of blocks for a slope stage the limiter
-would change.  Only a few steps loop in Python (``_loop``): the three from
-each breaking node, where the first panel takes the line and the stencils
-still grow, and the three from each step where the check finds the limiter
-acting; their frozen slopes then join the forcing.  A looped step is the
+point, whose stencils it cuts, and at node 0, whose history is zero.
+``_tail`` solves the recurrence in FFT blocks of at least ceil(1/step)
+nodes.  Only the three steps from each breaking node loop in Python
+(``_loop``): there the first panel takes the line and the stencils still
+grow; their frozen slopes then join the forcing.  A looped step is the
 looped march's step bit for bit, and sums its history without BLAS, so no
 output depends on the BLAS thread count.  The blocks agree with a march
 looped throughout to about 1e-14 relative.
@@ -39,11 +36,13 @@ looped throughout to about 1e-14 relative.
 N has breaking points (Bellen & Zennaro, Numerical Methods for Delay
 Differential Equations, 2003): it jumps from 0 to 1 at t = 0, and its
 derivative jumps wherever the density of f(X) does, at t = 1 and at each
-knot y of a piecewise-linear f.  The history interpolant is a monotone
-piecewise cubic.  Its slopes come from one rule: ``_update_slopes``
-steps it node by node in the loop, and ``_final_slopes`` applies it to a
-whole curve at once with the same arithmetic, bit for bit.  No slope
-stencil reaches across a breaking point on the grid.
+knot y of a piecewise-linear f.  The history interpolant is a piecewise
+cubic whose slopes come from one rule: ``_update_slopes`` steps it node
+by node in the loop, and ``_final_slopes`` applies it to a whole curve at
+once with the same arithmetic, bit for bit.  No slope stencil reaches
+across a breaking point on the grid.  The march reads these slopes as
+they are; only the finished curve boxes them (``RenewalCurve``), so that
+``eval_curve`` is monotone.
 
 With its breaking points on grid nodes the march is fourth order, but for
 the two nodes after each breaking point, which are third order.  On
@@ -94,19 +93,17 @@ _RATE = math.e / (math.e - 1.0)
 # march cost in units of about 75 ns (measured on 2 vCPUs, one BLAS thread,
 # step 1e-5 to 1e-2): a looped step costs one unit per history panel
 # (ceil(1/step) of them) plus a fixed ~45 us, the price of 600 panels, its
-# share of its stretch's window slopes included; a blocked node, with its
-# limiter check and final slopes, about 0.35 us.  The cap, about 300 s,
-# holds the blocks alone to about 8e8 nodes, so the 1 GB memory cap trips
-# first.  At its peak the march holds about 64 bytes per node.
+# share of its stretch's window slopes included; a blocked node, its final
+# slopes included, 0.11-0.2 us (the most at step 1e-5), taken as 0.225 us.
+# The cap, about 300 s, holds the blocks alone to about 1.3e9 nodes, so the
+# 1 GB memory cap trips first.  At its peak the march holds about 64 bytes
+# per node.
 _WORK_UNIT_S = 75e-9
 _STEP_OVERHEAD = 600
-_NODE_WORK = 5
+_NODE_WORK = 3
 _MAX_MARCH_WORK = 4e9
 _NODE_BYTES = 64
 _MAX_MARCH_BYTES = 1e9
-# steps per limiter check at most, unless a block is longer: a check holds
-# about 200 bytes per step
-_CHECK_STEPS = 4096
 # lines of CSV formatted per string operation: larger chunks format no
 # faster and hold more memory at once
 _CSV_LINES = 1024
@@ -115,11 +112,15 @@ _CSV_LINES = 1024
 def marching_tolerance(step: float) -> float:
     """Expected max absolute solver error at a given step (empirical bound).
 
-    It does not hold in three measured cases:
+    It does not hold in four measured cases:
     - ``Power(p)`` with p > 1, whose error is of order 1 + 1/p: ``power:5``
       at step 1.25e-3 is 4.6e-4 off (t + c)/mu on [20, 30], against 1.6e-5;
     - knot ``y``s off the grid: with knots (0.3, 0.2137) and (0.7, 0.6071)
       at step 1e-3, ``eval_curve`` is 3.0e-5 off near t = 0.2137, against 1e-5;
+    - a steep density of f(X) with a knot ``y`` off the grid: with knots
+      (0.01, 0.49) and (0.99, 0.51) at step 4e-3 the solve succeeds, its
+      nodes 1.9e-3 and ``eval_curve`` 3.5e-2 off a solve at 1.25e-4 on
+      [0, 10], against 1.6e-4;
     - ``eval_curve`` next to any breaking point that is not a grid node,
       which is first order there: logproduct at step 3e-3 is 7.2e-4 off
       near t = 1, against 9e-5.
@@ -132,16 +133,14 @@ def _update_slopes(v, sl, sr, seg: int, hi: int) -> None:
 
     No stencil leaves the segment, which starts at a breaking point: a node
     takes the five-point centered stencil where it fits, else the three-point
-    one; the ends take one-sided three-point stencils.  Slopes are clamped to
-    [0, 3 * min of adjacent increments], which keeps the Hermite cubic of
-    increasing values monotone.  ``sl[i]`` and ``sr[i]`` are the slopes at
-    the left and right node of panel i, so a breaking point has one per side.
+    one; the ends take one-sided three-point stencils, or the increment when
+    the segment is one panel long.  ``sl[i]`` and ``sr[i]`` are the slopes
+    at the left and right node of panel i, so a breaking point has one per
+    side.
     """
     for i in range(max(seg, hi - 2), hi + 1):
-        dl = v[i] - v[i - 1] if i > seg else v[i + 1] - v[i]
-        dr = v[i + 1] - v[i] if i < hi else dl
         if hi - seg == 1:
-            m = dl
+            m = v[hi] - v[seg]
         elif i == seg:
             m = 0.5 * (-3.0 * v[i] + 4.0 * v[i + 1] - v[i + 2])
         elif i == hi:
@@ -150,7 +149,6 @@ def _update_slopes(v, sl, sr, seg: int, hi: int) -> None:
             m = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / 12.0
         else:
             m = 0.5 * (v[i + 1] - v[i - 1])
-        m = min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
         sl[i] = m
         if i > seg:
             sr[i - 1] = m
@@ -166,16 +164,6 @@ def _break_nodes(spec: BijectionSpec, step: float, n: int) -> list:
     return sorted(breaks)
 
 
-def _clamp(m, low):
-    """``_update_slopes``'s limiter on arrays: m in [0, 3 * low], 0 unless low > 0.
-
-    ``low`` is the smaller of the increments on either side of the node.
-    """
-    lim = np.maximum(m, 0.0)
-    np.minimum(lim, 3.0 * low, out=lim)  # in place: a curve's slopes are its memory peak
-    return np.where(low > 0.0, lim, 0.0)
-
-
 def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
     """Per-panel (left, right) slopes of v, as the march's steps leave them.
 
@@ -187,7 +175,6 @@ def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
     same order as ``_update_slopes``, so the slopes agree bit for bit.
     """
     n = v.shape[0] - 1
-    d = v[1:] - v[:-1]
     lo = np.asarray(breaks)
     hi = np.append(lo[1:], n)
     m = np.empty(n + 1)
@@ -196,18 +183,15 @@ def _final_slopes(v: np.ndarray, breaks: list) -> tuple:
     m[2 : n - 1] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / 12.0
     near = np.concatenate([lo + 1, hi - 1])[np.tile(hi - lo > 1, 2)]
     m[near] = m3[near]
-    inner = _clamp(m[1:n], np.minimum(d[:-1], d[1:]))
     sl = np.empty(n)
     sr = np.empty(n)
-    sl[1:] = inner
-    sr[:-1] = inner
+    sl[1:] = m[1:n]
+    sr[:-1] = m[1:n]
     one = hi - lo == 1
     two = np.minimum(lo + 2, n)
-    first = np.where(one, d[lo], 0.5 * (-3.0 * v[lo] + 4.0 * v[lo + 1] - v[two]))
-    sl[lo] = _clamp(first, d[lo])
+    sl[lo] = np.where(one, v[lo + 1] - v[lo], 0.5 * (-3.0 * v[lo] + 4.0 * v[lo + 1] - v[two]))
     back = np.maximum(hi - 2, 0)
-    last = np.where(one, d[hi - 1], 0.5 * (3.0 * v[hi] - 4.0 * v[hi - 1] + v[back]))
-    sr[hi - 1] = _clamp(last, d[hi - 1])
+    sr[hi - 1] = np.where(one, v[hi] - v[hi - 1], 0.5 * (3.0 * v[hi] - 4.0 * v[hi - 1] + v[back]))
     return sl, sr
 
 
@@ -216,15 +200,19 @@ class RenewalCurve:
     """Expected draw count N on a uniform grid t_j = j * step.
 
     values[0] is exactly 1 and the values increase strictly.  Off-grid
-    evaluation interpolates with the same monotone piecewise cubic the
-    solver used, so it is exact at the nodes and increasing in between.
+    evaluation is the piecewise cubic Hermite interpolant the march used,
+    with each panel's two slopes boxed into [0, 3 * its increment]; in that
+    box the cubic of an increasing panel is monotone (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 1980).  So it is exact at the nodes and
+    non-decreasing in between, and differs from the march's history only
+    on the panels where the box acts.
     """
 
     transform: BijectionSpec
     step: float
     t_max: float
     values: np.ndarray
-    # (left, right) slope per panel, from the values (``_final_slopes``)
+    # (left, right) slope per panel: ``_final_slopes`` of the values, boxed
     _slopes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -247,7 +235,12 @@ class RenewalCurve:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         breaks = _break_nodes(self.transform, self.step, vals.shape[0] - 1)
-        object.__setattr__(self, "_slopes", _final_slopes(vals, breaks))
+        slopes = _final_slopes(vals, breaks)
+        box = np.diff(vals)
+        box *= 3.0
+        for m in slopes:
+            np.clip(m, 0.0, box, out=m)  # in place: a curve's slopes are its memory peak
+        object.__setattr__(self, "_slopes", slopes)
 
     @property
     def n_panels(self) -> int:
@@ -300,19 +293,15 @@ def _panel_weights(spec: BijectionSpec, step: float):
     return p, (a0, a1, a2), (b0, b1)
 
 
-def _check_cost(n: int, looped: int, n_pan: int, redone: int = 0, why: str = "") -> None:
-    """Refuse a march of n steps, ``looped`` of them looped, that costs too much.
-
-    ``redone`` counts the nodes the blocks solve a second time, past a
-    limiter clip; ``why`` prefixes the refusal.
-    """
-    work = looped * (n_pan + _STEP_OVERHEAD) + (n + redone) * _NODE_WORK
+def _check_cost(n: int, looped: int, n_pan: int) -> None:
+    """Refuse a march of n steps, ``looped`` of them looped, that costs too much."""
+    work = looped * (n_pan + _STEP_OVERHEAD) + n * _NODE_WORK
     size = (n + 1) * _NODE_BYTES
     causes = []
     if work > _MAX_MARCH_WORK:
         causes.append(
             f"march work {work:.3g} ({looped} looped steps * ({n_pan} panels + "
-            f"{_STEP_OVERHEAD}) + {n + redone} blocked nodes * {_NODE_WORK}, about "
+            f"{_STEP_OVERHEAD}) + {n} blocked nodes * {_NODE_WORK}, about "
             f"{work * _WORK_UNIT_S:.3g} s) exceeds the cap of {_MAX_MARCH_WORK:.0e}"
         )
     if size > _MAX_MARCH_BYTES:
@@ -321,7 +310,7 @@ def _check_cost(n: int, looped: int, n_pan: int, redone: int = 0, why: str = "")
             f"cap of {_MAX_MARCH_BYTES / 1e9:g} GB"
         )
     if causes:
-        raise DomainError(why + "; ".join(causes) + "; increase step or decrease t_max")
+        raise DomainError("; ".join(causes) + "; increase step or decrease t_max")
 
 
 def _loop(v: np.ndarray, j: int, stop: int, weights, breaks: list) -> tuple:
@@ -443,7 +432,7 @@ def _blocks(alpha: float, c: np.ndarray, excess: float) -> tuple:
     return alpha, excess, mean_lag, k, block, spectra
 
 
-def _tail(v: np.ndarray, start: int, stop: int, g: np.ndarray, blocks: tuple):
+def _tail(v: np.ndarray, start: int, stop: int, g: np.ndarray, blocks: tuple) -> None:
     """Fill v[start+1..stop] by v[j+1] = alpha + g[j] + sum_k c[k] * v[j-k], in FFT blocks.
 
     A block of L nodes gets its older history by one FFT convolution and
@@ -455,19 +444,12 @@ def _tail(v: np.ndarray, start: int, stop: int, g: np.ndarray, blocks: tuple):
     (``excess``) and sum_k (k + 1) * c[k].  u stays small, so the FFTs'
     rounding, which scales with what they transform, does not grow with N
     and does not pile up block after block.
-
-    The limiter check (``_first_clip``) runs at stop and whenever the
-    unchecked steps outnumber the checked ones or ``_CHECK_STEPS``: a clip
-    wastes at most one block more than came before it, and the check's
-    arrays stay small.  Returns the first step at which the limiter would
-    act, or None.
     """
     fft = np.fft
     alpha, excess, mean_lag, k, block, (df, gf) = blocks
     size = 2 * block
     back = np.arange(1 - k, 1.0)  # node offsets of the history, last one 0
     ahead = np.arange(1, block + 1.0)
-    checked = start + 1  # steps below it passed the check
     for s in range(start + 1, stop + 1, block):
         base, rise = v[s - 1], v[s - 1] - v[s - 2]
         older = fft.irfft(fft.rfft(v[s - k : s] - (base + rise * back), size) * df, size)
@@ -477,53 +459,25 @@ def _tail(v: np.ndarray, start: int, stop: int, g: np.ndarray, blocks: tuple):
         u = fft.irfft(fft.rfft(force, size) * gf, size)[:block]
         e = min(s + block, stop + 1)
         v[s:e] = ((base + rise * ahead) + u)[: e - s]
-        if e > stop or e - 1 - checked >= min(checked - start, _CHECK_STEPS):
-            clip = _first_clip(v, checked - 1, e - 1)
-            if clip is not None:
-                return clip
-            checked = e - 1
-    return None
 
 
-def _first_clip(v: np.ndarray, lo: int, hi: int):
-    """The first of steps lo..hi-1 at which the limiter would act, or None.
-
-    Step s reads the one-sided stage of node s, the three-point stage of
-    s - 1 and the five-point stage of s - 2.  A stage passes when the
-    limiter leaves it as it is.  Step lo's five-point stage is not checked:
-    that node's slope is already in the forcing.
-    """
-    w = v[lo - 3 : hi]  # nodes lo-3..hi-1
-    d = w[1:] - w[:-1]
-    m = np.zeros((3, hi - lo))
-    m[0] = 0.5 * (3.0 * w[3:] - 4.0 * w[2:-1] + w[1:-2])
-    m[1] = 0.5 * (w[3:] - w[1:-2])
-    m[2, 1:] = (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / 12.0
-    low = np.empty((3, hi - lo))
-    low[0] = d[2:]
-    np.minimum(d[1:-1], d[2:], out=low[1])
-    np.minimum(d[:-2], d[1:-1], out=low[2])
-    bad = np.flatnonzero(_clamp(m, low) != m)
-    return lo + int((bad % (hi - lo)).min()) if bad.size else None
-
-
-def _march(n: int, weights, breaks: list, step: float) -> np.ndarray:
-    """The march to node n: looped steps at each breaking node and limiter clip, FFT blocks between.
+def _march(n: int, weights, breaks: list) -> np.ndarray:
+    """The march to node n: three looped steps from each breaking node, FFT blocks between.
 
     Between them a step is the recurrence of ``_tail_recurrence`` plus a
     known forcing: the panel weights times the difference between each
     frozen slope and the five-point stage the recurrence assumes there.  It
     is nonzero only at the nodes next to a breaking point, whose stencils
-    the break cuts, at node 0, whose history is zero, and where the limiter
-    clipped a slope.  The loop takes the three steps from each breaking
-    node b (the first one on the line; by step b + 3 the slopes of the
-    nodes up to b + 1 are frozen) and from each clip that a block's check
-    finds; each stretch's frozen slopes then join the forcing.
+    the break cuts, and at node 0, whose history is zero.  The loop takes
+    the three steps from each breaking node b (the first one on the line;
+    by step b + 3 the slopes of the nodes up to b + 1 are frozen), and runs
+    on while the next breaking node falls among them; each stretch's frozen
+    slopes then join the forcing.
     """
     p = weights[0]
     n_pan = p.shape[0]
     blocks = _blocks(*_tail_recurrence(weights))
-    alpha, _, _, pad, block, _ = blocks
+    alpha, pad = blocks[0], blocks[3]
     buf = np.zeros(pad + n + 1)  # N(s) = 0 for s < 0: the recurrence reads zeros there
     buf[pad] = 1.0
     v = buf[pad:]
@@ -533,7 +487,7 @@ def _march(n: int, weights, breaks: list, step: float) -> np.ndarray:
     pw = np.zeros((n_pan + 1, 4))
     pw[:n_pan] = p * alpha
     kernels = (pw[2:-1, 2], pw[3:, 3], pw[3:, 1])
-    j, frozen, looped, redone = 0, -2, 0, 0
+    j, frozen = 0, -2
     while True:
         stop = j + 3
         for b in breaks:
@@ -541,7 +495,6 @@ def _march(n: int, weights, breaks: list, step: float) -> np.ndarray:
                 stop = b + 3
         stop = min(stop, n)
         a, sl, sr = _loop(v, j, stop, weights, breaks)
-        looped += stop - j
         if stop == n:
             return v
         # the slopes frozen since the last blocks, against the five-point stage
@@ -555,18 +508,10 @@ def _march(n: int, weights, breaks: list, step: float) -> np.ndarray:
             dst = g[at[i] + 2 : at[i] + n_pan]
             dst += (left[i] * kernels[0] + right[i] * kernels[1] + lost[i] * kernels[2])[: dst.size]
         frozen = stop - 1
-        end = min([b for b in breaks if b >= stop] + [n])
-        clip = _tail(buf, pad + stop, pad + end, g, blocks) if end > stop else None
-        if clip is None and end == n:
+        j = min([b for b in breaks if b >= stop] + [n])
+        _tail(buf, pad + stop, pad + j, g, blocks)
+        if j == n:
             return v
-        if clip is None:
-            j = end
-            continue
-        # a clip costs a looped stretch and the blocks solved past it
-        j = clip - pad
-        redone += j - stop + block
-        why = f"the slope limiter acts at t = {j * step:g}, so "
-        _check_cost(n, looped + 3 * (1 + sum(b > j for b in breaks)), n_pan, redone, why)
 
 
 def solve(
@@ -585,13 +530,13 @@ def solve(
     deliberately.
 
     Raises ``DomainError`` before any work if the march would exceed its
-    work or memory cap (and during it, if limiter clips would take it past
-    the work cap), and ``ConvergenceError`` if the panel-weight quadrature
-    fails or the marched values stop increasing (a sign the grid cannot
-    resolve f).  The latter happens for ``Power(p)`` with small p, whose
-    N(step) rounds to exactly 1: at t_max = 5, p <= 0.12 fails at steps
-    1e-2 and 1e-3, p = 0.15 at 1e-3, and p >= 0.2 solves at both (see
-    ``Power``).
+    work or memory cap, and ``ConvergenceError`` if the panel-weight
+    quadrature fails or the marched values are not strictly increasing.
+    The refusal names the t of the first node that does not increase, and
+    why: a tie at 1 means N - 1 rounds to 0 there, as for ``Power(p)`` with
+    small p (at t_max = 5, p <= 0.12 fails at steps 1e-2 and 1e-3, p = 0.15
+    at 1e-3, and p >= 0.2 solves at both; see ``Power``); a fall means the
+    grid cannot resolve f, as for a density of f(X) too steep for the step.
     """
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be a positive finite number, got {t_max!r}")
@@ -612,11 +557,17 @@ def solve(
     if not (a2 < 1.0 and b1 < 1.0):
         raise ConvergenceError("first-panel weight reached 1; transform too flat near 0")
 
-    v = _march(n, weights, breaks, h)
-    if not np.all(np.diff(v) > 0.0):
+    v = _march(n, weights, breaks)
+    rise = np.diff(v)
+    if not np.all(rise > 0.0):
+        k = int(np.argmin(rise > 0.0)) + 1  # the first node that does not increase
+        if v[k] == v[k - 1] == 1.0:
+            cause = "N - 1 rounds to 0 there: the transform is too flat near 0 for this step (see Power)"
+        else:
+            how = "falls" if rise[k - 1] < 0.0 else "stalls"
+            cause = f"N {how} there: the grid cannot resolve this transform at this step"
         raise ConvergenceError(
-            "marched values are not strictly increasing; the grid cannot "
-            "resolve this transform at this step"
+            f"marched values are not strictly increasing at t = {k * h:g}; {cause}"
         )
     return RenewalCurve(spec, h, t_max, v)
 
@@ -655,8 +606,8 @@ def _hermite_eval(values: np.ndarray, slopes: tuple, step: float, x: np.ndarray)
 def eval_curve(curve: RenewalCurve, t):
     """Interpolated curve value at t (scalar or array), t in [0, t_max].
 
-    Exact at grid nodes, strictly increasing and continuous in between
-    (monotone cubic through the marched values).
+    Exact at grid nodes, continuous and non-decreasing in between (the
+    curve's boxed cubic Hermite interpolant, see ``RenewalCurve``).
     """
     arr = np.asarray(t, dtype=float)
     if arr.size:

@@ -68,7 +68,7 @@ class TestSolve:
         # N(step) - 1 ~ step^10 rounds to 0, so the curve is not strictly increasing
         result = runner.invoke(main, ["solve", "--spec", "power:0.1", "--t-max", "5"])
         assert result.exit_code == 3
-        assert "not strictly increasing" in result.output
+        assert "not strictly increasing at t = 0.001; N - 1 rounds to 0" in result.output
 
     @pytest.mark.parametrize("step", ["1e-2", "1e-3"])
     def test_power_0_2_solves(self, runner, step):

@@ -97,6 +97,19 @@ class TestEstimateN:
         with pytest.raises(DomainError, match="decrease t or samples"):
             mc.paired_domination(1e12, 1)
 
+    def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
+        # np.interp makes a piecewise-linear draw dearer than a closed form's
+        monkeypatch.setattr(mc, "_run_block", lambda *args: pytest.fail("a block ran"))
+        assert (_KNOTS_TXT._ns_per_draw, LogProduct()._ns_per_draw) == (25.0, 15.0)
+        samples = 3 * 10**8
+        rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
+        blocks = -(-samples // mc._BLOCK)
+        seconds = rounds * (samples * 25e-9 + blocks * 15e-6)
+        # at a closed form's 15 ns the same pass would be admitted
+        assert rounds * (samples * 15e-9 + blocks * 15e-6) < 300.0 < seconds
+        with pytest.raises(DomainError, match=f"would take about {seconds:.3g} s"):
+            mc.estimate_n(_KNOTS_TXT, 20.0, samples)
+
 
 class TestReproducibility:
     def test_same_seed_bit_identical(self):

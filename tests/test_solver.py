@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import renewal as rw
 import renewal.bijections as bij
 import renewal.solver as solver
-from renewal.bijections import DomainError, from_knot_file, integrate
+from renewal.bijections import ConvergenceError, DomainError, from_knot_file, integrate
+from renewal.cli import main
 from renewal.closed_forms import product_count, uniform_sum_count
 from renewal.solver import (
     RenewalCurve,
@@ -29,7 +31,6 @@ from renewal.solver import (
     solve,
     write_curve_csv,
     _final_slopes,
-    _first_clip,
     _panel_weights,
 )
 from renewal.verification import _MENAGERIE
@@ -253,7 +254,6 @@ class TestSlopeHandOver:
 def _update_slopes_ref(v, sl, sr, seg, hi):
     for i in range(max(seg, hi - 2), hi + 1):
         dl = v[i] - v[i - 1] if i > seg else v[i + 1] - v[i]
-        dr = v[i + 1] - v[i] if i < hi else dl
         if hi - seg == 1:
             m = dl
         elif i == seg:
@@ -264,7 +264,6 @@ def _update_slopes_ref(v, sl, sr, seg, hi):
             m = (v[i - 2] - 8.0 * v[i - 1] + 8.0 * v[i + 1] - v[i + 2]) / 12.0
         else:
             m = 0.5 * (v[i + 1] - v[i - 1])
-        m = min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
         sl[i] = m
         if i > seg:
             sr[i - 1] = m
@@ -342,10 +341,12 @@ def _looped_steps(calls):
 
 def _assert_matches_the_loop(curve, values, slopes):
     assert np.max(np.abs(curve.values - values) / values) <= 1e-13
-    # a slope is a difference of nearby values, so it is held to 1e-13 of
-    # the value at its node, not of itself
+    # the curve stores the march's slopes boxed into [0, 3 * increment]; a
+    # slope is a difference of nearby values, so it is held to 1e-13 of the
+    # value at its node, not of itself
+    box = 3.0 * np.diff(values)
     for got, want in zip(curve._slopes, slopes):
-        assert np.max(np.abs(got - want) / values[:-1]) <= 1e-13
+        assert np.max(np.abs(got - np.clip(want, 0.0, box)) / values[:-1]) <= 1e-13
 
 
 def _assert_loop_is_the_reference(curve, calls):
@@ -356,8 +357,8 @@ def _assert_loop_is_the_reference(curve, calls):
 
 
 _OFF_GRID_KNOTS = rw.PiecewiseLinear(((0.0, 0.0), (0.3, 0.2137), (0.7, 0.6071), (1.0, 1.0)))
-# f(X) is near 1/2 with probability 0.98, so N rises in steps a half apart
-# for long after t = 2, and the limiter acts there again and again
+# f(X) is near 1/2 with probability 0.98 (density 49 on [0.49, 0.51]), so N
+# rises in steps a half apart for long after t = 2
 _HALF_STEPS = rw.PiecewiseLinear(((0.0, 0.0), (0.01, 0.49), (0.99, 0.51), (1.0, 1.0)))
 _TAIL_CASES = [
     pytest.param(rw.Identity(), 1e-2, 100.0, id="identity"),
@@ -372,7 +373,7 @@ _TAIL_CASES = [
 
 
 class TestTail:
-    """One march from node 0: looped steps at each breaking node and clip, FFT blocks between."""
+    """One march from node 0: looped steps at each breaking node, FFT blocks between."""
 
     @pytest.mark.parametrize("spec, step, t_max", _TAIL_CASES)
     def test_matches_the_loop(self, monkeypatch, spec, step, t_max):
@@ -383,28 +384,22 @@ class TestTail:
         _assert_loop_is_the_reference(curve, calls)
 
     @pytest.mark.parametrize(
-        "spec, step, breaks, clips",
+        "spec, step, breaks",
         [
-            (rw.Identity(), 1e-2, 2, 0),
-            (rw.LogProduct(), 1e-2, 2, 0),
-            (rw.LogProduct(), 3e-3, 1, 0),  # t = 1 is not a node
-            (rw.Power(0.5), 1e-2, 2, 0),  # its clip at step 2 falls in node 0's stretch
-            (_KNOTS_TXT, 1e-2, 3, 0),
-            (_HALF_STEPS, 1e-2, 4, 12),
+            (rw.Identity(), 1e-2, 2),
+            (rw.LogProduct(), 1e-2, 2),
+            (rw.LogProduct(), 3e-3, 1),  # t = 1 is not a node
+            (rw.Power(0.5), 1e-2, 2),
+            (_KNOTS_TXT, 1e-2, 3),
         ],
-        ids=["identity", "logproduct", "logproduct-t1-off-grid", "power:0.5", "knots.txt", "half-steps"],
+        ids=["identity", "logproduct", "logproduct-t1-off-grid", "power:0.5", "knots.txt"],
     )
-    def test_loops_three_steps_per_breaking_node_and_clip(self, monkeypatch, spec, step, breaks, clips):
+    def test_loops_three_steps_per_breaking_node_and_clip(self, monkeypatch, spec, step, breaks):
+        # the march reads unclamped slopes, so no step loops for a clip
         calls = _march_calls(monkeypatch)
-        found = []
-        first_clip = solver._first_clip
-        monkeypatch.setattr(
-            solver, "_first_clip", lambda *args: found.append(first_clip(*args)) or found[-1]
-        )
         solve(spec, 30.0, step)
-        assert len([c for c in found if c is not None]) == clips
-        assert len(_looped_steps(calls)) <= 3 * (breaks + clips)
-        assert len(calls["loop"]) <= breaks + clips
+        assert len(_looped_steps(calls)) <= 3 * breaks
+        assert len(calls["loop"]) <= breaks
 
     @pytest.mark.parametrize("step", [1e-3, 3e-3, 1e-2, 2.5e-3])
     def test_short_solves_match_the_loop(self, monkeypatch, step):
@@ -435,53 +430,29 @@ class TestTail:
         ]
         assert out[0] == out[1]
 
-    def test_reported_clip_falls_back_to_the_loop(self, monkeypatch):
-        # a clip at the first step of every check leaves the whole curve to
-        # the loop, three steps at a time
-        monkeypatch.setattr(solver, "_first_clip", lambda v, lo, hi: lo)
-        curve = solve(rw.LogProduct(), 30.0, 1e-2)
-        values, slopes = _looped_solve(rw.LogProduct(), 30.0, 1e-2)
-        assert np.array_equal(_bits(curve.values), _bits(values))
-        for got, want in zip(curve._slopes, slopes):
-            assert np.array_equal(_bits(got), _bits(want))
 
-    def test_clip_inside_the_tail_loops_from_there(self, monkeypatch):
-        blocks_only = solve(rw.Identity(), 30.0, 1e-2)
-        clip = 2 * 100 + 2 + 137
+class TestSteepDensity:
+    """A density of f(X) too steep for the step is refused, not marched into a wrong curve."""
 
-        def clip_once(v, lo, hi):
-            at = clip + v.shape[0] - 3001  # the buffer holds zeros before node 0
-            return at if lo <= at < hi else None
+    @pytest.mark.parametrize("step", [1e-2, 7e-3])
+    def test_coarse_steps_are_refused(self, tmp_path, step):
+        with pytest.raises(ConvergenceError, match="not strictly increasing at t = .*N falls"):
+            solve(_HALF_STEPS, 10.0, step)
+        knots = tmp_path / "half.txt"
+        knots.write_text("".join(f"{x} {y}\n" for x, y in _HALF_STEPS.knots))
+        args = ["solve", "--spec", str(knots), "--t-max", "10", "--step", str(step)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "cannot resolve this transform" in result.output
 
-        monkeypatch.setattr(solver, "_first_clip", clip_once)
-        calls = _march_calls(monkeypatch)
-        curve = solve(rw.Identity(), 30.0, 1e-2)
-        assert (clip, clip + 3) in calls["loop"] and calls["tail"][-1] == clip + 3
-        assert np.array_equal(curve.values[: clip + 1], blocks_only.values[: clip + 1])
-        assert not np.array_equal(curve.values[clip + 1 :], blocks_only.values[clip + 1 :])
-        _assert_matches_the_loop(curve, *_looped_solve(rw.Identity(), 30.0, 1e-2))
-        _assert_loop_is_the_reference(curve, calls)
-
-    def test_a_limiter_that_acts_in_the_tail_leaves_it_to_the_loop(self, monkeypatch):
-        calls = _march_calls(monkeypatch)
-        curve = solve(_HALF_STEPS, 30.0, 1e-2)
-        found = [j for j, _ in calls["loop"] if j not in (0, 49, 51, 100)]
-        assert found and min(found) < 200 < max(found)  # clips before and after t = 2
-        _assert_matches_the_loop(curve, *_looped_solve(_HALF_STEPS, 30.0, 1e-2))
-        _assert_loop_is_the_reference(curve, calls)
-
-    def test_fallback_is_refused_when_the_loop_would_take_too_long(self, monkeypatch):
-        clips = []
-
-        def every_step(v, lo, hi):
-            clips.append(lo - (v.shape[0] - 3001))  # the step, past the buffer's zeros
-            return lo
-
-        monkeypatch.setattr(solver, "_first_clip", every_step)
-        monkeypatch.setattr(solver, "_MAX_MARCH_WORK", 1e6)  # admits the blocks, not the loop
-        with pytest.raises(DomainError, match=r"the slope limiter acts at t = ([\d.]+).*cap") as exc:
-            solve(rw.LogProduct(), 30.0, 1e-2)
-        assert f"t = {clips[-1] * 1e-2:g}, " in str(exc.value)
+    def test_a_resolving_step_is_within_the_envelope(self):
+        # every knot y is a node of both grids
+        fine = solve(_HALF_STEPS, 10.0, 1.25e-4)
+        curve = solve(_HALF_STEPS, 10.0, 5e-3)
+        tol = marching_tolerance(5e-3)
+        assert np.max(np.abs(curve.values - fine.values[::40])) <= tol
+        t = np.linspace(0.0, 10.0, 2001)
+        assert np.max(np.abs(eval_curve(curve, t) - eval_curve(fine, t))) <= tol
 
 
 class TestTailBlocks:
@@ -496,8 +467,7 @@ class TestTailBlocks:
             pytest.param(40, 3e-4, True, id="40-0.0003-forced"),
         ],
     )
-    def test_match_the_recurrence_step_by_step(self, monkeypatch, k, excess, forced):
-        monkeypatch.setattr(solver, "_first_clip", lambda v, lo, hi: None)
+    def test_match_the_recurrence_step_by_step(self, k, excess, forced):
         rng = np.random.default_rng(k)
         c = rng.uniform(0.0, 1.0, k)
         c *= (1.0 + excess) / c.sum()
@@ -509,45 +479,8 @@ class TestTailBlocks:
         for j in range(start, want.shape[0] - 1):
             want[j + 1] = math.fsum([0.7, g[j], *(c * want[j::-1][:k])])
         blocks = solver._blocks(0.7, c, math.fsum([*c, -1.0]))
-        assert solver._tail(v, start, v.shape[0] - 1, g, blocks) is None
+        solver._tail(v, start, v.shape[0] - 1, g, blocks)
         assert np.max(np.abs(v - want) / want) <= 1e-13
-
-
-class TestFirstClip:
-    """The vectorized limiter check names the first step whose stages clip."""
-
-    @staticmethod
-    def _first_clip_ref(v, lo, hi):
-        def clamp(m, dl, dr):
-            return min(max(m, 0.0), 3.0 * min(dl, dr)) if dl > 0.0 and dr > 0.0 else 0.0
-
-        for s in range(lo, hi):
-            stages = [
-                (0.5 * (3.0 * v[s] - 4.0 * v[s - 1] + v[s - 2]), v[s] - v[s - 1], v[s] - v[s - 1]),
-                (0.5 * (v[s] - v[s - 2]), v[s - 1] - v[s - 2], v[s] - v[s - 1]),
-            ]
-            if s > lo:
-                x = s - 2
-                five = (v[x - 2] - 8.0 * v[x - 1] + 8.0 * v[x + 1] - v[x + 2]) / 12.0
-                stages.append((five, v[x] - v[x - 1], v[x + 1] - v[x]))
-            if any(clamp(m, dl, dr) != m for m, dl, dr in stages):
-                return s
-        return None
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        lo=st.integers(3, 8),
-        steps=st.integers(1, 30),
-        jumps=st.lists(st.tuples(st.integers(0, 60), st.sampled_from([-0.1, 0.0, 0.01, 5.0])), max_size=2),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_a_step_by_step_check(self, lo, steps, jumps, seed):
-        inc = np.random.default_rng(seed).uniform(0.5, 1.0, lo + steps)
-        for at, size in jumps:
-            inc[at % inc.size] = size
-        v = np.concatenate([[1.0], 1.0 + np.cumsum(inc)])
-        hi = v.shape[0] - 1
-        assert _first_clip(v, lo, hi) == self._first_clip_ref(v.tolist(), lo, hi)
 
 
 class TestFinalSlopes:
@@ -578,6 +511,49 @@ class TestFinalSlopes:
             RenewalCurve(curve.transform, curve.step, curve.t_max, curve.values)
             best = min(best, time.perf_counter() - t0)
         assert curve.values.shape[0] > 10**5 and best < 0.02
+
+
+def _assert_monotone_in_its_box(curve):
+    """Stored slopes in [0, 3 * increment]; eval_curve non-decreasing at 9 points per panel."""
+    v = curve.values
+    box = 3.0 * np.diff(v)
+    for m in curve._slopes:
+        assert np.all((m >= 0.0) & (m <= box))
+    n = curve.n_panels
+    inner = eval_curve(curve, ((np.arange(n)[:, None] + np.arange(1, 10) / 10.0) * curve.step).ravel())
+    path = np.column_stack([v[:-1], inner.reshape(n, 9)]).ravel()
+    assert np.all(np.diff(np.append(path, v[-1])) >= 0.0)
+
+
+class TestMonotoneInterpolant:
+    """The curve boxes each panel's slopes (Fritsch & Carlson 1980), so eval_curve is monotone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inc=st.lists(st.sampled_from([1e-6, 5.0, 0.3, 1.0]), min_size=1, max_size=60),
+        cuts=st.sets(st.integers(1, 31), max_size=6),
+    )
+    def test_random_values(self, inc, cuts):
+        # knot ys at multiples of the step put breaking nodes at the cuts
+        step = 1.0 / 32.0
+        ys = sorted(k * step for k in cuts)
+        knots = ((0.0, 0.0), *((y, y) for y in ys), (1.0, 1.0))
+        values = np.concatenate([[1.0], 1.0 + np.cumsum(inc)])
+        n = values.shape[0] - 1
+        _assert_monotone_in_its_box(RenewalCurve(rw.PiecewiseLinear(knots), step, n * step, values))
+
+    @pytest.mark.parametrize(
+        "spec, boxed",
+        # power:0.5's node 0 has a slightly negative stencil slope; power:5's
+        # final slopes need no box
+        [(rw.Power(5.0), [[], []]), (rw.Power(0.5), [[0], []])],
+        ids=["power:5", "power:0.5"],
+    )
+    def test_singular_starts(self, spec, boxed):
+        curve = solve(spec, 30.0, 1e-2)
+        _assert_monotone_in_its_box(curve)
+        raw = _final_slopes(curve.values, solver._break_nodes(spec, 1e-2, curve.n_panels))
+        assert [np.flatnonzero(got != want).tolist() for got, want in zip(curve._slopes, raw)] == boxed
 
 
 class TestSolveValidation:
