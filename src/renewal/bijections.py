@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,13 +56,43 @@ class ConvergenceError(RuntimeError):
     """A numerical routine could not reach its requested tolerance."""
 
 
-def _as_unit(values, name: str) -> np.ndarray:
-    """Coerce to a float array and require every entry in [0, 1]."""
-    arr = np.asarray(values, dtype=float)
+def _as_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+             open_lo: bool = False) -> float:
+    """``value`` as a finite float in [lo, hi] ((lo, hi] with ``open_lo``).
+
+    Any ``numbers.Real`` passes (numpy scalars included); bools, strings and
+    everything else are refused with a ``DomainError`` naming ``name``.
+    """
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    if not (math.isfinite(x) and (x > lo if open_lo else x >= lo) and x <= hi):
+        if lo == -math.inf:
+            bound = "real" if hi == math.inf else f"<= {hi:g}"
+        elif hi == math.inf:
+            bound = f"{'>' if open_lo else '>='} {lo:g}"
+        else:
+            bound = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
+        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+    return x
+
+
+def _as_reals(name: str, values, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """``values`` (scalar or array) as a float array with every entry in [lo, hi].
+
+    Integer and float dtypes pass; bool, string and object dtypes are refused.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.size:
-        lo, hi = arr.min(), arr.max()
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got range [{lo}, {hi}]")
+        a, b = arr.min(), arr.max()
+        if not (a >= lo and b <= hi):
+            raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got range [{a:g}, {b:g}]")
     return arr
 
 
@@ -111,12 +142,12 @@ class BijectionSpec(abc.ABC):
 
     def forward(self, x):
         """f(x) for x in [0, 1].  Scalar in, scalar out; array in, array out."""
-        arr = self._f(_as_unit(x, "x"))
+        arr = self._f(_as_reals("x", x))
         return arr[()] if arr.ndim == 0 else arr
 
     def inverse(self, u):
         """f^{-1}(u) for u in [0, 1]."""
-        arr = self._finv(_as_unit(u, "u"))
+        arr = self._finv(_as_reals("u", u))
         return arr[()] if arr.ndim == 0 else arr
 
     def __str__(self) -> str:
@@ -187,12 +218,7 @@ class Power(BijectionSpec):
     p: float
 
     def __post_init__(self):
-        p = self.p
-        if not (isinstance(p, (int, float)) and math.isfinite(p)):
-            raise DomainError("power exponent must be a finite number")
-        if not (0.1 <= p <= 10.0):
-            raise DomainError(f"power exponent must lie in [0.1, 10], got {p}")
-        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "p", _as_real("power exponent p", self.p, 0.1, 10.0))
 
     @property
     def label(self) -> str:  # type: ignore[override]
@@ -217,8 +243,8 @@ class _KnotError(DomainError):
 class PiecewiseLinear(BijectionSpec):
     """Piecewise-linear bijection through user-supplied knots.
 
-    ``knots`` is a tuple of (x, y) pairs, strictly increasing in both
-    coordinates, starting at (0, 0) and ending at (1, 1).  Evaluation is
+    ``knots`` is a tuple of (x, y) pairs of reals, strictly increasing in
+    both coordinates, starting at (0, 0) and ending at (1, 1).  Evaluation is
     linear interpolation; the inverse interpolates the swapped knots.
     """
 
@@ -227,7 +253,13 @@ class PiecewiseLinear(BijectionSpec):
     _ns_per_draw: ClassVar[float] = 25.0
 
     def __post_init__(self):
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
+        knots = []
+        for i, (x, y) in enumerate(self.knots):
+            try:
+                knots.append((_as_real("x", x), _as_real("y", y)))
+            except DomainError as err:
+                raise _KnotError(f"knot {i}: {err}", i) from None
+        knots = tuple(knots)
         if len(knots) < 2:
             raise _KnotError(f"piecewise transform needs at least 2 knots, found {len(knots)}")
         if knots[0] != (0.0, 0.0):
@@ -549,15 +581,13 @@ def integrate(
         its ends is accepted whatever its estimate, so a bounded jump is
         bisected down to that width and does not raise.
     DomainError
-        If the interval is invalid, the tolerance is not positive, or ``g`` is
-        not finite at a node (an end of the interval included).
+        If ``a`` and ``b >= a`` are not finite reals, ``abs_tol`` is not
+        > 0, or ``g`` is not finite at a node (an end of the interval
+        included).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    if b < a:
-        raise DomainError(f"integration bounds out of order: [{a}, {b}]")
-    if not (abs_tol > 0.0):
-        raise DomainError("abs_tol must be positive")
+    a = _as_real("a", a)
+    b = _as_real("b", b, a)
+    abs_tol = _as_real("abs_tol", abs_tol, 0.0, open_lo=True)
     if a == b:
         return 0.0
 
@@ -577,8 +607,8 @@ def integrate(
 class AsymptoticParams:
     """Constants of the asymptotic line for the expected draw count.
 
-    mu is the mean increment E[f(X)], sigma2 its variance, and c the
-    long-run mean overshoot.  The line itself is
+    mu is the mean increment E[f(X)], in (0, 1], sigma2 >= 0 its variance,
+    and c in [0, 1] the long-run mean overshoot.  The line itself is
     ``slope * t + intercept`` with slope 1/mu and intercept c/mu, both
     derived properties so the defining identities hold exactly.
     """
@@ -588,12 +618,9 @@ class AsymptoticParams:
     c: float
 
     def __post_init__(self):
-        if not (0.0 < self.mu <= 1.0):
-            raise DomainError(f"mean increment must be in (0, 1], got {self.mu}")
-        if self.sigma2 < 0.0:
-            raise DomainError(f"increment variance must be >= 0, got {self.sigma2}")
-        if not (0.0 <= self.c <= 1.0):
-            raise DomainError(f"mean overshoot constant must be in [0, 1], got {self.c}")
+        object.__setattr__(self, "mu", _as_real("mu", self.mu, 0.0, 1.0, open_lo=True))
+        object.__setattr__(self, "sigma2", _as_real("sigma2", self.sigma2, 0.0))
+        object.__setattr__(self, "c", _as_real("c", self.c, 0.0, 1.0))
 
     @property
     def slope(self) -> float:

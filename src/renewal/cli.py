@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 import sys
 
 import click
@@ -26,6 +25,7 @@ from . import __version__, closed_forms, montecarlo, solver, verification
 from .bijections import (
     ConvergenceError,
     DomainError,
+    _as_real,
     asymptotic_params,
     parse_transform,
 )
@@ -132,8 +132,8 @@ def solve(spec, t_max, step, fmt, output):
 @_map_errors
 def asympt(spec, threshold):
     """Print the asymptotic line parameters of a transform."""
-    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
-        raise click.UsageError(f"-t must be finite and >= 0, got {threshold:g}")
+    if threshold is not None:
+        threshold = _as_real("-t", threshold, 0.0)
     transform = parse_transform(spec)
     p = asymptotic_params(transform)
     click.echo(f"spec = {transform.label}")

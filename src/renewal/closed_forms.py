@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .bijections import ConvergenceError, DomainError, _as_int
+from .bijections import ConvergenceError, DomainError, _as_int, _as_real
 
 __all__ = [
     "exp_tail_weight",
@@ -42,13 +42,6 @@ _C12 = -_EM1 / _E ** (2.0 + 1.0 / _EM1) + 1.0 / _E + math.exp(-_RATE) / _EM1
 # beyond this the alternating sum in uniform_sum_count has shed too much
 # precision to be called exact (see the docstring)
 SUM_COUNT_T_CAP = 15.0
-
-
-def _check_unit_t(t: float, name: str = "t") -> float:
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {t}")
-    return t
 
 
 def _taylor_partials(t: float):
@@ -78,7 +71,7 @@ def _tail_weights(t: float):
 
 
 def taylor_exp_neg(t: float, n: int) -> float:
-    """Partial Taylor sum of exp(-t): sum of (-t)^k / k! for k < n.
+    """Partial Taylor sum of exp(-t), t >= 0: sum of (-t)^k / k! for k < n.
 
     Summed in ascending k with compensated (Kahan) accumulation so the
     alternating terms cancel without picking up accumulation error.  The
@@ -86,16 +79,14 @@ def taylor_exp_neg(t: float, n: int) -> float:
     ``exp_tail_weights`` and ``product_count_series`` read every partial
     sum from a single pass and match this function bit for bit.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    t = _as_real("t", t, 0.0)
     n = _as_int("n", n, 1)
     return next(islice(_taylor_partials(t), n - 1, None))
 
 
 def exp_tail_weights(t: float, n: int) -> list:
-    """``[exp_tail_weight(t, k) for k in range(n + 1)]`` in one O(n) pass."""
-    t = _check_unit_t(t)
+    """``[exp_tail_weight(t, k) for k in range(n + 1)]`` for t in [0, 1], in one pass."""
+    t = _as_real("t", t, 0.0, 1.0)
     n = _as_int("n", n, 0)
     return [1.0, *islice(_tail_weights(t), n)]
 
@@ -114,7 +105,7 @@ def exp_tail_weight(t: float, n: int) -> float:
 
 def product_series_term(t: float, n: int) -> float:
     """n-th term of the series for the product-form count: weight / (e-1)^n."""
-    t = _check_unit_t(t)
+    t = _as_real("t", t, 0.0, 1.0)
     n = _as_int("n", n, 0)
     if n == 0:
         return 1.0
@@ -123,24 +114,20 @@ def product_series_term(t: float, n: int) -> float:
 
 def product_count_01(t: float) -> float:
     """Exact expected draw count for the product form, t in [0, 1]."""
-    t = _check_unit_t(t)
+    t = _as_real("t", t, 0.0, 1.0)
     return _EM1 / _E + math.exp(t - 1.0 + t / _EM1)
 
 
 def product_count_12(t: float) -> float:
     """Exact expected draw count for the product form, t in [1, 2]."""
-    t = float(t)
-    if not (1.0 <= t <= 2.0):
-        raise DomainError(f"t must lie in [1, 2], got {t}")
+    t = _as_real("t", t, 1.0, 2.0)
     grow = math.exp(_RATE * t)
     return grow * _C12 + 2.0 * _EM1 / _E - math.exp(-_RATE) * t * grow / _EM1
 
 
 def product_count(t: float) -> float:
     """Exact product-form count on [0, 2], dispatching to the right branch."""
-    t = float(t)
-    if not (0.0 <= t <= 2.0):
-        raise DomainError(f"t must lie in [0, 2], got {t}")
+    t = _as_real("t", t, 0.0, 2.0)
     return product_count_01(t) if t <= 1.0 else product_count_12(t)
 
 
@@ -155,7 +142,7 @@ def product_count_series(t: float) -> float:
     whole series costs O(terms), and each term equals ``product_series_term``
     bit for bit.
     """
-    t = _check_unit_t(t)
+    t = _as_real("t", t, 0.0, 1.0)
     total = 1.0
     for n, weight in zip(range(1, 400), _tail_weights(t)):
         term = weight / _EM1**n
@@ -169,7 +156,7 @@ def product_count_series(t: float) -> float:
 
 def product_count_asymptote(t: float) -> float:
     """Asymptotic line for the product form: (e-1) * (t + (e-2)/2)."""
-    return _EM1 * (float(t) + (_E - 2.0) / 2.0)
+    return _EM1 * (_as_real("t", t) + (_E - 2.0) / 2.0)
 
 
 def uniform_sum_count(t: float) -> float:
@@ -188,9 +175,7 @@ def uniform_sum_count(t: float) -> float:
     silently degraded; there the count equals its asymptote 2t + 2/3 to
     within 6.3e-15 (at t = 15), closer than the series can compute it.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    t = _as_real("t", t, 0.0)
     if t > SUM_COUNT_T_CAP:
         raise DomainError(
             f"exact sum-count series is supported for t in [0, {SUM_COUNT_T_CAP:g}], "
@@ -207,4 +192,4 @@ def uniform_sum_count(t: float) -> float:
 
 def uniform_sum_asymptote(t: float) -> float:
     """Asymptotic line for the plain uniform sum: 2t + 2/3."""
-    return 2.0 * float(t) + 2.0 / 3.0
+    return 2.0 * _as_real("t", t) + 2.0 / 3.0

@@ -32,7 +32,8 @@ from .bijections import (
     DomainError,
     BUILTIN_TRANSFORMS,
     _as_int,
-    _as_unit,
+    _as_real,
+    _as_reals,
     _quad,
     asymptotic_params,
     integrate,  # noqa: F401  (perfbench/tracing.py patches it here by name)
@@ -75,9 +76,7 @@ def _stream(seed: int, block: int) -> np.random.Generator:
 
 def _check_common(transform, t, samples, seed, workers):
     """Validate a pass; refuse one estimated to take over ``_MAX_SIM_SECONDS``."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    t = _as_real("t", t, 0.0)
     samples = _as_int("samples", samples, 1)
     seed, workers = _as_int("seed", seed, 0), _as_int("workers", workers, 1, 256)
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
@@ -327,13 +326,13 @@ def simulate(
 
     The record is a pure function of (transform, t, samples, seed): the
     ``workers`` threads share the blocks, whose results merge in block order.
-    The overshoot histogram is counted only when ``bins`` is given.  The
-    estimators are views of the record, so one call serves them all on
-    shared paths.  A pass estimated to outrun ``_MAX_SIM_SECONDS`` on one
-    thread is refused before any block runs.
+    The overshoot histogram is counted only when ``bins`` (in [10, 10000])
+    is given.  The estimators are views of the record, so one call serves
+    them all on shared paths.  A pass estimated to outrun
+    ``_MAX_SIM_SECONDS`` on one thread is refused before any block runs.
     """
     if bins is not None:
-        bins = _as_int("bins", bins, 10)
+        bins = _as_int("bins", bins, 10, 10_000)
     t, samples, seed, workers = _check_common(transform, t, samples, seed, workers)
 
     def block(n, rng, ws):
@@ -474,13 +473,9 @@ def paired_domination(
 
 
 def chernoff_bound(mu: float, delta: float) -> float:
-    """Upper tail bound min(1, 2 exp(-delta^2 mu / (2 + delta)))."""
-    mu = float(mu)
-    delta = float(delta)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"delta must be positive, got {delta}")
+    """Upper tail bound min(1, 2 exp(-delta^2 mu / (2 + delta))), mu and delta > 0."""
+    mu = _as_real("mu", mu, 0.0, open_lo=True)
+    delta = _as_real("delta", delta, 0.0, open_lo=True)
     return min(1.0, 2.0 * math.exp(-delta * delta * mu / (2.0 + delta)))
 
 
@@ -494,15 +489,12 @@ def k_concentration_check(
 ) -> float:
     """Fraction of paths whose draw count strays past 1 + t/mu by c * sqrt(t).
 
-    A concentration smoke test: for t well above 1 the fraction outside
-    c = 6 standard-deviation-scale bands is far below 1e-3.
+    ``t`` must be >= 1 and ``c`` > 0.  A concentration smoke test: for t
+    well above 1 the fraction outside c = 6 standard-deviation-scale bands
+    is far below 1e-3.
     """
-    t = float(t)
-    if not t >= 1.0:
-        raise DomainError(f"concentration check needs t >= 1, got {t}")
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"c must be positive, got {c}")
+    t = _as_real("t", t, 1.0)
+    c = _as_real("c", c, 0.0, open_lo=True)
     mu = asymptotic_params(transform).mu
     counts = simulate(transform, t, samples, seed, workers).k_counts
     k = np.arange(counts.shape[0])
@@ -518,7 +510,7 @@ def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np
     ``edges`` must be a 1-D nondecreasing array of at least 2 entries in
     [0, 1], where the density is defined.
     """
-    edges = _as_unit(edges, "edges")
+    edges = _as_reals("edges", edges)
     if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) < 0.0):
         raise DomainError("edges must be a 1-D nondecreasing array of at least 2 entries")
 

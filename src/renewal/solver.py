@@ -70,6 +70,8 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     LogProduct,
+    _as_real,
+    _as_reals,
     _quad,
     integrate,  # noqa: F401  (perfbench/tracing.py patches it here by name)
 )
@@ -216,10 +218,8 @@ class RenewalCurve:
     _slopes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise DomainError(f"step must be positive, got {self.step}")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise DomainError(f"t_max must be positive, got {self.t_max}")
+        object.__setattr__(self, "step", _as_real("step", self.step, 0.0, open_lo=True))
+        object.__setattr__(self, "t_max", _as_real("t_max", self.t_max, 0.0, open_lo=True))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.shape[0] < 2:
             raise DomainError("values must be a 1-D array with at least 2 entries")
@@ -523,11 +523,12 @@ def solve(
 ) -> RenewalCurve:
     """March the renewal equation for ``spec`` up to ``t_max``.
 
-    ``step`` above ``step_limit`` (default 0.01) is rejected: the scheme is
-    fourth order away from the breaking points and third order on the two
-    nodes after each, but coarse grids visibly miss the exact counts.  The limit is a keyword so diagnostic
-    callers (the verify command's degradation demo) can relax it
-    deliberately.
+    ``t_max`` must be > 0 and ``step`` in (0, ``step_limit``] (default
+    0.01).  Coarser steps are rejected: the scheme is fourth order away
+    from the breaking points and third order on the two nodes after each,
+    but coarse grids visibly miss the exact counts.  The limit is a keyword
+    so diagnostic callers (the verify command's degradation demo) can relax
+    it deliberately.
 
     Raises ``DomainError`` before any work if the march would exceed its
     work or memory cap, and ``ConvergenceError`` if the panel-weight
@@ -538,14 +539,8 @@ def solve(
     at 1e-3, and p >= 0.2 solves at both; see ``Power``); a fall means the
     grid cannot resolve f, as for a density of f(X) too steep for the step.
     """
-    if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0.0):
-        raise DomainError(f"t_max must be a positive finite number, got {t_max!r}")
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be a positive finite number, got {step!r}")
-    if step > step_limit:
-        raise DomainError(f"step must be <= {step_limit:g}, got {step:g}")
-    t_max = float(t_max)
-    h = float(step)
+    t_max = _as_real("t_max", t_max, 0.0, open_lo=True)
+    h = _as_real("step", step, 0.0, _as_real("step_limit", step_limit), open_lo=True)
 
     n = math.ceil(t_max / h - 1e-12)
     n_pan = math.ceil(1.0 / h - 1e-12)
@@ -609,13 +604,7 @@ def eval_curve(curve: RenewalCurve, t):
     Exact at grid nodes, continuous and non-decreasing in between (the
     curve's boxed cubic Hermite interpolant, see ``RenewalCurve``).
     """
-    arr = np.asarray(t, dtype=float)
-    if arr.size:
-        lo, hi = arr.min(), arr.max()
-        if not (lo >= 0.0 and hi <= curve.t_max):
-            raise DomainError(
-                f"t must lie in [0, {curve.t_max:g}], got range [{lo:g}, {hi:g}]"
-            )
+    arr = _as_reals("t", t, 0.0, curve.t_max)
     out = _hermite_eval(curve.values, curve._slopes, curve.step, arr)
     return float(out[()]) if out.ndim == 0 else out
 
@@ -624,23 +613,19 @@ def check_derivative_relation(curve: RenewalCurve, t: float) -> float:
     """Residual of the product-form derivative identity at t.
 
     The product-form curve satisfies N'(t) = rate * (N(t) - N(t-1)) - 1
-    with rate = e/(e-1) for t >= 1.  N' is taken as the central finite
-    difference with spacing ``curve.step``; the returned residual is
-    |difference - identity| and sits near step^2 for an accurate curve
-    (about 1e-4 or less at step 1e-3).  Curves for any other transform are
+    with rate = e/(e-1) for t >= 1; t must lie in [1 + step, t_max - step].
+    N' is taken as the central finite difference with spacing
+    ``curve.step``; the returned residual is |difference - identity| and
+    sits near step^2 for an accurate curve (about 1e-4 or less at step
+    1e-3).  Curves for any other transform are
     rejected: the identity encodes the logproduct increment law.
     """
     if not isinstance(curve.transform, LogProduct):
         raise DomainError(
             "derivative relation is defined only for the logproduct transform"
         )
-    t = float(t)
     d = curve.step
-    if not (1.0 + d <= t <= curve.t_max - d):
-        raise DomainError(
-            f"t must lie in [1 + step, t_max - step] = "
-            f"[{1.0 + d:g}, {curve.t_max - d:g}], got {t}"
-        )
+    t = _as_real("t", t, 1.0 + d, curve.t_max - d)
     n_t = eval_curve(curve, t)
     n_lag = eval_curve(curve, t - 1.0)
     deriv = (eval_curve(curve, t + d) - eval_curve(curve, t - d)) / (2.0 * d)
@@ -649,7 +634,8 @@ def check_derivative_relation(curve: RenewalCurve, t: float) -> float:
 
 def asymptote_gap(curve: RenewalCurve, params: AsymptoticParams, t: float) -> float:
     """Signed distance from the curve to its asymptotic line at t."""
-    return eval_curve(curve, t) - (float(t) + params.c) / params.mu
+    t = _as_real("t", t)
+    return eval_curve(curve, t) - (t + params.c) / params.mu
 
 
 def self_consistency_residual(curve: RenewalCurve, t):
@@ -665,8 +651,8 @@ def self_consistency_residual(curve: RenewalCurve, t):
     what a call with that t alone returns.  For a sound curve the residual
     is bounded by a small multiple of ``marching_tolerance``.
     """
+    value = eval_curve(curve, t)  # checks t first
     arr = np.asarray(t, dtype=float)
-    value = eval_curve(curve, arr)  # checks the range first
     spec = curve.transform
     ts = arr.ravel()
     w_end = np.ones_like(ts)

@@ -29,6 +29,7 @@ from .bijections import (
     PiecewiseLinear,
     Power,
     _as_int,
+    _as_real,
     _quad,
     asymptotic_params,
     integrate,
@@ -501,10 +502,11 @@ def run_checks(
     """Run the requested verification suites and return their CheckResults.
 
     ``suites`` is an iterable drawn from ``SUITES`` (None means all).  The
-    solver suite honors ``step`` and ``t_max``; the simulation suite honors
-    ``samples``, ``seed``, ``workers``.  Steps above the solver's normal
-    limit are accepted here (up to 0.1) so accuracy degradation can be
-    demonstrated; expect solver-suite failures when you do that.
+    solver suite honors ``step`` in (0, 0.1] and ``t_max`` in [3, 100]; the
+    simulation suite honors ``samples``, ``seed``, ``workers``.  Steps above
+    the solver's normal limit of 0.01 are accepted here so accuracy
+    degradation can be demonstrated; expect solver-suite failures when you
+    do that.
     """
     if suites is None:
         chosen = list(SUITES)
@@ -513,10 +515,8 @@ def run_checks(
         for s in chosen:
             if s not in SUITES:
                 raise DomainError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
-    if not (0.0 < step <= 0.1):
-        raise DomainError(f"step must be in (0, 0.1], got {step:g}")
-    if not (3.0 <= t_max <= 100.0):
-        raise DomainError(f"t_max must be in [3, 100], got {t_max:g}")
+    step = _as_real("step", step, 0.0, 0.1, open_lo=True)
+    t_max = _as_real("t_max", t_max, 3.0, 100.0)
     samples = _as_int("samples", samples, 1000)
 
     # built per call, so the ``_checks_<suite>`` functions are looked up when run

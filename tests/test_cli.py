@@ -111,7 +111,7 @@ class TestSolve:
         # nan passes the option's range check and is refused by solver.solve
         result = runner.invoke(main, ["solve", "--t-max", "nan"])
         assert result.exit_code == 2
-        assert "t_max must be a positive finite number, got nan" in result.output
+        assert "t_max must be finite and > 0, got nan" in result.output
 
     def test_stdout_is_the_writer_output(self, runner):
         # 3001 lines, so the writer streams three chunks straight to stdout

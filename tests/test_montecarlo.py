@@ -424,6 +424,12 @@ class TestSimulateRecord:
         with pytest.raises(DomainError, match="bins"):
             mc.simulate(Identity(), 1.0, 100, bins=5)
 
+    def test_bins_capped(self):
+        # each block allocates arrays of bins + 1 floats: the CLI's --bins range
+        assert mc.simulate(Identity(), 1.0, 1000, bins=10_000).hist_counts.shape == (10_000,)
+        with pytest.raises(DomainError, match="bins"):
+            mc.simulate(Identity(), 1.0, 1000, bins=10_001)
+
 
 class TestOvershootHistogram:
     def test_mass_normalized(self):

@@ -394,7 +394,7 @@ class TestTail:
         ],
         ids=["identity", "logproduct", "logproduct-t1-off-grid", "power:0.5", "knots.txt"],
     )
-    def test_loops_three_steps_per_breaking_node_and_clip(self, monkeypatch, spec, step, breaks):
+    def test_loops_three_steps_per_breaking_node(self, monkeypatch, spec, step, breaks):
         # the march reads unclamped slopes, so no step loops for a clip
         calls = _march_calls(monkeypatch)
         solve(spec, 30.0, step)
