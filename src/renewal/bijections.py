@@ -83,17 +83,30 @@ def _as_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
 def _as_reals(name: str, values, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """``values`` (scalar or array) as a float array with every entry in [lo, hi].
 
-    Integer and float dtypes pass; bool, string and object dtypes are refused.
+    Integer and float dtypes pass; bool, string and object dtypes are refused,
+    and so is a list or tuple that holds a bool among numbers (numpy would
+    promote it to 0 or 1).
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise DomainError(f"{name} must hold real numbers, got a bool among its entries")
     arr = arr.astype(float, copy=False)
     if arr.size:
         a, b = arr.min(), arr.max()
         if not (a >= lo and b <= hi):
             raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got range [{a:g}, {b:g}]")
     return arr
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple, or one nested in it, holds a bool or a bool array."""
+    return any(
+        _holds_bool(v) if isinstance(v, (list, tuple))
+        else isinstance(v, bool) or getattr(v, "dtype", None) == bool
+        for v in values
+    )
 
 
 def _as_int(name: str, value, lo: int, hi: int | None = None) -> int:

@@ -103,8 +103,10 @@ class SimEstimate:
     spec: str
 
     def __post_init__(self):
-        if self.std_error < 0.0 or not math.isfinite(self.mean):
-            raise DomainError("estimate must have finite mean and std_error >= 0")
+        for name, lo in (("mean", -math.inf), ("std_error", 0.0), ("t", 0.0)):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name), lo))
+        object.__setattr__(self, "samples", _as_int("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,9 @@ class OvershootHistogram:
     t: float
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
-        if edges.ndim != 1 or edges.shape[0] != dens.shape[0] + 1:
+        edges = _as_reals("bin_edges", self.bin_edges)
+        dens = _as_reals("densities", self.densities, 0.0, math.inf)
+        if edges.ndim != 1 or dens.ndim != 1 or edges.shape[0] != dens.shape[0] + 1:
             raise DomainError("bin_edges must have one more entry than densities")
         if edges[0] != 0.0 or edges[-1] != 1.0:
             raise DomainError("bin_edges must span [0, 1]")
@@ -135,6 +137,8 @@ class OvershootHistogram:
         dens.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "densities", dens)
+        object.__setattr__(self, "samples", _as_int("samples", self.samples, 1))
+        object.__setattr__(self, "t", _as_real("t", self.t, 0.0))
 
 
 def _arrays(ws, n, dtypes):
@@ -251,6 +255,33 @@ def _fan_out(block, samples, seed, workers):
         return list(pool.map(run, blocks))
 
 
+def _summary(stopped, over, bins, ws=None):
+    """One block's share of a record: (stopped, overshoot sum, sum of squares, bin counts).
+
+    The bin counts are None without ``bins``.
+    """
+    hist = _bin_counts(over, bins, ws) if bins else None
+    # einsum, not np.dot: OpenBLAS splits a long dot across its threads,
+    # so its sum would depend on the BLAS thread count
+    return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
+
+
+def _merge(spec, t, samples, seed, bins, blocks):
+    """The ``SimRecord`` of a pass from its blocks' ``_summary`` tuples, in block order."""
+    k_counts = np.zeros(0, dtype=np.int64)
+    hist = np.zeros(bins, dtype=np.int64) if bins else None
+    sum_o = sum_o2 = 0.0
+    for counts, o, o2, h in blocks:
+        if counts.shape[0] > k_counts.shape[0]:
+            k_counts = np.pad(k_counts, (0, counts.shape[0] - k_counts.shape[0]))
+        k_counts[: counts.shape[0]] += counts
+        sum_o += o
+        sum_o2 += o2
+        if bins:
+            hist += h
+    return SimRecord(spec, t, samples, seed, k_counts, sum_o, sum_o2, hist)
+
+
 @dataclass(frozen=True)
 class SimRecord:
     """Every statistic of one simulated path set, as returned by ``simulate``.
@@ -336,24 +367,9 @@ def simulate(
     t, samples, seed, workers = _check_common(transform, t, samples, seed, workers)
 
     def block(n, rng, ws):
-        stopped, over = _run_block(transform, t, n, rng, ws)
-        hist = _bin_counts(over, bins, ws) if bins else None
-        # einsum, not np.dot: OpenBLAS splits a long dot across its threads,
-        # so its sum would depend on the BLAS thread count
-        return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
+        return _summary(*_run_block(transform, t, n, rng, ws), bins, ws)
 
-    k_counts = np.zeros(0, dtype=np.int64)
-    hist = np.zeros(bins, dtype=np.int64) if bins else None
-    sum_o = sum_o2 = 0.0
-    for counts, o, o2, h in _fan_out(block, samples, seed, workers):
-        if counts.shape[0] > k_counts.shape[0]:
-            k_counts = np.pad(k_counts, (0, counts.shape[0] - k_counts.shape[0]))
-        k_counts[: counts.shape[0]] += counts
-        sum_o += o
-        sum_o2 += o2
-        if bins:
-            hist += h
-    return SimRecord(transform.label, t, samples, seed, k_counts, sum_o, sum_o2, hist)
+    return _merge(transform.label, t, samples, seed, bins, _fan_out(block, samples, seed, workers))
 
 
 def estimate_n(
@@ -400,21 +416,26 @@ def overshoot_histogram(
 
 
 def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
-    """Coupled paths driven by shared uniforms; returns count of order violations.
+    """Coupled paths driven by shared uniforms; returns (violations, base, dominating).
 
-    Both accumulators see the same uniform draw each round; the dominating
-    transform (pointwise >= the base on [0, 1]) must never need more draws.
-    Returns how many of the n paths violated that (expected: none).
+    Both sums see the same uniform each round; the dominating transform
+    (pointwise >= the base on [0, 1]) must never need more draws, and
+    ``violations`` counts the n paths where it did (expected: none).
+    ``base`` and ``dominating`` are each sum's first crossings of t as the
+    ``(stopped, over)`` pair of ``_run_block``, overshoots in crossing
+    order: each an exact sample of its own transform's paths.
 
-    A path leaves once both sums have passed t, so it violated the order
-    exactly when its base sum had passed t before the round it leaves in.
-    Sums keep growing after they pass t, which changes no stop round, so
-    every surviving path adds both increments.  As in ``_run_block`` the
-    working arrays come from the pass workspace ``ws``, the survivors keep
-    their order, and the first ``_free_rounds(t)`` rounds only draw and add:
-    neither sum can pass t in them.
+    A path leaves once both sums are past t; until then both keep growing,
+    which moves no first crossing.  A sum crosses in a round when it is past
+    t after the draw and was not before it (the test before the draw is
+    skipped while no surviving sum is past t).  A path violated the order
+    when its base sum was past t before the round its dominating sum crossed
+    in.  The workspace, the path order and the free rounds are as in
+    ``_run_block``; both sums compact through one spare array.
     """
-    u, inc, s1, s2, spare1, spare2, done, done2, before = _arrays(ws, n, "dddddd???")
+    u, inc, s1, s2, spare, over1, over2, was1, was2, now1, now2, fresh = _arrays(
+        ws, n, "ddddddd?????"
+    )
     s1.fill(0.0)
     s2.fill(0.0)
     r = _free_rounds(t)
@@ -422,6 +443,10 @@ def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
         x = rng.random(n, out=u)
         s1 += f_base(x, out=inc)
         s2 += f_dominating(x, out=x)
+    sums = [s1, s2]
+    overs, was, now = (over1, over2), (was1, was2), (now1, now2)
+    stopped = ([0] * (r + 1), [0] * (r + 1))
+    crossed = [0, 0]  # surviving paths whose sum is past t
     violations = 0
     m = n
     while m:
@@ -431,24 +456,62 @@ def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
                 f"coupled path exceeded {_DRAW_CAP} draws; transform increments "
                 f"are effectively zero"
             )
-        a, b = s1[:m], s2[:m]
         x = rng.random(m, out=u[:m])
-        was = np.greater(a, t, out=before[:m])
-        a += f_base(x, out=inc[:m])
-        b += f_dominating(x, out=x)
-        d = np.greater(a, t, out=done[:m])
-        d &= np.greater(b, t, out=done2[:m])
-        hit = np.count_nonzero(d)
+        incs = f_base(x, out=inc[:m]), f_dominating(x, out=x)
+        before = crossed.copy()
+        for i in (0, 1):
+            s = sums[i][:m]
+            w = np.greater(s, t, out=was[i][:m]) if before[i] else None
+            s += incs[i]
+            d = np.greater(s, t, out=now[i][:m])
+            crossed[i] = int(np.count_nonzero(d))
+            stopped[i].append(crossed[i] - before[i])
+            if crossed[i] > before[i]:
+                new = d if w is None else np.greater(d, w, out=fresh[:m])
+                stop = overs[i][n - m + before[i] : n - m + crossed[i]]
+                np.take(s, np.flatnonzero(new), out=stop, mode="clip")
+                stop -= t
+        if before[0]:
+            violations += int(np.count_nonzero(np.logical_and(was1[:m], now2[:m], out=fresh[:m])))
+        d = np.logical_and(now1[:m], now2[:m], out=now1[:m])
+        hit = int(np.count_nonzero(d))
         if hit:
-            violations += int(np.count_nonzero(np.logical_and(d, was, out=was)))
-            m -= hit
             keep = np.flatnonzero(np.logical_not(d, out=d))
-            np.take(a, keep, out=spare1[:m], mode="clip")
-            np.take(b, keep, out=spare2[:m], mode="clip")
+            for i in (0, 1):
+                np.take(sums[i][:m], keep, out=spare[: m - hit], mode="clip")
+                sums[i], spare = spare, sums[i]
             del keep  # before the next round allocates its own: see _run_block
-            s1, spare1 = spare1, s1
-            s2, spare2 = spare2, s2
-    return violations
+            m -= hit
+            crossed = [c - hit for c in crossed]
+    return violations, *(
+        (np.trim_zeros(np.array(k, dtype=np.int64), "b"), o) for k, o in zip(stopped, overs)
+    )
+
+
+def _coupled(t, samples, seed, workers, bins=None):
+    """One pass of coupled identity/logproduct paths on shared uniforms.
+
+    Returns (violations, identity record, logproduct record): the order
+    violations of ``_paired_block``, and each transform's first crossings
+    of t as a ``SimRecord`` (with ``bins`` overshoot bins if given), merged
+    as ``simulate`` merges its blocks.  With no violation the identity
+    record is exactly ``simulate``'s: a path leaves when its identity sum
+    crosses, so every block hands out its draws as ``_run_block`` does.
+    """
+    ident = BUILTIN_TRANSFORMS["identity"]
+    logp = BUILTIN_TRANSFORMS["logproduct"]
+    # identity's sums take the longer: its mean increment is the smaller
+    t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
+
+    def block(n, rng, ws):
+        violations, *pairs = _paired_block(t, n, rng, ident._f, logp._f, ws)
+        return violations, *(_summary(*pair, bins, ws) for pair in pairs)
+
+    results = _fan_out(block, samples, seed, workers)
+    return sum(res[0] for res in results), *(
+        _merge(spec.label, t, samples, seed, bins, [res[i] for res in results])
+        for i, spec in ((1, ident), (2, logp))
+    )
 
 
 def paired_domination(
@@ -461,15 +524,8 @@ def paired_domination(
     paths where the logproduct count exceeded the identity count, samples);
     the first entry should be 0.
     """
-    ident = BUILTIN_TRANSFORMS["identity"]
-    logp = BUILTIN_TRANSFORMS["logproduct"]
-    # identity's sums take the longer: its mean increment is the smaller
-    t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
-
-    def block(n, rng, ws):
-        return _paired_block(t, n, rng, ident._f, logp._f, ws)
-
-    return sum(_fan_out(block, samples, seed, workers)), samples
+    violations, rec, _ = _coupled(t, samples, seed, workers)
+    return violations, rec.samples
 
 
 def chernoff_bound(mu: float, delta: float) -> float:
@@ -495,10 +551,15 @@ def k_concentration_check(
     """
     t = _as_real("t", t, 1.0)
     c = _as_real("c", c, 0.0, open_lo=True)
-    mu = asymptotic_params(transform).mu
-    counts = simulate(transform, t, samples, seed, workers).k_counts
-    k = np.arange(counts.shape[0])
-    return int(counts[np.abs(k - 1 - t / mu) > c * math.sqrt(t)].sum()) / samples
+    rec = simulate(transform, t, samples, seed, workers)
+    return _far_fraction(rec, asymptotic_params(transform).mu, c)
+
+
+def _far_fraction(rec, mu, c):
+    """Fraction of ``rec``'s paths whose draw count strays past 1 + t/mu by c * sqrt(t)."""
+    k = np.arange(rec.k_counts.shape[0])
+    far = np.abs(k - 1 - rec.t / mu) > c * math.sqrt(rec.t)
+    return int(rec.k_counts[far].sum()) / rec.samples
 
 
 def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np.ndarray:

@@ -407,33 +407,35 @@ def _checks_simulation(samples, seed, workers):
         )
     out.append(("sim-vs-exact", ok, "; ".join(parts)))
 
-    # stopped sum = mu * expected count, on shared sample paths
-    paths = montecarlo.simulate(lp, 5.0, samples, seed, workers)
-    ek, es = paths.count_estimate(), paths.stopped_sum_estimate()
+    # one coupled pass at t=20: identity and logproduct paths on shared
+    # uniforms, each transform's first crossings kept as its own record
+    # (an exact sample of its paths); the five checks below read it
+    viol, id20, lp20 = montecarlo._coupled(20.0, samples, seed, workers, bins=50)
+
+    # stopped sum = mu * expected count, on the logproduct record's paths
+    ek, es = lp20.count_estimate(), lp20.stopped_sum_estimate()
     dev = abs(ek.mean - es.mean / p_lp.mu)
     lim = 3.0 * math.hypot(ek.std_error, es.std_error / p_lp.mu)
     out.append((
         "stopped-sum-proportionality",
         dev <= lim,
-        f"|mean count - mean sum / mu| = {dev:.2e} <= {lim:.2e} (t=5, shared paths)",
+        f"|mean count - mean sum / mu| = {dev:.2e} <= {lim:.2e} (t=20, shared paths)",
     ))
 
-    viol, total = montecarlo.paired_domination(5.0, samples, seed, workers)
     out.append((
         "paired-domination",
         viol == 0,
-        f"{viol} of {total} coupled paths finished the larger-increment sum later (expect 0)",
+        f"{viol} of {samples} coupled paths finished the larger-increment sum later (expect 0)",
     ))
 
-    # overshoot histogram against the limiting density, quadrature route; the
-    # logproduct paths at t=20 also feed the mean-overshoot check below
-    lp20 = montecarlo.simulate(lp, 20.0, samples, seed, workers, bins=50)
-    id_hist = montecarlo.overshoot_histogram(ident, 20.0, samples, 50, seed, workers)
+    # both records' overshoot histograms against the limiting density,
+    # quadrature route
     ok = True
     detail = []
-    for spec, hist in ((ident, id_hist), (lp, lp20.histogram())):
+    for spec, rec in ((ident, id20), (lp, lp20)):
+        hist = rec.histogram()
         probs = montecarlo.limit_overshoot_bin_probs(spec, hist.bin_edges)
-        counts = hist.densities * (samples / 50.0)
+        counts = rec.hist_counts
         expect = probs * samples
         band = 4.0 * np.sqrt(np.maximum(expect * (1.0 - probs), 1.0))
         bad = int(np.sum(np.abs(counts - expect) > band))
@@ -444,7 +446,6 @@ def _checks_simulation(samples, seed, workers):
     out.append(("overshoot-limit-density", ok, "; ".join(detail) + " (band 4 sigma, t=20)"))
 
     # mean overshoot approaches the overshoot constant c
-    es = lp20.stopped_sum_estimate()
     dev = abs((es.mean - 20.0) - p_lp.c)
     lim = 3.0 * es.std_error
     out.append((
@@ -453,13 +454,11 @@ def _checks_simulation(samples, seed, workers):
         f"|mean overshoot - c| = {dev:.2e} <= 3se = {lim:.2e} (t=20)",
     ))
 
-    frac = montecarlo.k_concentration_check(
-        lp, 25.0, max(samples // 5, 10_000), 6.0, seed, workers
-    )
+    frac = montecarlo._far_fraction(lp20, p_lp.mu, 6.0)
     out.append((
         "count-concentration",
         frac < 1e-3,
-        f"fraction of paths with |count - 1 - t/mu| > 6 sqrt(t) at t=25: {frac:.2e} (< 1e-3)",
+        f"fraction of paths with |count - 1 - t/mu| > 6 sqrt(t) at t=20: {frac:.2e} (< 1e-3)",
     ))
 
     n_small = max(samples // 50, 2_000)

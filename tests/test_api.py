@@ -118,6 +118,8 @@ _CONTRACT = [
     ("solve-step_limit", "step_limit",
      lambda v: solver.solve(bijections.Identity(), 1.0, 0.0625, step_limit=v), 1),
     ("eval_curve", "t", lambda v: solver.eval_curve(_curve(), v), 2),
+    # a list that mixes v with numbers: numpy would promote a bool to 0 or 1
+    ("eval_curve-list", "t", lambda v: solver.eval_curve(_curve(), [0.5, v]), 2),
     ("asymptote_gap", "t",
      lambda v: solver.asymptote_gap(_curve(), bijections.asymptotic_params(bijections.LogProduct()), v), 2),
     ("check_derivative_relation", "t", lambda v: solver.check_derivative_relation(_curve(), v), 2),
@@ -133,10 +135,33 @@ _CONTRACT = [
     # the argument is an array: v fills it, so a bool or a string sets its dtype
     ("limit_overshoot_bin_probs", "edges",
      lambda v: montecarlo.limit_overshoot_bin_probs(bijections.Identity(), [v, v]), 1),
+    ("limit_overshoot_bin_probs-list", "edges",
+     lambda v: montecarlo.limit_overshoot_bin_probs(bijections.Identity(), [0.0, v]), 1),
+    ("SimEstimate-mean", "mean", lambda v: montecarlo.SimEstimate(v, 0.1, 10, 1, 2.0, "x"), 3),
+    ("SimEstimate-std_error", "std_error",
+     lambda v: montecarlo.SimEstimate(3.0, v, 10, 1, 2.0, "x"), 0),
+    ("SimEstimate-t", "t", lambda v: montecarlo.SimEstimate(3.0, 0.1, 10, 1, v, "x"), 2),
+    ("OvershootHistogram-bin_edges", "bin_edges",
+     lambda v: montecarlo.OvershootHistogram([0.0, v], [1.0], 10, 2.0), 1),
+    ("OvershootHistogram-densities", "densities",
+     lambda v: montecarlo.OvershootHistogram([0.0, 1.0], [v], 10, 2.0), 1),
+    ("OvershootHistogram-t", "t",
+     lambda v: montecarlo.OvershootHistogram([0.0, 1.0], [1.0], 10, v), 2),
     ("run_checks-step", "step",
      lambda v: verification.run_checks(["solver"], step=v, t_max=3.0), 0.0625),
     ("run_checks-t_max", "t_max",
      lambda v: verification.run_checks(["solver"], step=0.0625, t_max=v), 3),
+]
+
+
+# the same for the integer fields of the result types (the Monte Carlo
+# entry points' integers are pinned in tests/test_montecarlo.py)
+_INT_CONTRACT = [
+    ("SimEstimate-samples", "samples",
+     lambda v: montecarlo.SimEstimate(3.0, 0.1, v, 1, 2.0, "x"), 10),
+    ("SimEstimate-seed", "seed", lambda v: montecarlo.SimEstimate(3.0, 0.1, 10, v, 2.0, "x"), 1),
+    ("OvershootHistogram-samples", "samples",
+     lambda v: montecarlo.OvershootHistogram([0.0, 1.0], [1.0], v, 2.0), 10),
 ]
 
 
@@ -170,3 +195,15 @@ def test_argument_contract(name, call, good):
     for kind in kinds:
         v = kind(good)
         assert _same(call(v), call(float(v))), kind
+
+
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in _INT_CONTRACT],
+                         ids=[row[0] for row in _INT_CONTRACT])
+def test_integer_argument_contract(name, call, good):
+    # bools, strings and floats (even integral ones) are refused, naming the argument
+    for bad in (True, "1", float(good), math.nan):
+        with pytest.raises(DomainError, match="^" + re.escape(name) + " must"):
+            call(bad)
+    # numpy integers are integers: they give what the equal Python int gives
+    for kind in (np.int64, np.int32, np.uint16):
+        assert _same(call(kind(good)), call(good)), kind

@@ -158,6 +158,19 @@ class TestWorkerInvariance:
         got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
         assert got[0][0] > 0 and got == [got[0]] * 4
 
+    def test_coupled_records(self, monkeypatch):
+        # with no violation a path leaves when its identity sum crosses, so
+        # the identity record is simulate's, bit for bit
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        got = [mc._coupled(3.0, 20_001, seed=2, workers=w, bins=20) for w in (1, 2, 3, 7)]
+        for violations, ident, logp in got:
+            assert violations == 0
+            assert _record_fields(ident) == _record_fields(got[0][1])
+            assert _record_fields(logp) == _record_fields(got[0][2])
+        ident = mc.simulate(Identity(), 3.0, 20_001, seed=2, bins=20)
+        assert _record_fields(got[0][1]) == _record_fields(ident)
+        assert got[0][2].k_counts.sum() == got[0][2].hist_counts.sum() == 20_001
+
     def test_block_b_walks_stream_b(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK", 4096)
         rec = mc.simulate(LogProduct(), 2.0, 10_000, seed=6, workers=3)
@@ -261,8 +274,11 @@ class TestKernel:
             want = mc._run_block(LogProduct(), t, n, mc._stream(1, n))
             assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
             fs = (Identity()._f, LogProduct()._f)
-            assert (mc._paired_block(t, n, mc._stream(2, n), *fs[::-1], ws)
-                    == mc._paired_block(t, n, mc._stream(2, n), *fs[::-1]))
+            got = mc._paired_block(t, n, mc._stream(2, n), *fs[::-1], ws)
+            want = mc._paired_block(t, n, mc._stream(2, n), *fs[::-1])
+            assert got[0] == want[0]
+            for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
+                assert (k == k_want).all() and (over == over_want).all()
 
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
@@ -317,6 +333,24 @@ _GOLDEN = {
     ),
 }
 
+# the coupled identity/logproduct records of _N_GOLDEN paths at t = 20,
+# seed 42, 17 bins: (spec, first nonzero draw, k_counts from there, sum, sum
+# of squares, histogram)
+_GOLDEN_COUPLED = (
+    ("identity", 28,
+     [4, 13, 64, 204, 599, 1378, 2643, 4510, 6920, 9554, 11688, 13301, 14294, 13981, 12780,
+      10892, 8708, 6518, 4677, 3269, 2114, 1294, 770, 428, 235, 126, 58, 35, 12, 13, 4, 1, 2],
+     "0x1.54f0eaf0468cfp+15", "0x1.54e0fec5ad06ap+14",
+     [15103, 14048, 13213, 12307, 11282, 10416, 9443, 8552, 7710, 6818, 5908, 4993, 4012,
+      3201, 2232, 1397, 454]),
+    ("logproduct", 25,
+     [1, 13, 116, 530, 1664, 3857, 7566, 11692, 15641, 17958, 18092, 16313, 13133, 9719,
+      6308, 4051, 2192, 1176, 571, 273, 129, 58, 19, 10, 4, 3],
+     "0x1.6fe0aa92380a6p+15", "0x1.80e3d350d2a94p+14",
+     [13038, 12677, 11942, 11332, 10879, 10348, 9641, 9011, 8244, 7547, 6665, 5850, 4779,
+      3770, 2963, 1798, 605]),
+)
+
 
 class TestGoldenRecords:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -338,6 +372,16 @@ class TestGoldenRecords:
                             lambda t, n, rng, a, b, ws: paired(t, n, rng, b, a, ws))
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coupled_records_are_bit_identical(self, workers):
+        violations, *recs = mc._coupled(20.0, _N_GOLDEN, 42, workers, bins=17)
+        assert violations == 0
+        for rec, (spec, first, k_counts, o, o2, hist) in zip(recs, _GOLDEN_COUPLED):
+            assert (rec.spec, rec.t, rec.samples, rec.seed) == (spec, 20.0, _N_GOLDEN, 42)
+            assert rec.k_counts.tolist() == [0] * first + k_counts
+            assert (rec.overshoot_sum.hex(), rec.overshoot_sumsq.hex()) == (o, o2)
+            assert rec.hist_counts.tolist() == hist
+
 
 class TestWorkspace:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -356,7 +400,7 @@ class TestWorkspace:
         monkeypatch.setattr(mc, "_arrays", recording)
         if paired:
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_thread = len("dddddd???")
+            per_thread = len("ddddddd?????")
         else:
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
             per_thread = len("dddd?") + len("dp?")
@@ -514,37 +558,46 @@ class TestPairedDomination:
         # swapped, the base dominates, so most paths count as violations
         fs = (Identity()._f, LogProduct()._f)
         f_base, f_dom = fs[::-1] if swap else fs
-        want, _ = _reference_paired_block(3.0, n, mc._stream(5, 1), f_base, f_dom)
-        rng = mc._stream(5, 1)
-        assert mc._paired_block(3.0, n, rng, f_base, f_dom) == want
-        assert (want > 0) == (swap and n > 1)
-        # the kernel drew exactly as many uniforms as the reference
         ref = mc._stream(5, 1)
-        _reference_paired_block(3.0, n, ref, f_base, f_dom)
+        want, _, *crossings = _reference_paired_block(3.0, n, ref, f_base, f_dom)
+        rng = mc._stream(5, 1)
+        got, *pairs = mc._paired_block(3.0, n, rng, f_base, f_dom)
+        assert got == want and (want > 0) == (swap and n > 1)
+        # each sum's first crossings, bit for bit: draw counts, and the
+        # overshoots in crossing order (by draw, then by path)
+        for (stopped, over), (k, o) in zip(pairs, crossings):
+            assert stopped.dtype == np.int64 and stopped.tolist() == np.bincount(k).tolist()
+            assert over.tolist() == o[np.argsort(k, kind="stable")].tolist()
+        # the kernel drew exactly as many uniforms as the reference
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         fs = (Identity()._f, LogProduct()._f)
-        _, rounds = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *fs)
+        _, rounds, _, _ = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *fs)
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds)
-        assert mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs) == 0
+        assert mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs)[0] == 0
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds - 1)
         with pytest.raises(ConvergenceError, match="draws"):
             mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs)
 
 
 def _reference_paired_block(t, n, rng, f_base, f_dominating):
-    """The coupled-path kernel written plainly: per-path draw counts, fresh arrays.
+    """The coupled-path kernel written plainly: path ids, per-path counts, fresh arrays.
 
-    Returns the violation count and the number of rounds (most draws of a path).
+    Returns the violation count, the number of rounds (most draws of a
+    path), and per path, in path order, each sum's first-crossing draw and
+    overshoot: ``(k_base, over_base)`` and ``(k_dominating, over_dominating)``.
+    A sum stops growing once it passes t.
     """
+    idx = np.arange(n)
     s1, s2 = np.zeros(n), np.zeros(n)
     k1, k2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     done1, done2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    out = [(np.zeros(n, dtype=np.int64), np.zeros(n)) for _ in range(2)]
     violations = rounds = 0
-    while n:
+    while idx.size:
         rounds += 1
-        u = rng.random(n)
+        u = rng.random(idx.size)
         act1 = ~done1
         s1[act1] += f_base(u[act1])
         k1[act1] += 1
@@ -556,11 +609,13 @@ def _reference_paired_block(t, n, rng, f_base, f_dominating):
         both = done1 & done2
         if both.any():
             violations += int(np.count_nonzero(k2[both] > k1[both]))
+            for (k_out, o_out), k, s in zip(out, (k1, k2), (s1, s2)):
+                k_out[idx[both]] = k[both]
+                o_out[idx[both]] = s[both] - t
             keep = ~both
-            s1, s2, k1, k2 = s1[keep], s2[keep], k1[keep], k2[keep]
+            idx, s1, s2, k1, k2 = idx[keep], s1[keep], s2[keep], k1[keep], k2[keep]
             done1, done2 = done1[keep], done2[keep]
-            n = s1.shape[0]
-    return violations, rounds
+    return violations, rounds, *out
 
 
 class TestChernoffBound:
