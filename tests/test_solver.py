@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import renewal as rw
 import renewal.bijections as bij
@@ -712,7 +712,47 @@ class TestSelfConsistency:
         assert self_consistency_residual(logproduct_curve, np.array([])).shape == (0,)
 
 
+def _per_line_csv(curve):
+    grid = curve.grid
+    lines = ["t,N\n"]
+    lines.extend(f"{grid[j]:.17g},{curve.values[j]:.17g}\n" for j in range(grid.shape[0]))
+    return "".join(lines)
+
+
+def _ulp_neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+def _as_pairs(values):
+    return list(zip(values[::2], values[1::2]))
+
+
+# doubles inside the range the CSV writer formats in numpy and anywhere else
+_CSV_DOUBLES = st.one_of(
+    st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestSerialization:
+    @pytest.fixture(scope="class")
+    def fine_logproduct_curve(self):
+        # 200001 nodes, shared by both memory-per-node tests
+        return solve(rw.LogProduct(), 20.0, 1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_CSV_DOUBLES, _CSV_DOUBLES), min_size=1, max_size=40))
+    @example([(0.0, -0.0), (-0.0, 0.0)])
+    @example(_as_pairs(_ulp_neighbours(1e-4) + _ulp_neighbours(1e16)))
+    @example(_as_pairs([x for k in range(-4, 16) for x in _ulp_neighbours(10.0**k)]))
+    @example(_as_pairs([1234567890123456.75, 1234567890123456.25, 0.5, 30.0, 2.5, 1.0]))
+    @example(_as_pairs([j * 1e-5 for j in range(10)]))
+    def test_csv_lines_match_printf(self, pairs):
+        # the numpy formatter against the %.17g it replaces, a tie at the
+        # 17th digit, trailing zeros and values on both sides of 1e-4 and 1e16
+        want = "".join("%.17g,%.17g\n" % p for p in pairs)
+        assert solver._csv_lines(np.array(pairs, dtype=float)) == want
+
     def test_csv_round_trip(self):
         curve = solve(rw.Identity(), 1.0, 1e-2)
         buf = io.StringIO()
@@ -729,25 +769,24 @@ class TestSerialization:
         "spec", [rw.Identity(), rw.Power(0.5), _KNOTS_TXT], ids=["identity", "power:0.5", "knots.txt"]
     )
     def test_csv_matches_a_per_line_writer(self, spec):
-        def per_line(curve, fh):
-            grid = curve.grid
-            lines = ["t,N\n"]
-            lines.extend(
-                f"{grid[j]:.17g},{curve.values[j]:.17g}\n" for j in range(grid.shape[0])
-            )
-            fh.write("".join(lines))
-
         curve = solve(spec, 82.0, 1e-2)
         # 8201 lines: the writer's chunks and a partial last one
         assert curve.values.shape[0] > solver._CSV_LINES + 1
-        got, want = io.StringIO(), io.StringIO()
+        got = io.StringIO()
         write_curve_csv(curve, got)
-        per_line(curve, want)
-        assert got.getvalue() == want.getvalue()
+        assert got.getvalue() == _per_line_csv(curve)
 
-    def test_csv_memory_per_node(self):
+    def test_csv_matches_a_per_line_writer_at_the_finest_step(self):
+        # 5001 lines; the grid nodes below 1e-4 print in exponent form
+        curve = solve(rw.LogProduct(), 0.05, 1e-5)
+        got = io.StringIO()
+        write_curve_csv(curve, got)
+        assert "\n1.0000000000000001e-05," in got.getvalue()
+        assert got.getvalue() == _per_line_csv(curve)
+
+    def test_csv_memory_per_node(self, fine_logproduct_curve):
         # the per-line writer peaked at 134 bytes per node: every line at once
-        curve = solve(rw.LogProduct(), 20.0, 1e-4)
+        curve = fine_logproduct_curve
         buf = io.StringIO()
         tracemalloc.start()
         try:
@@ -767,7 +806,7 @@ class TestSerialization:
         solver.write_curve_json(curve, buf)
         assert buf.getvalue() == json.dumps(curve_json_payload(curve), indent=2) + "\n"
 
-    def test_json_memory_per_node(self):
+    def test_json_memory_per_node(self, fine_logproduct_curve):
         # json.dumps of the whole payload peaked near 300 bytes per node
         class Digest:
             def __init__(self):
@@ -777,7 +816,7 @@ class TestSerialization:
                 self.sha.update(text.encode())
                 self.size += len(text)
 
-        curve = solve(rw.LogProduct(), 20.0, 1e-4)
+        curve = fine_logproduct_curve
         sink = Digest()
         tracemalloc.start()
         try:
