@@ -174,22 +174,22 @@ def _run_block(transform, t, n, rng, ws=None):
     order, so each round's draws reach the same paths as they would with
     path ids.  The working arrays come from the pass workspace ``ws``
     (fresh ones when it is None; ``over`` is one of them): each round draws
-    into ``u``, transforms in place, compares into ``done`` and compacts
-    the running sums into ``spare``, which then swaps with ``sums``.  Each
-    compaction is ``np.take`` of a temporary index array with
-    ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
-    default ``mode="raise"``) fills a buffer and copies it into ``out``.
-    The index array dies within its round: one kept alive into the next
-    round made the allocator hand out fresh pages, about 900 KB of page
-    faults per block at t = 20.  The first ``_free_rounds(t)`` rounds only
-    draw and add.
+    into ``u``, transforms in place with ``_draw``, compares into ``done``
+    and compacts the running sums into ``spare``, which then swaps with
+    ``sums``.  Each compaction is ``np.take`` of a temporary index array
+    with ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in
+    its default ``mode="raise"``) fills a buffer and copies it into
+    ``out``.  The index array dies within its round: one kept alive into
+    the next round made the allocator hand out fresh pages, about 900 KB of
+    page faults per block at t = 20.  The first ``_free_rounds(t)`` rounds
+    only draw and add.
     """
     u, sums, spare, over, done = _arrays(ws, n, "dddd?")
     sums.fill(0.0)
     free = _free_rounds(t)
     for _ in range(free):
         x = rng.random(n, out=u)
-        sums += transform._f(x, out=x)
+        sums += transform._draw(x, out=x)
     stopped = [0] * (free + 1)
     m = n
     while m:
@@ -201,7 +201,7 @@ def _run_block(transform, t, n, rng, ws=None):
             )
         s = sums[:m]
         x = rng.random(m, out=u[:m])
-        s += transform._f(x, out=x)
+        s += transform._draw(x, out=x)
         d = np.greater(s, t, out=done[:m])
         hit = np.count_nonzero(d)
         stopped.append(hit)
@@ -221,16 +221,29 @@ def _bin_counts(over, bins, ws=None):
     numpy's equal-width arithmetic without its temporaries: the bin of x is
     ``int(x * bins)``, x = 1 going to the last bin, then one down where x is
     below that bin's left edge and one up where it reaches the next bin's
-    (never past the last bin, which is closed).  numpy's range filter is
-    left out: overshoots lie in (0, 1].
+    (never past the last bin, which is closed).  Those two corrections can
+    move x only where ``x * bins`` is within rounding of an integer: the
+    product and the ``linspace`` edges are each off by at most about 2e-12
+    of a bin for bins <= 10000.  So they are applied, on sparse indices,
+    only where ``x * bins`` is within 1e-9 of an integer, a margin hundreds
+    of times that rounding.  numpy's range filter is left out: overshoots lie
+    in (0, 1].
     """
     lo = np.linspace(0.0, 1.0, bins + 1)
     hi = np.append(lo[1:-1], np.inf)
-    x, idx, flag = _arrays(ws, over.shape[0], "dp?")
+    x, idx, near = _arrays(ws, over.shape[0], "dp?")
     np.copyto(idx, np.multiply(over, bins, out=x), casting="unsafe")
     np.minimum(idx, bins - 1, out=idx)
-    idx -= np.less(over, np.take(lo, idx, out=x, mode="clip"), out=flag)
-    idx += np.greater_equal(over, np.take(hi, idx, out=x, mode="clip"), out=flag)
+    # the fractional part x - idx lies in [0, 1] (1 only at x = 1); it is
+    # within 1e-9 of 0 or 1 where |x - idx - 0.5| > 0.5 - 1e-9
+    x -= idx
+    x -= 0.5
+    j = np.flatnonzero(np.greater(np.abs(x, out=x), 0.5 - 1e-9, out=near))
+    if j.size:
+        o, k = over[j], idx[j]
+        k -= o < lo[k]
+        k += o >= hi[k]
+        idx[j] = k
     return np.bincount(idx, minlength=bins)
 
 
@@ -415,6 +428,22 @@ def overshoot_histogram(
     return simulate(transform, t, samples, seed, workers, bins=bins).histogram()
 
 
+def _cross(s, t, d, over):
+    """Indices of the sums in ``s`` past t, which then turn NaN.
+
+    Their overshoots go to the head of ``over``, in path order, and ``d``
+    holds the mask.  A NaN sum stays NaN under addition and is never > t,
+    so a sum is flagged only in the round it crosses.
+    """
+    j = np.flatnonzero(np.greater(s, t, out=d))
+    if j.size:
+        stop = over[: j.size]
+        np.take(s, j, out=stop, mode="clip")
+        stop -= t
+        s[j] = np.nan
+    return j
+
+
 def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
     """Coupled paths driven by shared uniforms; returns (violations, base, dominating).
 
@@ -425,28 +454,29 @@ def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
     ``(stopped, over)`` pair of ``_run_block``, overshoots in crossing
     order: each an exact sample of its own transform's paths.
 
-    A path leaves once both sums are past t; until then both keep growing,
-    which moves no first crossing.  A sum crosses in a round when it is past
-    t after the draw and was not before it (the test before the draw is
-    skipped while no surviving sum is past t).  A path violated the order
-    when its base sum was past t before the round its dominating sum crossed
-    in.  The workspace, the path order and the free rounds are as in
+    A sum that crosses t has its overshoot recorded and turns NaN, which
+    stays NaN under addition and is never > t, so after each round's add
+    ``s > t`` flags exactly that round's crossings.  The dominating sum is
+    tested first: a base sum that crosses while the dominating one is
+    still finite is a violation.  A path leaves once both its sums are
+    NaN.  While no surviving path is a violation waiting for its
+    dominating sum, the leavers are just the round's base crossings, and
+    once every surviving dominating sum is NaN its increment is skipped.
+    ``f_dominating`` writes into ``inc`` and ``f_base`` works in place,
+    last, so an identity base copies nothing.  The workspace (7 float and
+    2 bool arrays), the path order and the free rounds are as in
     ``_run_block``; both sums compact through one spare array.
     """
-    u, inc, s1, s2, spare, over1, over2, was1, was2, now1, now2, fresh = _arrays(
-        ws, n, "ddddddd?????"
-    )
+    u, inc, s1, s2, spare, over1, over2, d1, d2 = _arrays(ws, n, "ddddddd??")
     s1.fill(0.0)
     s2.fill(0.0)
     r = _free_rounds(t)
     for _ in range(r):
         x = rng.random(n, out=u)
-        s1 += f_base(x, out=inc)
-        s2 += f_dominating(x, out=x)
-    sums = [s1, s2]
-    overs, was, now = (over1, over2), (was1, was2), (now1, now2)
+        s2 += f_dominating(x, out=inc)
+        s1 += f_base(x, out=x)
     stopped = ([0] * (r + 1), [0] * (r + 1))
-    crossed = [0, 0]  # surviving paths whose sum is past t
+    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
     violations = 0
     m = n
     while m:
@@ -457,34 +487,35 @@ def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
                 f"are effectively zero"
             )
         x = rng.random(m, out=u[:m])
-        incs = f_base(x, out=inc[:m]), f_dominating(x, out=x)
-        before = crossed.copy()
-        for i in (0, 1):
-            s = sums[i][:m]
-            w = np.greater(s, t, out=was[i][:m]) if before[i] else None
-            s += incs[i]
-            d = np.greater(s, t, out=now[i][:m])
-            crossed[i] = int(np.count_nonzero(d))
-            stopped[i].append(crossed[i] - before[i])
-            if crossed[i] > before[i]:
-                new = d if w is None else np.greater(d, w, out=fresh[:m])
-                stop = overs[i][n - m + before[i] : n - m + crossed[i]]
-                np.take(s, np.flatnonzero(new), out=stop, mode="clip")
-                stop -= t
-        if before[0]:
-            violations += int(np.count_nonzero(np.logical_and(was1[:m], now2[:m], out=fresh[:m])))
-        d = np.logical_and(now1[:m], now2[:m], out=now1[:m])
-        hit = int(np.count_nonzero(d))
+        base, dom = s1[:m], s2[:m]
+        if nan2 < m:
+            dom += f_dominating(x, out=inc[:m])
+            j = _cross(dom, t, d2[:m], over2[n - m + nan2 :])
+            stopped[1].append(j.size)
+            nan2 += j.size
+        base += f_base(x, out=x)
+        j = _cross(base, t, d1[:m], over1[n - m + nan1 :])
+        stopped[0].append(j.size)
+        fresh = j.size - int(np.count_nonzero(np.isnan(dom[j])))
+        violations += fresh
+        leave, hit = d1[:m], j.size  # the base crossings
+        if nan1 or fresh:
+            np.logical_and(np.isnan(base, out=leave), np.isnan(dom, out=d2[:m]), out=leave)
+            hit = int(np.count_nonzero(leave))
+        nan1 += j.size
         if hit:
-            keep = np.flatnonzero(np.logical_not(d, out=d))
-            for i in (0, 1):
-                np.take(sums[i][:m], keep, out=spare[: m - hit], mode="clip")
-                sums[i], spare = spare, sums[i]
+            keep = np.flatnonzero(np.logical_not(leave, out=leave))
+            np.take(base, keep, out=spare[: m - hit], mode="clip")
+            s1, spare = spare, s1
+            np.take(dom, keep, out=spare[: m - hit], mode="clip")
+            s2, spare = spare, s2
             del keep  # before the next round allocates its own: see _run_block
             m -= hit
-            crossed = [c - hit for c in crossed]
+            nan1 -= hit
+            nan2 -= hit
     return violations, *(
-        (np.trim_zeros(np.array(k, dtype=np.int64), "b"), o) for k, o in zip(stopped, overs)
+        (np.trim_zeros(np.array(k, dtype=np.int64), "b"), o)
+        for k, o in zip(stopped, (over1, over2))
     )
 
 
@@ -504,7 +535,7 @@ def _coupled(t, samples, seed, workers, bins=None):
     t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
 
     def block(n, rng, ws):
-        violations, *pairs = _paired_block(t, n, rng, ident._f, logp._f, ws)
+        violations, *pairs = _paired_block(t, n, rng, ident._draw, logp._draw, ws)
         return violations, *(_summary(*pair, bins, ws) for pair in pairs)
 
     results = _fan_out(block, samples, seed, workers)

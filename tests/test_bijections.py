@@ -81,6 +81,21 @@ def test_f_in_place_is_bit_identical(spec):
     assert not isinstance(spec.forward(0.5), np.ndarray) and np.ndim(spec.forward(0.5)) == 0
 
 
+@pytest.mark.parametrize("spec", _MENAGERIE, ids=lambda s: s.label)
+@settings(max_examples=50, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+@example(xs=[0.0])
+@example(xs=[float(np.nextafter(1.0, 0.0))])
+def test_draw_equals_f_on_uniform_draws(spec, xs):
+    # the Monte Carlo kernels' hook: bit for bit _f on [0, 1), also in place
+    x = np.array(xs)
+    want = spec._f(x).view(np.uint64)
+    assert (spec._draw(x).view(np.uint64) == want).all()
+    buf = x.copy()
+    assert (spec._draw(buf, out=buf).view(np.uint64) == want).all()
+    assert float(spec.forward(1.0)) == 1.0
+
+
 class TestLogProduct:
     def test_known_forward_point(self):
         # f((e-2)/(e-1)) = ln(e-1)

@@ -288,11 +288,12 @@ class TestKernel:
 
 
 class TestBinCounts:
-    @pytest.mark.parametrize("bins", [10, 17, 50, 1000])
+    @pytest.mark.parametrize("bins", [10, 17, 50, 1000, 10000])
     def test_matches_np_histogram_at_the_edges(self, bins):
-        # on, one ulp above and one ulp below every edge, and 0 and 1
+        # on, one and two ulps above and below every edge, and 0 and 1
         edges = np.linspace(0.0, 1.0, bins + 1)
-        x = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0),
+        up, down = np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)
+        x = np.concatenate([edges, up, down, np.nextafter(up, 2.0), np.nextafter(down, -1.0),
                             [0.0, 1.0], mc._stream(0, 0).random(5000)])
         x = x[(x >= 0.0) & (x <= 1.0)]
         want = np.histogram(x, bins, range=(0.0, 1.0))[0]
@@ -400,7 +401,7 @@ class TestWorkspace:
         monkeypatch.setattr(mc, "_arrays", recording)
         if paired:
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_thread = len("ddddddd?????")
+            per_thread = len("ddddddd??")
         else:
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
             per_thread = len("dddd?") + len("dp?")
@@ -552,17 +553,28 @@ class TestPairedDomination:
         viol, total = mc.paired_domination(2.0, 30_000, seed=1, workers=4)
         assert viol == 0 and total == 30_000
 
-    @pytest.mark.parametrize("n", [1, 7, 4096])
+    # t = 0: both sums can cross in one round; t = 20 at 65536 paths: the
+    # dominating increment is skipped once every surviving dominating sum
+    # has crossed, and swapped, violators wait for their dominating sums.
+    # The t = 3 cases' ids name n alone, as before t was a parameter
+    @pytest.mark.parametrize(
+        "t, n",
+        [pytest.param(t, n, id=str(n) if t == 3.0 else f"t{t:g}-{n}")
+         for t in (0.0, 3.0, 20.0) for n in (1, 7, 4096, 65536) if n < 65536 or t == 20.0],
+    )
     @pytest.mark.parametrize("swap", [False, True], ids=["ordered", "swapped"])
-    def test_matches_the_reference(self, n, swap):
+    def test_matches_the_reference(self, t, n, swap):
         # swapped, the base dominates, so most paths count as violations
         fs = (Identity()._f, LogProduct()._f)
         f_base, f_dom = fs[::-1] if swap else fs
         ref = mc._stream(5, 1)
-        want, _, *crossings = _reference_paired_block(3.0, n, ref, f_base, f_dom)
+        want, _, *crossings = _reference_paired_block(t, n, ref, f_base, f_dom)
         rng = mc._stream(5, 1)
-        got, *pairs = mc._paired_block(3.0, n, rng, f_base, f_dom)
-        assert got == want and (want > 0) == (swap and n > 1)
+        got, *pairs = mc._paired_block(t, n, rng, f_base, f_dom)
+        assert got == want
+        # ordered, no path violates; swapped, most do, except at t = 0,
+        # where every sum crosses on its first draw (one path may go either way)
+        assert want == 0 if not swap or t == 0.0 else (want > 0 or n == 1)
         # each sum's first crossings, bit for bit: draw counts, and the
         # overshoots in crossing order (by draw, then by path)
         for (stopped, over), (k, o) in zip(pairs, crossings):
