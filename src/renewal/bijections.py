@@ -211,7 +211,7 @@ class LogProduct(BijectionSpec):
         # the pin's mask is taken before out (which may alias x) is written,
         # and only when x reaches 1, which uniform draws never do
         one = x == 1.0 if np.max(x, initial=0.0) == 1.0 else None
-        y = np.log1p(np.multiply(x, _EM1, out=out), out=out)
+        y = self._draw(x, out=out)
         return y if one is None else np.where(one, 1.0, y)
 
     def _draw(self, x, out=None):
