@@ -152,7 +152,7 @@ class BijectionSpec(abc.ABC):
         """
 
     def _draw(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f of uniform draws, which lie in [0, 1): the Monte Carlo kernels' hook.
+        """f of uniform draws, which lie in [0, 1): the Monte Carlo kernel's hook.
 
         Bit for bit ``_f(x, out=out)`` for every x in [0, 1), and with the
         same ``out`` contract; x = 1, which ``Generator.random`` never

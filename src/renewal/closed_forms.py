@@ -10,8 +10,8 @@ Two stopping problems have exact answers and anchor every other module:
   formulas on [0, 1] and [1, 2] plus a convergent series on [0, 1].
 
 The series for the product form is built from partial Taylor sums of
-exp(-t); those helpers are exposed because their three-term recurrence is
-a sharp self-test of the whole evaluation chain.
+exp(-t); its tail weights are exposed because their three-term recurrence
+is a sharp self-test of the whole evaluation chain.
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ def _tail_weights(t: float):
         yield sign * (1.0 - partial * et)
 
 
-def taylor_exp_neg(t: float, n: int) -> float:
-    """Partial Taylor sum of exp(-t), t >= 0: sum of (-t)^k / k! for k < n.
-
-    Summed in ascending k with compensated (Kahan) accumulation so the
-    alternating terms cancel without picking up accumulation error.  The
-    sum of the first n terms is the n-th partial sum of that one loop, so
-    ``exp_tail_weights`` and ``product_count_series`` read every partial
-    sum from a single pass and match this function bit for bit.
-    """
-    t = _as_real("t", t, 0.0)
-    n = _as_int("n", n, 1)
-    return next(islice(_taylor_partials(t), n - 1, None))
-
-
 def exp_tail_weights(t: float, n: int) -> list:
     """``[exp_tail_weight(t, k) for k in range(n + 1)]`` for t in [0, 1], in one pass."""
     t = _as_real("t", t, 0.0, 1.0)
@@ -92,8 +78,11 @@ def exp_tail_weights(t: float, n: int) -> list:
 
 
 def exp_tail_weight(t: float, n: int) -> float:
-    """Scaled Taylor remainder of exp(-t): (-1)^n (1 - e^t * taylor_exp_neg).
+    """Scaled Taylor remainder of exp(-t): (-1)^n (1 - e^t P_n(t)).
 
+    P_n(t) is the partial Taylor sum of exp(-t), the sum of (-t)^k / k! for
+    k < n, summed in ascending k with compensated (Kahan) accumulation so
+    the alternating terms cancel without picking up accumulation error.
     Nonnegative for t in [0, 1], and satisfies the recurrence
 
         W(t, n+1) + W(t, n) = e^t t^n / n!

@@ -1,13 +1,16 @@
 """Monte Carlo estimation of draw counts, stopped sums, and overshoots.
 
-A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  A
-block is simulated in vectorized rounds: each round draws one uniform per
-still-active path, applies the transform, and retires paths whose running
-sum exceeded the threshold.  Increments never exceed 1, so no path can stop
-in the first floor(t) rounds, which skip the stop test.  Each pass holds
-one workspace: every worker thread makes its working arrays the first time
-it runs a block, and its later blocks and their rounds reuse them while
-they stay in cache.  The workspace is freed when the pass returns.
+A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  One
+kernel, ``_kernel``, simulates every block in vectorized rounds: each round
+draws one uniform per still-active path, applies the transform, and
+retires paths whose running sum exceeded the threshold.  It runs one sum
+per path for ``simulate``, or two sums driven by the same uniforms for the
+coupled identity/logproduct pass, where a path retires once both have
+crossed.  Increments never exceed 1, so no path can stop in the first
+floor(t) rounds, which skip the stop test.  Each pass holds one workspace:
+every worker thread makes its working arrays the first time it runs a
+block, and its later blocks and their rounds reuse them while they stay in
+cache.  The workspace is freed when the pass returns.
 
 The block is the unit of randomness as well as of work: block b draws from
 its own PCG64DXSM stream, child b of ``SeedSequence(seed)``.  Workers are
@@ -166,53 +169,120 @@ def _free_rounds(t):
     return min(math.floor(t), _DRAW_CAP)
 
 
-def _run_block(transform, t, n, rng, ws=None):
-    """Simulate n paths; returns (stopped, over).
+def _kernel(draws, t, n, rng, ws=None):
+    """Simulate n paths of one sum, or of two coupled sums on shared uniforms.
 
-    ``stopped[r]`` counts the paths that stopped on draw r, and ``over``
-    holds the overshoots in stop order.  The surviving paths keep their
-    order, so each round's draws reach the same paths as they would with
-    path ids.  The working arrays come from the pass workspace ``ws``
-    (fresh ones when it is None; ``over`` is one of them): each round draws
-    into ``u``, transforms in place with ``_draw``, compares into ``done``
-    and compacts the running sums into ``spare``, which then swaps with
-    ``sums``.  Each compaction is ``np.take`` of a temporary index array
-    with ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in
-    its default ``mode="raise"``) fills a buffer and copies it into
-    ``out``.  The index array dies within its round: one kept alive into
-    the next round made the allocator hand out fresh pages, about 900 KB of
-    page faults per block at t = 20.  The first ``_free_rounds(t)`` rounds
-    only draw and add.
+    ``draws`` holds the ``_draw`` of each sum: ``(f,)``, or ``(f_base,
+    f_dominating)`` where the dominating transform is pointwise >= the base
+    on [0, 1], so its sum must never need more draws.  Returns
+    ``(violations, (stopped, over), ...)``, one pair per sum:
+    ``stopped[r]`` counts the sums that first crossed t on draw r, and
+    ``over`` holds their overshoots in crossing order (by draw, then by
+    path).  ``violations`` counts the paths whose base sum crossed before
+    the dominating one (expected: none; 0 with one sum).
+
+    A path leaves once every sum of it has crossed; the surviving paths
+    keep their order, so each round's draws reach the same paths as they
+    would with path ids.  The working arrays come from the pass workspace
+    ``ws`` (fresh ones when it is None; each ``over`` is one of them): 4
+    float and 1 bool array for one sum, 7 and 2 for two.  Each round draws
+    into ``u``; the dominating transform writes into ``inc`` and the base
+    works in place, last, so an identity base copies nothing.  A crossed
+    dominating sum turns NaN, which stays NaN under addition and is never
+    > t, so after each round's add ``s > t`` flags only that round's
+    crossings; once every surviving dominating sum is NaN its increment is
+    skipped.  A base sum that crosses while its dominating sum is still
+    finite is a violation, and its path stays.  While no violator is
+    waiting, the leavers are just the round's base crossings; otherwise the
+    round's crossed base sums turn NaN too, and the leavers are the paths
+    whose sums are both NaN.
+
+    Each compaction is ``np.take`` of a temporary index array with
+    ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
+    default ``mode="raise"``) fills a buffer and copies it into ``out``.
+    The index arrays die within their round: one kept alive into the next
+    round made the allocator hand out fresh pages, about 900 KB of page
+    faults per block at t = 20.  The first ``_free_rounds(t)`` rounds only
+    draw and add.
     """
-    u, sums, spare, over, done = _arrays(ws, n, "dddd?")
-    sums.fill(0.0)
-    free = _free_rounds(t)
-    for _ in range(free):
+    if len(draws) == 1:
+        (f1,), f2 = draws, None
+        u, s1, spare, over1, d1 = _arrays(ws, n, "dddd?")
+    else:
+        f1, f2 = draws
+        u, s1, spare, over1, d1, inc, s2, over2, d2 = _arrays(ws, n, "dddd?ddd?")
+        s2.fill(0.0)
+    s1.fill(0.0)
+    r = _free_rounds(t)
+    for _ in range(r):
         x = rng.random(n, out=u)
-        sums += transform._draw(x, out=x)
-    stopped = [0] * (free + 1)
+        if f2 is not None:
+            s2 += f2(x, out=inc)
+        s1 += f1(x, out=x)
+    stopped = [[0] * (r + 1) for _ in draws]
+    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
+    violations = 0
     m = n
     while m:
-        # every surviving path is about to make draw len(stopped)
-        if len(stopped) > _DRAW_CAP:
+        r += 1
+        if r > _DRAW_CAP:
             raise ConvergenceError(
                 f"path exceeded {_DRAW_CAP} draws; transform increments are "
                 f"effectively zero"
             )
-        s = sums[:m]
         x = rng.random(m, out=u[:m])
-        s += transform._draw(x, out=x)
-        d = np.greater(s, t, out=done[:m])
-        hit = np.count_nonzero(d)
-        stopped.append(hit)
+        base = s1[:m]
+        if f2 is not None:
+            dom = s2[:m]
+            if nan2 < m:
+                dom += f2(x, out=inc[:m])
+                j = np.flatnonzero(np.greater(dom, t, out=d2[:m]))
+                stopped[1].append(j.size)
+                if j.size:
+                    stop = over2[n - m + nan2 : n - m + nan2 + j.size]
+                    np.take(dom, j, out=stop, mode="clip")
+                    stop -= t
+                    dom[j] = np.nan
+                    nan2 += j.size
+        base += f1(x, out=x)
+        leave = np.greater(base, t, out=d1[:m])
+        j = np.flatnonzero(leave)
+        hit = j.size
+        stopped[0].append(hit)
         if hit:
-            stop = over[n - m : n - m + hit]
-            np.take(s, np.flatnonzero(d), out=stop, mode="clip")
+            stop = over1[n - m + nan1 : n - m + nan1 + hit]
+            np.take(base, j, out=stop, mode="clip")
             stop -= t
+        if f2 is not None and (hit or nan1):
+            fresh = hit - int(np.count_nonzero(np.isnan(dom[j])))
+            violations += fresh
+            if nan1 or fresh:
+                base[j] = np.nan
+                np.logical_and(np.isnan(base, out=leave), np.isnan(dom, out=d2[:m]), out=leave)
+                nan1 += hit
+                hit = int(np.count_nonzero(leave))
+                nan1 -= hit
+        del j
+        if hit:
+            keep = np.flatnonzero(np.logical_not(leave, out=leave))
             m -= hit
-            np.take(s, np.flatnonzero(np.logical_not(d, out=d)), out=spare[:m], mode="clip")
-            sums, spare = spare, sums
-    return np.array(stopped, dtype=np.int64), over
+            np.take(base, keep, out=spare[:m], mode="clip")
+            s1, spare = spare, s1
+            if f2 is not None:
+                np.take(dom, keep, out=spare[:m], mode="clip")
+                s2, spare = spare, s2
+                nan2 -= hit
+            del keep
+    for k in stopped:
+        while not k[-1]:  # violators left in rounds where no base sum crossed
+            del k[-1]
+    overs = (over1,) if f2 is None else (over1, over2)
+    return violations, *((np.array(k, dtype=np.int64), o) for k, o in zip(stopped, overs))
+
+
+def _run_block(transform, t, n, rng, ws=None):
+    """One sum of ``_kernel``: (stopped, over); perfbench/tracing.py patches this name."""
+    return _kernel((transform._draw,), t, n, rng, ws)[1]
 
 
 def _bin_counts(over, bins, ws=None):
@@ -428,106 +498,16 @@ def overshoot_histogram(
     return simulate(transform, t, samples, seed, workers, bins=bins).histogram()
 
 
-def _cross(s, t, d, over):
-    """Indices of the sums in ``s`` past t, which then turn NaN.
-
-    Their overshoots go to the head of ``over``, in path order, and ``d``
-    holds the mask.  A NaN sum stays NaN under addition and is never > t,
-    so a sum is flagged only in the round it crosses.
-    """
-    j = np.flatnonzero(np.greater(s, t, out=d))
-    if j.size:
-        stop = over[: j.size]
-        np.take(s, j, out=stop, mode="clip")
-        stop -= t
-        s[j] = np.nan
-    return j
-
-
-def _paired_block(t, n, rng, f_base, f_dominating, ws=None):
-    """Coupled paths driven by shared uniforms; returns (violations, base, dominating).
-
-    Both sums see the same uniform each round; the dominating transform
-    (pointwise >= the base on [0, 1]) must never need more draws, and
-    ``violations`` counts the n paths where it did (expected: none).
-    ``base`` and ``dominating`` are each sum's first crossings of t as the
-    ``(stopped, over)`` pair of ``_run_block``, overshoots in crossing
-    order: each an exact sample of its own transform's paths.
-
-    A sum that crosses t has its overshoot recorded and turns NaN, which
-    stays NaN under addition and is never > t, so after each round's add
-    ``s > t`` flags exactly that round's crossings.  The dominating sum is
-    tested first: a base sum that crosses while the dominating one is
-    still finite is a violation.  A path leaves once both its sums are
-    NaN.  While no surviving path is a violation waiting for its
-    dominating sum, the leavers are just the round's base crossings, and
-    once every surviving dominating sum is NaN its increment is skipped.
-    ``f_dominating`` writes into ``inc`` and ``f_base`` works in place,
-    last, so an identity base copies nothing.  The workspace (7 float and
-    2 bool arrays), the path order and the free rounds are as in
-    ``_run_block``; both sums compact through one spare array.
-    """
-    u, inc, s1, s2, spare, over1, over2, d1, d2 = _arrays(ws, n, "ddddddd??")
-    s1.fill(0.0)
-    s2.fill(0.0)
-    r = _free_rounds(t)
-    for _ in range(r):
-        x = rng.random(n, out=u)
-        s2 += f_dominating(x, out=inc)
-        s1 += f_base(x, out=x)
-    stopped = ([0] * (r + 1), [0] * (r + 1))
-    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
-    violations = 0
-    m = n
-    while m:
-        r += 1
-        if r > _DRAW_CAP:
-            raise ConvergenceError(
-                f"coupled path exceeded {_DRAW_CAP} draws; transform increments "
-                f"are effectively zero"
-            )
-        x = rng.random(m, out=u[:m])
-        base, dom = s1[:m], s2[:m]
-        if nan2 < m:
-            dom += f_dominating(x, out=inc[:m])
-            j = _cross(dom, t, d2[:m], over2[n - m + nan2 :])
-            stopped[1].append(j.size)
-            nan2 += j.size
-        base += f_base(x, out=x)
-        j = _cross(base, t, d1[:m], over1[n - m + nan1 :])
-        stopped[0].append(j.size)
-        fresh = j.size - int(np.count_nonzero(np.isnan(dom[j])))
-        violations += fresh
-        leave, hit = d1[:m], j.size  # the base crossings
-        if nan1 or fresh:
-            np.logical_and(np.isnan(base, out=leave), np.isnan(dom, out=d2[:m]), out=leave)
-            hit = int(np.count_nonzero(leave))
-        nan1 += j.size
-        if hit:
-            keep = np.flatnonzero(np.logical_not(leave, out=leave))
-            np.take(base, keep, out=spare[: m - hit], mode="clip")
-            s1, spare = spare, s1
-            np.take(dom, keep, out=spare[: m - hit], mode="clip")
-            s2, spare = spare, s2
-            del keep  # before the next round allocates its own: see _run_block
-            m -= hit
-            nan1 -= hit
-            nan2 -= hit
-    return violations, *(
-        (np.trim_zeros(np.array(k, dtype=np.int64), "b"), o)
-        for k, o in zip(stopped, (over1, over2))
-    )
-
-
 def _coupled(t, samples, seed, workers, bins=None):
     """One pass of coupled identity/logproduct paths on shared uniforms.
 
     Returns (violations, identity record, logproduct record): the order
-    violations of ``_paired_block``, and each transform's first crossings
-    of t as a ``SimRecord`` (with ``bins`` overshoot bins if given), merged
-    as ``simulate`` merges its blocks.  With no violation the identity
-    record is exactly ``simulate``'s: a path leaves when its identity sum
-    crosses, so every block hands out its draws as ``_run_block`` does.
+    violations of ``_kernel``, and each transform's first crossings of t
+    as a ``SimRecord`` (with ``bins`` overshoot bins if given), merged as
+    ``simulate`` merges its blocks.  With no violation the identity record
+    is exactly ``simulate``'s: a path leaves when its identity sum crosses,
+    so every block hands out its draws as it does with the identity sum
+    alone.
     """
     ident = BUILTIN_TRANSFORMS["identity"]
     logp = BUILTIN_TRANSFORMS["logproduct"]
@@ -535,7 +515,7 @@ def _coupled(t, samples, seed, workers, bins=None):
     t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
 
     def block(n, rng, ws):
-        violations, *pairs = _paired_block(t, n, rng, ident._draw, logp._draw, ws)
+        violations, *pairs = _kernel((ident._draw, logp._draw), t, n, rng, ws)
         return violations, *(_summary(*pair, bins, ws) for pair in pairs)
 
     results = _fan_out(block, samples, seed, workers)

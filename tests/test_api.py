@@ -99,7 +99,6 @@ _CONTRACT = [
      lambda v: bijections.PiecewiseLinear(((0.0, 0.0), (v, 0.5), (1.0, 1.0))), 0.25),
     ("forward", "x", lambda v: bijections.LogProduct().forward(v), 1),
     ("inverse", "u", lambda v: bijections.Power(0.5).inverse(v), 1),
-    ("taylor_exp_neg", "t", lambda v: closed_forms.taylor_exp_neg(v, 5), 2),
     ("exp_tail_weights", "t", lambda v: closed_forms.exp_tail_weights(v, 5), 1),
     ("product_series_term", "t", lambda v: closed_forms.product_series_term(v, 3), 1),
     ("product_count_01", "t", closed_forms.product_count_01, 1),

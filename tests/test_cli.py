@@ -259,7 +259,7 @@ class TestSimulate:
         def no_block(*args):
             raise AssertionError("a block ran before the work cap check")
 
-        monkeypatch.setattr(renewal.montecarlo, "_run_block", no_block)
+        monkeypatch.setattr(renewal.montecarlo, "_kernel", no_block)
         result = runner.invoke(main, ["simulate", "-t", "1e12", "--samples", "1"])
         assert result.exit_code == 2
         assert "t=1e+12 with samples=1 would take about 2.58e+07 s" in result.output

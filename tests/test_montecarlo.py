@@ -90,8 +90,7 @@ class TestEstimateN:
         def no_block(*args):
             raise AssertionError("a block ran before the work cap check")
 
-        monkeypatch.setattr(mc, "_run_block", no_block)
-        monkeypatch.setattr(mc, "_paired_block", no_block)
+        monkeypatch.setattr(mc, "_kernel", no_block)
         with pytest.raises(DomainError, match=r"t=1e\+12 with samples=1 .* cap of 300 s"):
             mc.estimate_n(LogProduct(), 1e12, 1)
         with pytest.raises(DomainError, match="decrease t or samples"):
@@ -99,7 +98,7 @@ class TestEstimateN:
 
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
-        monkeypatch.setattr(mc, "_run_block", lambda *args: pytest.fail("a block ran"))
+        monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
         assert (_KNOTS_TXT._ns_per_draw, LogProduct()._ns_per_draw) == (25.0, 15.0)
         samples = 3 * 10**8
         rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
@@ -151,10 +150,10 @@ class TestWorkerInvariance:
 
     def test_paired_domination(self, monkeypatch):
         # swapped transforms, so the violation counts are not all zero
-        paired = mc._paired_block
+        kernel = mc._kernel
         monkeypatch.setattr(mc, "_BLOCK", 4096)
-        monkeypatch.setattr(mc, "_paired_block",
-                            lambda t, n, rng, a, b, ws: paired(t, n, rng, b, a, ws))
+        monkeypatch.setattr(mc, "_kernel",
+                            lambda draws, t, n, rng, ws: kernel(draws[::-1], t, n, rng, ws))
         got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
         assert got[0][0] > 0 and got == [got[0]] * 4
 
@@ -229,20 +228,29 @@ def _reference_block(transform, t, n, rng):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n", [1, 7, 4096])
+    # t = 0: every path stops on its first draw; t = 1 and 20: one free
+    # round and twenty.  The t = 3 cases' ids name n alone, as before t
+    # was a parameter
+    @pytest.mark.parametrize(
+        "t, n",
+        [pytest.param(t, n, id=str(n) if t == 3.0 else f"t{t:g}-{n}")
+         for t in (0.0, 1.0, 3.0, 20.0) for n in (1, 7, 4096, 65536)],
+    )
     @pytest.mark.parametrize(
         "spec",
         [Identity(), LogProduct(), PiecewiseLinear(((0.0, 0.0), (0.3, 0.2137), (1.0, 1.0)))],
         ids=lambda s: s.label,
     )
-    def test_matches_the_reference(self, spec, n):
-        k, want = _reference_block(spec, 3.0, n, mc._stream(6, 2))
+    def test_matches_the_reference(self, spec, t, n):
+        ref = mc._stream(6, 2)
+        k, want = _reference_block(spec, t, n, ref)
         rng = mc._stream(6, 2)
-        stopped, over = mc._run_block(spec, 3.0, n, rng)
+        violations, (stopped, over) = mc._kernel((spec._draw,), t, n, rng)
+        assert violations == 0
         assert stopped.dtype == np.int64 and (stopped == np.bincount(k)).all()
         assert (np.sort(over) == np.sort(want)).all()
         # the kernel drew exactly as many uniforms as the reference
-        assert rng.random() == mc._stream(6, 2).random(int(k.sum()) + 1)[-1]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         k, _ = _reference_block(Identity(), 10.0, 4096, mc._stream(3, 0))
@@ -252,33 +260,33 @@ class TestKernel:
         with pytest.raises(ConvergenceError, match="draws"):
             mc._run_block(Identity(), 10.0, 4096, mc._stream(3, 0))
 
-    @pytest.mark.parametrize("kernel", ["_run_block", "_paired_block"])
-    def test_draw_cap_below_the_free_rounds(self, monkeypatch, kernel):
+    @pytest.mark.parametrize(
+        "draws",
+        [(Identity()._draw,), (Identity()._draw, LogProduct()._draw)],
+        ids=["one-sum", "two-sums"],
+    )
+    def test_draw_cap_below_the_free_rounds(self, monkeypatch, draws):
         # t = 10 leaves every path running for 10 rounds; a cap of 5 must
         # trip before draw 6, after exactly 5 rounds of 64 draws
-        args = (Identity(), 10.0) if kernel == "_run_block" else (10.0,)
-        fs = () if kernel == "_run_block" else (Identity()._f, LogProduct()._f)
         monkeypatch.setattr(mc, "_DRAW_CAP", 5)
         rng = mc._stream(3, 0)
         with pytest.raises(ConvergenceError, match="draws"):
-            getattr(mc, kernel)(*args, 64, rng, *fs)
+            mc._kernel(draws, 10.0, 64, rng)
         ref = mc._stream(3, 0)
         ref.random(5 * 64)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_workspace_reuse_matches_fresh_arrays(self):
-        # a workspace left dirty by a longer block must not leak into the next
+        # a workspace left dirty by a longer block must not leak into the
+        # next; two sums swapped, so violators wait in it too
         ws = threading.local()
         for n, t in ((4096, 3.0), (7, 5.5), (4096, 0.0)):
-            got = mc._run_block(LogProduct(), t, n, mc._stream(1, n), ws)
-            want = mc._run_block(LogProduct(), t, n, mc._stream(1, n))
-            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
-            fs = (Identity()._f, LogProduct()._f)
-            got = mc._paired_block(t, n, mc._stream(2, n), *fs[::-1], ws)
-            want = mc._paired_block(t, n, mc._stream(2, n), *fs[::-1])
-            assert got[0] == want[0]
-            for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
-                assert (k == k_want).all() and (over == over_want).all()
+            for draws in ((LogProduct()._draw,), (LogProduct()._draw, Identity()._draw)):
+                got = mc._kernel(draws, t, n, mc._stream(len(draws), n), ws)
+                want = mc._kernel(draws, t, n, mc._stream(len(draws), n))
+                assert got[0] == want[0]
+                for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
+                    assert (k == k_want).all() and (over == over_want).all()
 
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
@@ -368,9 +376,9 @@ class TestGoldenRecords:
     def test_paired_domination_count(self, monkeypatch, workers):
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (0, _N_GOLDEN)
         # swapped transforms, so the count is not 0
-        paired = mc._paired_block
-        monkeypatch.setattr(mc, "_paired_block",
-                            lambda t, n, rng, a, b, ws: paired(t, n, rng, b, a, ws))
+        kernel = mc._kernel
+        monkeypatch.setattr(mc, "_kernel",
+                            lambda draws, t, n, rng, ws: kernel(draws[::-1], t, n, rng, ws))
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -570,7 +578,7 @@ class TestPairedDomination:
         ref = mc._stream(5, 1)
         want, _, *crossings = _reference_paired_block(t, n, ref, f_base, f_dom)
         rng = mc._stream(5, 1)
-        got, *pairs = mc._paired_block(t, n, rng, f_base, f_dom)
+        got, *pairs = mc._kernel((f_base, f_dom), t, n, rng)
         assert got == want
         if t == 3.0:
             assert (want > 0) == (swap and n > 1)
@@ -590,10 +598,10 @@ class TestPairedDomination:
         fs = (Identity()._f, LogProduct()._f)
         _, rounds, _, _ = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *fs)
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds)
-        assert mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs)[0] == 0
+        assert mc._kernel(fs, 10.0, 4096, mc._stream(3, 0))[0] == 0
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds - 1)
         with pytest.raises(ConvergenceError, match="draws"):
-            mc._paired_block(10.0, 4096, mc._stream(3, 0), *fs)
+            mc._kernel(fs, 10.0, 4096, mc._stream(3, 0))
 
 
 def _reference_paired_block(t, n, rng, f_base, f_dominating):
