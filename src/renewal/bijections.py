@@ -25,7 +25,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _EM1 = math.e - 1.0
+# the largest t at which LogProduct's Monte Carlo sums run as products: a
+# crossed product is at most about e^(t + 1), which must stay a finite double
+_PRODUCT_T_MAX = 700.0
 
 
 class DomainError(ValueError):
@@ -121,6 +124,23 @@ def _as_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return n
 
 
+class _SumForm(NamedTuple):
+    """How the Monte Carlo kernel runs one transform's sums against a threshold t.
+
+    Every sum starts at ``start`` and has crossed t once it is > ``level``;
+    none can cross within its first ``free`` draws.  ``step(s, x, out)``
+    advances the sums ``s`` in place by the uniform draws ``x``, with
+    ``out`` as scratch (it may be ``x``); ``over(s)`` maps crossed sums to
+    their overshoots past t, in place.
+    """
+
+    start: float
+    level: float
+    free: int
+    step: Callable
+    over: Callable
+
+
 class BijectionSpec(abc.ABC):
     """A strictly increasing bijection of [0, 1] with pinned endpoints.
 
@@ -139,8 +159,9 @@ class BijectionSpec(abc.ABC):
     _kinks: ClassVar[tuple] = ()
     # the Monte Carlo kernel's cost per draw on one thread, as its work cap
     # estimates it: the closed forms measured 6-10 ns on 2 vCPUs; LogProduct,
-    # whose draws skip _f's pin, re-measured 4.0-5.7 ns per draw over whole
-    # passes at t = 1 and t = 20 (3.2-3.4 ns to draw, transform and add)
+    # whose sums run as products, re-measured 2.8-5.2 ns per draw over whole
+    # passes at t = 20 and t = 1 (2.1 ns to draw and multiply, against 2.9 ns
+    # to draw, log1p and add)
     _ns_per_draw: ClassVar[float] = 15.0
 
     @abc.abstractmethod
@@ -160,6 +181,22 @@ class BijectionSpec(abc.ABC):
         f(1) = 1.
         """
         return self._f(x, out=out)
+
+    def _sum_form(self, t: float) -> _SumForm:
+        """The Monte Carlo kernel's sums at threshold t; by default, sums of ``_draw``.
+
+        A sum starts at 0, adds f of each draw, has crossed once it is > t
+        and overshoots by s - t.  Every increment is at most f(1) = 1 and
+        float addition rounds monotonically, so a sum of r <= floor(t)
+        increments is at most r <= t: the first floor(t) draws cannot cross.
+        """
+        def step(s, x, out):
+            s += self._draw(x, out=out)
+
+        def over(s):
+            s -= t
+
+        return _SumForm(0.0, t, math.floor(t), step, over)
 
     @abc.abstractmethod
     def _finv(self, u: np.ndarray) -> np.ndarray:
@@ -203,6 +240,15 @@ class LogProduct(BijectionSpec):
     Accumulating these increments past t is the same event as a product of
     independent 1 + (e-1)X factors exceeding e^t.  f(1) must be exactly 1.0
     in floats, so the endpoint is pinned rather than trusted to log1p.
+
+    The Monte Carlo kernel runs the product, one multiply per draw instead
+    of a log1p: a sum starts at 1, takes P *= 1 + (e-1)x, has crossed once
+    P > E = fl(e^t), and overshoots by log1p((P - E)/E), which is > 0
+    whenever P > E.  Each factor is at most fl(e), but the rounded product
+    of r such factors can pass fl(e^r), so only the first floor(t) - 1
+    draws skip the stop test: r <= t - 1 factors stay below e^(t-1) times
+    a rounding factor far under e.  Above t = 700, where e^(t+1) nears the
+    largest double, the sums add log1p increments, as the default form does.
     """
 
     label: ClassVar[str] = "logproduct"
@@ -217,6 +263,21 @@ class LogProduct(BijectionSpec):
     def _draw(self, x, out=None):
         # _f without the scan for x == 1
         return np.log1p(np.multiply(x, _EM1, out=out), out=out)
+
+    def _sum_form(self, t):
+        if t > _PRODUCT_T_MAX:
+            return super()._sum_form(t)
+        level = math.exp(t)
+
+        def step(s, x, out):
+            s *= np.add(np.multiply(x, _EM1, out=out), 1.0, out=out)
+
+        def over(s):
+            s -= level
+            s /= level
+            np.log1p(s, out=s)
+
+        return _SumForm(1.0, level, max(math.floor(t) - 1, 0), step, over)
 
     def _finv(self, u):
         out = np.expm1(u) / _EM1

@@ -2,12 +2,16 @@
 
 A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  One
 kernel, ``_kernel``, simulates every block in vectorized rounds: each round
-draws one uniform per still-active path, applies the transform, and
-retires paths whose running sum exceeded the threshold.  It runs one sum
-per path for ``simulate``, or two sums driven by the same uniforms for the
-coupled identity/logproduct pass, where a path retires once both have
-crossed.  Increments never exceed 1, so no path can stop in the first
-floor(t) rounds, which skip the stop test.  Each pass holds one workspace:
+draws one uniform per still-active path, steps each path's sums, and
+retires paths whose sums crossed the threshold.  It runs one sum per path
+for ``simulate``, or two sums driven by the same uniforms for the coupled
+identity/logproduct pass, where a path retires once both have crossed.
+Each sum runs in its transform's form: most add f(x) and cross t, while
+logproduct's (up to t = 700) multiply by 1 + (e-1)x and cross e^t, which
+is the same event at one multiply per draw instead of a log1p.  Increments
+never exceed 1, so no sum can cross in its first floor(t) draws, or its
+first floor(t) - 1 for a product, whose rounding can pass e^t at integer
+t; those rounds skip the stop test.  Each pass holds one workspace:
 every worker thread makes its working arrays the first time it runs a
 block, and its later blocks and their rounds reuse them while they stay in
 cache.  The workspace is freed when the pass returns.
@@ -89,7 +93,8 @@ def _check_common(transform, t, samples, seed, workers):
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(
             f"simulating t={t:g} with samples={samples} would take about {seconds:.3g} s "
-            f"on one thread, over the cap of {_MAX_SIM_SECONDS:g} s; decrease t or samples"
+            f"on one thread at {transform._ns_per_draw:g} ns per draw and {_US_PER_ROUND:g} us "
+            f"per block round, over the cap of {_MAX_SIM_SECONDS:g} s; decrease t or samples"
         )
     return t, samples, seed, workers
 
@@ -159,20 +164,10 @@ def _arrays(ws, n, dtypes):
     return [a[:n] for a in arrays]
 
 
-def _free_rounds(t):
-    """Rounds in which no path can stop: the first floor(t), at most ``_DRAW_CAP``.
-
-    Every increment is at most f(1) = 1 and float addition rounds
-    monotonically, so a sum of r <= floor(t) increments is at most r <= t.
-    Past ``_DRAW_CAP`` the caller's cap check trips before the next draw.
-    """
-    return min(math.floor(t), _DRAW_CAP)
-
-
-def _kernel(draws, t, n, rng, ws=None):
+def _kernel(specs, t, n, rng, ws=None):
     """Simulate n paths of one sum, or of two coupled sums on shared uniforms.
 
-    ``draws`` holds the ``_draw`` of each sum: ``(f,)``, or ``(f_base,
+    ``specs`` holds the transform of each sum: ``(f,)``, or ``(f_base,
     f_dominating)`` where the dominating transform is pointwise >= the base
     on [0, 1], so its sum must never need more draws.  Returns
     ``(violations, (stopped, over), ...)``, one pair per sum:
@@ -181,45 +176,53 @@ def _kernel(draws, t, n, rng, ws=None):
     path).  ``violations`` counts the paths whose base sum crossed before
     the dominating one (expected: none; 0 with one sum).
 
+    Each sum runs in its transform's form (``BijectionSpec._sum_form``):
+    its start, the level it crosses, the in-place step per draw and the
+    map from a crossed sum to its overshoot.  Most sums add f(x) and cross
+    t; logproduct's multiply by 1 + (e-1)x and cross e^t.  No sum can
+    cross within its form's free draws, so the first rounds, as many as
+    the fewest free draws of the path's sums (at most ``_DRAW_CAP``, past
+    which the cap check trips before the next draw), only draw and step.
+
     A path leaves once every sum of it has crossed; the surviving paths
     keep their order, so each round's draws reach the same paths as they
     would with path ids.  The working arrays come from the pass workspace
     ``ws`` (fresh ones when it is None; each ``over`` is one of them): 4
     float and 1 bool array for one sum, 7 and 2 for two.  Each round draws
-    into ``u``; the dominating transform writes into ``inc`` and the base
-    works in place, last, so an identity base copies nothing.  A crossed
-    dominating sum turns NaN, which stays NaN under addition and is never
-    > t, so after each round's add ``s > t`` flags only that round's
-    crossings; once every surviving dominating sum is NaN its increment is
-    skipped.  A base sum that crosses while its dominating sum is still
-    finite is a violation, and its path stays.  While no violator is
-    waiting, the leavers are just the round's base crossings; otherwise the
-    round's crossed base sums turn NaN too, and the leavers are the paths
-    whose sums are both NaN.
+    into ``u``; the dominating sum steps with ``inc`` as scratch and the
+    base works in place, last, so an identity base copies nothing.  A
+    crossed dominating sum turns NaN, which stays NaN under addition and
+    multiplication and is never above a level, so after each round's step
+    the level test flags only that round's crossings; once every surviving
+    dominating sum is NaN its step is skipped.  A base sum that crosses
+    while its dominating sum is still finite is a violation, and its path
+    stays.  While no violator is waiting, the leavers are just the round's
+    base crossings; otherwise the round's crossed base sums turn NaN too,
+    and the leavers are the paths whose sums are both NaN.
 
     Each compaction is ``np.take`` of a temporary index array with
     ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
     default ``mode="raise"``) fills a buffer and copies it into ``out``.
     The index arrays die within their round: one kept alive into the next
     round made the allocator hand out fresh pages, about 900 KB of page
-    faults per block at t = 20.  The first ``_free_rounds(t)`` rounds only
-    draw and add.
+    faults per block at t = 20.
     """
-    if len(draws) == 1:
-        (f1,), f2 = draws, None
+    forms = [spec._sum_form(t) for spec in specs]
+    if len(forms) == 1:
+        (f1,), f2 = forms, None
         u, s1, spare, over1, d1 = _arrays(ws, n, "dddd?")
     else:
-        f1, f2 = draws
+        f1, f2 = forms
         u, s1, spare, over1, d1, inc, s2, over2, d2 = _arrays(ws, n, "dddd?ddd?")
-        s2.fill(0.0)
-    s1.fill(0.0)
-    r = _free_rounds(t)
+        s2.fill(f2.start)
+    s1.fill(f1.start)
+    r = min(min(f.free for f in forms), _DRAW_CAP)
     for _ in range(r):
         x = rng.random(n, out=u)
         if f2 is not None:
-            s2 += f2(x, out=inc)
-        s1 += f1(x, out=x)
-    stopped = [[0] * (r + 1) for _ in draws]
+            f2.step(s2, x, inc)
+        f1.step(s1, x, x)
+    stopped = [[0] * (r + 1) for _ in forms]
     nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
     violations = 0
     m = n
@@ -235,24 +238,24 @@ def _kernel(draws, t, n, rng, ws=None):
         if f2 is not None:
             dom = s2[:m]
             if nan2 < m:
-                dom += f2(x, out=inc[:m])
-                j = np.flatnonzero(np.greater(dom, t, out=d2[:m]))
+                f2.step(dom, x, inc[:m])
+                j = np.flatnonzero(np.greater(dom, f2.level, out=d2[:m]))
                 stopped[1].append(j.size)
                 if j.size:
                     stop = over2[n - m + nan2 : n - m + nan2 + j.size]
                     np.take(dom, j, out=stop, mode="clip")
-                    stop -= t
+                    f2.over(stop)
                     dom[j] = np.nan
                     nan2 += j.size
-        base += f1(x, out=x)
-        leave = np.greater(base, t, out=d1[:m])
+        f1.step(base, x, x)
+        leave = np.greater(base, f1.level, out=d1[:m])
         j = np.flatnonzero(leave)
         hit = j.size
         stopped[0].append(hit)
         if hit:
             stop = over1[n - m + nan1 : n - m + nan1 + hit]
             np.take(base, j, out=stop, mode="clip")
-            stop -= t
+            f1.over(stop)
         if f2 is not None and (hit or nan1):
             fresh = hit - int(np.count_nonzero(np.isnan(dom[j])))
             violations += fresh
@@ -282,7 +285,7 @@ def _kernel(draws, t, n, rng, ws=None):
 
 def _run_block(transform, t, n, rng, ws=None):
     """One sum of ``_kernel``: (stopped, over); perfbench/tracing.py patches this name."""
-    return _kernel((transform._draw,), t, n, rng, ws)[1]
+    return _kernel((transform,), t, n, rng, ws)[1]
 
 
 def _bin_counts(over, bins, ws=None):
@@ -515,7 +518,7 @@ def _coupled(t, samples, seed, workers, bins=None):
     t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
 
     def block(n, rng, ws):
-        violations, *pairs = _kernel((ident._draw, logp._draw), t, n, rng, ws)
+        violations, *pairs = _kernel((ident, logp), t, n, rng, ws)
         return violations, *(_summary(*pair, bins, ws) for pair in pairs)
 
     results = _fan_out(block, samples, seed, workers)

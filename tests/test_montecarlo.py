@@ -12,6 +12,7 @@ import pytest
 
 import renewal.montecarlo as mc
 from renewal.bijections import (
+    BijectionSpec,
     ConvergenceError,
     DomainError,
     Identity,
@@ -96,6 +97,15 @@ class TestEstimateN:
         with pytest.raises(DomainError, match="decrease t or samples"):
             mc.paired_domination(1e12, 1)
 
+    def test_work_cap_names_the_costs_it_charged(self, monkeypatch):
+        monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
+        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 25 ns per draw "
+                                              r"and 15 us per block round, over the cap"):
+            mc.estimate_n(_KNOTS_TXT, 20.0, 3 * 10**8)
+        # the coupled pass is charged at identity's cost
+        with pytest.raises(DomainError, match=r"at 15 ns per draw and 15 us per block round"):
+            mc.paired_domination(1e12, 1)
+
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
@@ -153,7 +163,7 @@ class TestWorkerInvariance:
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_BLOCK", 4096)
         monkeypatch.setattr(mc, "_kernel",
-                            lambda draws, t, n, rng, ws: kernel(draws[::-1], t, n, rng, ws))
+                            lambda specs, t, n, rng, ws: kernel(specs[::-1], t, n, rng, ws))
         got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
         assert got[0][0] > 0 and got == [got[0]] * 4
 
@@ -210,31 +220,66 @@ class TestDrawCap:
         assert mc.paired_domination(10.0, 64, seed=0) == (0, 64)
 
 
+def _plain_form(transform, t):
+    """A sum's (start, step, level, overshoot), written plainly.
+
+    LogProduct's sums up to t = 700 are products of 1 + (e-1)x that cross
+    e^t, with overshoot log1p((P - e^t)/e^t); every other sum adds f(x).
+    """
+    if isinstance(transform, LogProduct) and t <= 700.0:
+        level = math.exp(t)
+        return (1.0, lambda s, u: s * (1.0 + (E - 1.0) * u), level,
+                lambda s: np.log1p((s - level) / level))
+    return 0.0, lambda s, u: s + transform._f(u), t, lambda s: s - t
+
+
 def _reference_block(transform, t, n, rng):
     """The kernel written plainly: path ids, and fresh arrays every round."""
+    start, step, level, overshoot = _plain_form(transform, t)
     idx = np.arange(n)
-    sums = np.zeros(n)
+    sums = np.full(n, start)
     k = np.zeros(n, dtype=np.int64)
     over = np.zeros(n)
     r = 0
     while idx.size:
         r += 1
-        sums += transform._f(rng.random(idx.size))
-        done = sums > t
+        sums = step(sums, rng.random(idx.size))
+        done = sums > level
         k[idx[done]] = r
-        over[idx[done]] = sums[done] - t
+        over[idx[done]] = overshoot(sums[done])
         idx, sums = idx[~done], sums[~done]
     return k, over
 
 
+class _AdditiveLogProduct(LogProduct):
+    """LogProduct whose Monte Carlo sums add its log1p increments at every t."""
+
+    def _sum_form(self, t):
+        return BijectionSpec._sum_form(self, t)
+
+
+class _Constant:
+    """A generator stub whose every draw is ``x``; counts its draws."""
+
+    def __init__(self, x):
+        self.x, self.draws = x, 0
+
+    def random(self, n, out):
+        self.draws += n
+        out.fill(self.x)
+        return out
+
+
 class TestKernel:
     # t = 0: every path stops on its first draw; t = 1 and 20: one free
-    # round and twenty.  The t = 3 cases' ids name n alone, as before t
-    # was a parameter
+    # round and twenty (none and nineteen for logproduct's products); t =
+    # 750: past the products' cutoff.  The t = 3 cases' ids name n alone,
+    # as before t was a parameter
     @pytest.mark.parametrize(
         "t, n",
         [pytest.param(t, n, id=str(n) if t == 3.0 else f"t{t:g}-{n}")
-         for t in (0.0, 1.0, 3.0, 20.0) for n in (1, 7, 4096, 65536)],
+         for t in (0.0, 1.0, 3.0, 20.0, 750.0) for n in (1, 7, 4096, 65536)
+         if n < 4096 or t < 750.0],
     )
     @pytest.mark.parametrize(
         "spec",
@@ -245,7 +290,7 @@ class TestKernel:
         ref = mc._stream(6, 2)
         k, want = _reference_block(spec, t, n, ref)
         rng = mc._stream(6, 2)
-        violations, (stopped, over) = mc._kernel((spec._draw,), t, n, rng)
+        violations, (stopped, over) = mc._kernel((spec,), t, n, rng)
         assert violations == 0
         assert stopped.dtype == np.int64 and (stopped == np.bincount(k)).all()
         assert (np.sort(over) == np.sort(want)).all()
@@ -261,17 +306,15 @@ class TestKernel:
             mc._run_block(Identity(), 10.0, 4096, mc._stream(3, 0))
 
     @pytest.mark.parametrize(
-        "draws",
-        [(Identity()._draw,), (Identity()._draw, LogProduct()._draw)],
-        ids=["one-sum", "two-sums"],
+        "specs", [(Identity(),), (Identity(), LogProduct())], ids=["one-sum", "two-sums"]
     )
-    def test_draw_cap_below_the_free_rounds(self, monkeypatch, draws):
+    def test_draw_cap_below_the_free_rounds(self, monkeypatch, specs):
         # t = 10 leaves every path running for 10 rounds; a cap of 5 must
         # trip before draw 6, after exactly 5 rounds of 64 draws
         monkeypatch.setattr(mc, "_DRAW_CAP", 5)
         rng = mc._stream(3, 0)
         with pytest.raises(ConvergenceError, match="draws"):
-            mc._kernel(draws, 10.0, 64, rng)
+            mc._kernel(specs, 10.0, 64, rng)
         ref = mc._stream(3, 0)
         ref.random(5 * 64)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -281,12 +324,56 @@ class TestKernel:
         # next; two sums swapped, so violators wait in it too
         ws = threading.local()
         for n, t in ((4096, 3.0), (7, 5.5), (4096, 0.0)):
-            for draws in ((LogProduct()._draw,), (LogProduct()._draw, Identity()._draw)):
-                got = mc._kernel(draws, t, n, mc._stream(len(draws), n), ws)
-                want = mc._kernel(draws, t, n, mc._stream(len(draws), n))
+            for specs in ((LogProduct(),), (LogProduct(), Identity())):
+                got = mc._kernel(specs, t, n, mc._stream(len(specs), n), ws)
+                want = mc._kernel(specs, t, n, mc._stream(len(specs), n))
                 assert got[0] == want[0]
                 for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
                     assert (k == k_want).all() and (over == over_want).all()
+
+    @pytest.mark.parametrize("t", [1.0, 3.0, 20.0])
+    @pytest.mark.parametrize(
+        "specs",
+        [(LogProduct(),), (_AdditiveLogProduct(),), (Identity(),), (Identity(), LogProduct())],
+        ids=["product", "additive", "identity", "coupled"],
+    )
+    def test_extreme_draws(self, monkeypatch, specs, t):
+        # every draw the largest uniform, 1 - 2^-53: each sum crosses on
+        # draw floor(t) + 1, no sooner, with an overshoot in (0, 1]
+        n = 5
+        violations, *pairs = mc._kernel(specs, t, n, _Constant(1.0 - 2.0**-53))
+        assert violations == 0
+        for stopped, over in pairs:
+            assert stopped.tolist() == [0] * (math.floor(t) + 1) + [n]
+            assert ((over > 0.0) & (over <= 1.0)).all()
+        # every draw 0.0: no sum ever crosses, so the draw cap trips after
+        # exactly its rounds
+        monkeypatch.setattr(mc, "_DRAW_CAP", 40)
+        rng = _Constant(0.0)
+        with pytest.raises(ConvergenceError, match="draws"):
+            mc._kernel(specs, t, n, rng)
+        assert rng.draws == 40 * n
+
+    def test_product_overshoots_are_the_more_accurate(self):
+        # 200 one-path blocks at t = 20, each on its own stream, so a path's
+        # k draws are its stream's first k uniforms: each overshoot against
+        # the 40-digit sum of ln(1 + (e-1)x) over those uniforms
+        import mpmath
+
+        worst = {}
+        for spec in (LogProduct(), _AdditiveLogProduct()):
+            errors = []
+            for path in range(200):
+                stopped, over = mc._run_block(spec, 20.0, 1, mc._stream(2024, path))
+                u = mc._stream(2024, path).random(stopped.shape[0] - 1)
+                with mpmath.workdps(40):
+                    steps = [mpmath.log1p((mpmath.e - 1) * float(x)) for x in u]
+                    # the exact sum crosses on the same draw
+                    assert mpmath.fsum(steps[:-1]) <= 20 < mpmath.fsum(steps)
+                    errors.append(abs(float(over[0] - (mpmath.fsum(steps) - 20))))
+            worst[type(spec)] = max(errors)
+        # measured: 2.6e-15 for the products, 9.9e-15 for the sums
+        assert worst[LogProduct] <= 1e-14 and worst[LogProduct] <= worst[_AdditiveLogProduct]
 
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
@@ -355,7 +442,7 @@ _GOLDEN_COUPLED = (
     ("logproduct", 25,
      [1, 13, 116, 530, 1664, 3857, 7566, 11692, 15641, 17958, 18092, 16313, 13133, 9719,
       6308, 4051, 2192, 1176, 571, 273, 129, 58, 19, 10, 4, 3],
-     "0x1.6fe0aa92380a6p+15", "0x1.80e3d350d2a94p+14",
+     "0x1.6fe0aa92380a5p+15", "0x1.80e3d350d2a95p+14",
      [13038, 12677, 11942, 11332, 10879, 10348, 9641, 9011, 8244, 7547, 6665, 5850, 4779,
       3770, 2963, 1798, 605]),
 )
@@ -378,7 +465,7 @@ class TestGoldenRecords:
         # swapped transforms, so the count is not 0
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_kernel",
-                            lambda draws, t, n, rng, ws: kernel(draws[::-1], t, n, rng, ws))
+                            lambda specs, t, n, rng, ws: kernel(specs[::-1], t, n, rng, ws))
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -563,22 +650,24 @@ class TestPairedDomination:
 
     # t = 0: both sums can cross in one round; t = 20 at 65536 paths: the
     # dominating increment is skipped once every surviving dominating sum
-    # has crossed, and swapped, violators wait for their dominating sums.
-    # The t = 3 cases' ids name n alone, as before t was a parameter
+    # has crossed, and swapped, violators wait for their dominating sums;
+    # t = 750: logproduct past its products' cutoff.  The t = 3 cases' ids
+    # name n alone, as before t was a parameter
     @pytest.mark.parametrize(
         "t, n",
         [pytest.param(t, n, id=str(n) if t == 3.0 else f"t{t:g}-{n}")
-         for t in (0.0, 3.0, 20.0) for n in (1, 7, 4096, 65536) if n < 65536 or t == 20.0],
+         for t in (0.0, 3.0, 20.0, 750.0) for n in (1, 7, 4096, 65536)
+         if (n < 65536 or t == 20.0) and (n < 4096 or t < 750.0)],
     )
     @pytest.mark.parametrize("swap", [False, True], ids=["ordered", "swapped"])
     def test_matches_the_reference(self, t, n, swap):
         # swapped, the base dominates, so most paths count as violations
-        fs = (Identity()._f, LogProduct()._f)
-        f_base, f_dom = fs[::-1] if swap else fs
+        specs = (Identity(), LogProduct())
+        base, dom = specs[::-1] if swap else specs
         ref = mc._stream(5, 1)
-        want, _, *crossings = _reference_paired_block(t, n, ref, f_base, f_dom)
+        want, _, *crossings = _reference_paired_block(t, n, ref, base, dom)
         rng = mc._stream(5, 1)
-        got, *pairs = mc._kernel((f_base, f_dom), t, n, rng)
+        got, *pairs = mc._kernel((base, dom), t, n, rng)
         assert got == want
         if t == 3.0:
             assert (want > 0) == (swap and n > 1)
@@ -595,25 +684,27 @@ class TestPairedDomination:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
-        fs = (Identity()._f, LogProduct()._f)
-        _, rounds, _, _ = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *fs)
+        specs = (Identity(), LogProduct())
+        _, rounds, _, _ = _reference_paired_block(10.0, 4096, mc._stream(3, 0), *specs)
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds)
-        assert mc._kernel(fs, 10.0, 4096, mc._stream(3, 0))[0] == 0
+        assert mc._kernel(specs, 10.0, 4096, mc._stream(3, 0))[0] == 0
         monkeypatch.setattr(mc, "_DRAW_CAP", rounds - 1)
         with pytest.raises(ConvergenceError, match="draws"):
-            mc._kernel(fs, 10.0, 4096, mc._stream(3, 0))
+            mc._kernel(specs, 10.0, 4096, mc._stream(3, 0))
 
 
-def _reference_paired_block(t, n, rng, f_base, f_dominating):
+def _reference_paired_block(t, n, rng, base, dominating):
     """The coupled-path kernel written plainly: path ids, per-path counts, fresh arrays.
 
     Returns the violation count, the number of rounds (most draws of a
     path), and per path, in path order, each sum's first-crossing draw and
     overshoot: ``(k_base, over_base)`` and ``(k_dominating, over_dominating)``.
-    A sum stops growing once it passes t.
+    A sum stops growing once it passes t.  Each sum runs in ``_plain_form``.
     """
+    (start1, step1, level1, over1), (start2, step2, level2, over2) = (
+        _plain_form(base, t), _plain_form(dominating, t))
     idx = np.arange(n)
-    s1, s2 = np.zeros(n), np.zeros(n)
+    s1, s2 = np.full(n, start1), np.full(n, start2)
     k1, k2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     done1, done2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     out = [(np.zeros(n, dtype=np.int64), np.zeros(n)) for _ in range(2)]
@@ -622,19 +713,19 @@ def _reference_paired_block(t, n, rng, f_base, f_dominating):
         rounds += 1
         u = rng.random(idx.size)
         act1 = ~done1
-        s1[act1] += f_base(u[act1])
+        s1[act1] = step1(s1[act1], u[act1])
         k1[act1] += 1
-        done1 = s1 > t
+        done1 = s1 > level1
         act2 = ~done2
-        s2[act2] += f_dominating(u[act2])
+        s2[act2] = step2(s2[act2], u[act2])
         k2[act2] += 1
-        done2 = s2 > t
+        done2 = s2 > level2
         both = done1 & done2
         if both.any():
             violations += int(np.count_nonzero(k2[both] > k1[both]))
-            for (k_out, o_out), k, s in zip(out, (k1, k2), (s1, s2)):
+            for (k_out, o_out), k, s, over in zip(out, (k1, k2), (s1, s2), (over1, over2)):
                 k_out[idx[both]] = k[both]
-                o_out[idx[both]] = s[both] - t
+                o_out[idx[both]] = over(s[both])
             keep = ~both
             idx, s1, s2, k1, k2 = idx[keep], s1[keep], s2[keep], k1[keep], k2[keep]
             done1, done2 = done1[keep], done2[keep]
