@@ -131,7 +131,9 @@ class _SumForm(NamedTuple):
     none can cross within its first ``free`` draws.  ``step(s, x, out)``
     advances the sums ``s`` in place by the uniform draws ``x``, with
     ``out`` as scratch (it may be ``x``); ``over(s)`` maps crossed sums to
-    their overshoots past t, in place.
+    their overshoots past t, in place.  ``level_at(L)`` is the level a sum
+    is above once it has passed a threshold L <= t (``level_at(t)`` is
+    ``level``).
     """
 
     start: float
@@ -139,6 +141,7 @@ class _SumForm(NamedTuple):
     free: int
     step: Callable
     over: Callable
+    level_at: Callable
 
 
 class BijectionSpec(abc.ABC):
@@ -158,11 +161,10 @@ class BijectionSpec(abc.ABC):
     # splits there first
     _kinks: ClassVar[tuple] = ()
     # the Monte Carlo kernel's cost per draw on one thread, as its work cap
-    # estimates it: the closed forms measured 6-10 ns on 2 vCPUs; LogProduct,
-    # whose sums run as products, re-measured 2.8-5.2 ns per draw over whole
-    # passes at t = 20 and t = 1 (2.1 ns to draw and multiply, against 2.9 ns
-    # to draw, log1p and add)
-    _ns_per_draw: ClassVar[float] = 15.0
+    # charges it: a pass of 1e6 paths on 2 vCPUs, over the cap's 1 + t/mu
+    # rounds per path, measured 3.7 ns at t = 1 and 2.5 ns at t = 20 for
+    # identity, and each transform's charge lies within 1-2 times both
+    _ns_per_draw: ClassVar[float] = 4.2
 
     @abc.abstractmethod
     def _f(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -196,7 +198,7 @@ class BijectionSpec(abc.ABC):
         def over(s):
             s -= t
 
-        return _SumForm(0.0, t, math.floor(t), step, over)
+        return _SumForm(0.0, t, math.floor(t), step, over, float)
 
     @abc.abstractmethod
     def _finv(self, u: np.ndarray) -> np.ndarray:
@@ -229,6 +231,11 @@ class Identity(BijectionSpec):
         # in place is a no-op: the Monte Carlo kernel passes out=x
         return x if out is x else np.positive(x, out=out)
 
+    def _draw(self, x, out=None):
+        # the draws themselves, never a copy into ``out``: a coupled pass
+        # steps an identity base sum with a scratch array it need not fill
+        return x
+
     def _finv(self, u):
         return +u
 
@@ -252,6 +259,9 @@ class LogProduct(BijectionSpec):
     """
 
     label: ClassVar[str] = "logproduct"
+    # the products measured 4.6 and 2.8 ns (see BijectionSpec), the sums
+    # past t = 700 3.2 ns
+    _ns_per_draw: ClassVar[float] = 5.0
 
     def _f(self, x, out=None):
         # the pin's mask is taken before out (which may alias x) is written,
@@ -277,7 +287,7 @@ class LogProduct(BijectionSpec):
             s /= level
             np.log1p(s, out=s)
 
-        return _SumForm(1.0, level, max(math.floor(t) - 1, 0), step, over)
+        return _SumForm(1.0, level, max(math.floor(t) - 1, 0), step, over, math.exp)
 
     def _finv(self, u):
         out = np.expm1(u) / _EM1
@@ -314,6 +324,15 @@ class Power(BijectionSpec):
     def label(self) -> str:  # type: ignore[override]
         return f"power:{self.p:g}"
 
+    @property
+    def _ns_per_draw(self) -> float:  # type: ignore[override]
+        # np.power copies (p = 1) and squares (p = 2) on fast paths, measured
+        # 3.9-4.4 ns at t = 1 and 2.8-3.0 at t = 20; other exponents call pow:
+        # 5.0-5.6 and 3.9-4.5 ns below p = 1, 5.6-7.5 and 4.5-4.8 above
+        if self.p in (1.0, 2.0):
+            return 5.0
+        return 6.5 if self.p < 1.0 else 8.2
+
     def _f(self, x, out=None):
         return np.power(x, self.p, out=out)
 
@@ -339,8 +358,6 @@ class PiecewiseLinear(BijectionSpec):
     """
 
     knots: tuple
-    # np.interp allocates its output each round: 20-24 ns per draw
-    _ns_per_draw: ClassVar[float] = 25.0
 
     def __post_init__(self):
         knots = []
@@ -376,6 +393,13 @@ class PiecewiseLinear(BijectionSpec):
     @property
     def _kinks(self) -> tuple:  # type: ignore[override]
         return tuple(x for x, _ in self.knots[1:-1])
+
+    @property
+    def _ns_per_draw(self) -> float:  # type: ignore[override]
+        # np.interp allocates its output and binary-searches the knots for
+        # every draw: measured 6-7.6 ns per halving of 2 to 200 knots at t = 1
+        # and 20 (7.6 and 5.8 ns for 2 knots, 70 and 61 ns for 1000)
+        return 2.0 + 7.5 * math.log2(len(self.knots))
 
     @cached_property
     def _xy(self):

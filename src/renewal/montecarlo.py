@@ -64,10 +64,10 @@ __all__ = [
 
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
-# one-thread kernel cost measured on 2 vCPUs: 5-15 us per round, which the
-# cap's estimate takes as 15; the cost per draw is the transform's
-# (``BijectionSpec._ns_per_draw``)
-_US_PER_ROUND = 15.0
+# one-thread kernel cost of a round of one sum, charged per sum: measured
+# on 2 vCPUs at 2.7-3.9 us for one-path blocks (5.2 for two coupled sums);
+# the cost per draw is each transform's (``BijectionSpec._ns_per_draw``)
+_US_PER_ROUND = 5.0
 _MAX_SIM_SECONDS = 300.0
 
 
@@ -81,19 +81,24 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
-def _check_common(transform, t, samples, seed, workers):
-    """Validate a pass; refuse one estimated to take over ``_MAX_SIM_SECONDS``."""
+def _check_common(specs, t, samples, seed, workers):
+    """Validate a pass of sums of ``specs``; refuse one estimated over ``_MAX_SIM_SECONDS``.
+
+    Each draw and each block round is charged for every sum, for as many
+    rounds as the sum of smallest mean increment takes.
+    """
     t = _as_real("t", t, 0.0)
     samples = _as_int("samples", samples, 1)
     seed, workers = _as_int("seed", seed, 0), _as_int("workers", workers, 1, 256)
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
-    rounds = 1.0 + t / asymptotic_params(transform).mu
+    rounds = 1.0 + t / min(asymptotic_params(spec).mu for spec in specs)
     blocks = -(-samples // _BLOCK)
-    seconds = rounds * (samples * transform._ns_per_draw * 1e-9 + blocks * _US_PER_ROUND * 1e-6)
+    ns, us = sum(spec._ns_per_draw for spec in specs), len(specs) * _US_PER_ROUND
+    seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6)
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(
             f"simulating t={t:g} with samples={samples} would take about {seconds:.3g} s "
-            f"on one thread at {transform._ns_per_draw:g} ns per draw and {_US_PER_ROUND:g} us "
+            f"on one thread at {ns:g} ns per draw and {us:g} us "
             f"per block round, over the cap of {_MAX_SIM_SECONDS:g} s; decrease t or samples"
         )
     return t, samples, seed, workers
@@ -164,7 +169,7 @@ def _arrays(ws, n, dtypes):
     return [a[:n] for a in arrays]
 
 
-def _kernel(specs, t, n, rng, ws=None):
+def _kernel(specs, t, n, rng, ws=None, marks=()):
     """Simulate n paths of one sum, or of two coupled sums on shared uniforms.
 
     ``specs`` holds the transform of each sum: ``(f,)``, or ``(f_base,
@@ -175,6 +180,15 @@ def _kernel(specs, t, n, rng, ws=None):
     ``over`` holds their overshoots in crossing order (by draw, then by
     path).  ``violations`` counts the paths whose base sum crossed before
     the dominating one (expected: none; 0 with one sum).
+
+    With ``marks``, thresholds in [0, t], one more entry follows the pairs:
+    per sum, per mark L, the counts ``c[r]`` of paths whose sum first passed
+    L on draw r, as ``stopped`` counts them for t.  Sums never decrease, so
+    a path that has passed L stays past it, and these are the first
+    differences of the running number of paths past L, taken after each
+    round as the paths gone (past t >= L), those whose sum is NaN (past t)
+    and those whose sum is above L's level in the form of t: one compare
+    and one count per sum and mark per round, until every path is past.
 
     Each sum runs in its transform's form (``BijectionSpec._sum_form``):
     its start, the level it crosses, the in-place step per draw and the
@@ -188,9 +202,11 @@ def _kernel(specs, t, n, rng, ws=None):
     keep their order, so each round's draws reach the same paths as they
     would with path ids.  The working arrays come from the pass workspace
     ``ws`` (fresh ones when it is None; each ``over`` is one of them): 4
-    float and 1 bool array for one sum, 7 and 2 for two.  Each round draws
-    into ``u``; the dominating sum steps with ``inc`` as scratch and the
-    base works in place, last, so an identity base copies nothing.  A
+    float and 1 bool array for one sum, 6 and 2 for two.  Each round draws
+    into ``u``.  One sum steps in place there.  Of two, the base steps
+    first, with ``spare`` as scratch (an identity base needs none: its
+    ``_draw`` returns the draws themselves), and the dominating sum then
+    steps in place in ``u``, whose draws are no longer needed.  A
     crossed dominating sum turns NaN, which stays NaN under addition and
     multiplication and is never above a level, so after each round's step
     the level test flags only that round's crossings; once every surviving
@@ -211,19 +227,26 @@ def _kernel(specs, t, n, rng, ws=None):
     if len(forms) == 1:
         (f1,), f2 = forms, None
         u, s1, spare, over1, d1 = _arrays(ws, n, "dddd?")
+        s2 = d2 = None
     else:
         f1, f2 = forms
-        u, s1, spare, over1, d1, inc, s2, over2, d2 = _arrays(ws, n, "dddd?ddd?")
+        u, s1, spare, over1, d1, s2, over2, d2 = _arrays(ws, n, "dddd?dd?")
         s2.fill(f2.start)
     s1.fill(f1.start)
+    levels = [[f.level_at(mark) for mark in marks] for f in forms]
+    passed = [[[0] for _ in marks] for _ in forms]  # running counts past each mark
+    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
     r = min(min(f.free for f in forms), _DRAW_CAP)
     for _ in range(r):
         x = rng.random(n, out=u)
-        if f2 is not None:
-            f2.step(s2, x, inc)
-        f1.step(s1, x, x)
+        if f2 is None:
+            f1.step(s1, x, x)
+        else:
+            f1.step(s1, x, spare)
+            f2.step(s2, x, x)
+        if marks:
+            _tally(passed, levels, n, n, ((s1, 0, d1), (s2, 0, d2)))
     stopped = [[0] * (r + 1) for _ in forms]
-    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
     violations = 0
     m = n
     while m:
@@ -235,10 +258,13 @@ def _kernel(specs, t, n, rng, ws=None):
             )
         x = rng.random(m, out=u[:m])
         base = s1[:m]
-        if f2 is not None:
+        if f2 is None:
+            f1.step(base, x, x)
+        else:
+            f1.step(base, x, spare[:m])
             dom = s2[:m]
             if nan2 < m:
-                f2.step(dom, x, inc[:m])
+                f2.step(dom, x, x)
                 j = np.flatnonzero(np.greater(dom, f2.level, out=d2[:m]))
                 stopped[1].append(j.size)
                 if j.size:
@@ -247,7 +273,6 @@ def _kernel(specs, t, n, rng, ws=None):
                     f2.over(stop)
                     dom[j] = np.nan
                     nan2 += j.size
-        f1.step(base, x, x)
         leave = np.greater(base, f1.level, out=d1[:m])
         j = np.flatnonzero(leave)
         hit = j.size
@@ -276,11 +301,29 @@ def _kernel(specs, t, n, rng, ws=None):
                 s2, spare = spare, s2
                 nan2 -= hit
             del keep
+        if marks:
+            _tally(passed, levels, n, m, ((s1, nan1, d1), (s2, nan2, d2)))
     for k in stopped:
         while not k[-1]:  # violators left in rounds where no base sum crossed
             del k[-1]
     overs = (over1,) if f2 is None else (over1, over2)
-    return violations, *((np.array(k, dtype=np.int64), o) for k, o in zip(stopped, overs))
+    out = violations, *((np.array(k, dtype=np.int64), o) for k, o in zip(stopped, overs))
+    if marks:
+        out += (tuple(tuple(np.diff(c, prepend=0) for c in cs) for cs in passed),)
+    return out
+
+
+def _tally(passed, levels, n, m, sums):
+    """Append each mark's running count of paths past it after a round with m survivors.
+
+    ``sums`` holds per sum its array (the survivors first), its count of
+    NaN survivors and a bool scratch array.  A count that has reached n is
+    final and is no longer extended.
+    """
+    for cs, lv, (s, nan, d) in zip(passed, levels, sums):
+        for c, level in zip(cs, lv):
+            if c[-1] < n:
+                c.append(n - m + nan + int(np.count_nonzero(np.greater(s[:m], level, out=d[:m]))))
 
 
 def _run_block(transform, t, n, rng, ws=None):
@@ -352,20 +395,48 @@ def _summary(stopped, over, bins, ws=None):
     return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
 
 
+def _add_counts(vectors):
+    """The entrywise sum of count vectors of any lengths, as long as the longest."""
+    total = np.zeros(max(v.shape[0] for v in vectors), dtype=np.int64)
+    for v in vectors:
+        total[: v.shape[0]] += v
+    return total
+
+
 def _merge(spec, t, samples, seed, bins, blocks):
     """The ``SimRecord`` of a pass from its blocks' ``_summary`` tuples, in block order."""
-    k_counts = np.zeros(0, dtype=np.int64)
+    k_counts = _add_counts([block[0] for block in blocks])
     hist = np.zeros(bins, dtype=np.int64) if bins else None
     sum_o = sum_o2 = 0.0
-    for counts, o, o2, h in blocks:
-        if counts.shape[0] > k_counts.shape[0]:
-            k_counts = np.pad(k_counts, (0, counts.shape[0] - k_counts.shape[0]))
-        k_counts[: counts.shape[0]] += counts
+    for _, o, o2, h in blocks:
         sum_o += o
         sum_o2 += o2
         if bins:
             hist += h
     return SimRecord(spec, t, samples, seed, k_counts, sum_o, sum_o2, hist)
+
+
+def _estimate(spec, t, samples, seed, mean, var):
+    """The ``SimEstimate`` of a mean over ``samples`` paths whose sample variance is ``var``."""
+    return SimEstimate(
+        mean=mean,
+        std_error=math.sqrt(max(var, 0.0) / samples),
+        samples=samples,
+        seed=seed,
+        t=t,
+        spec=spec,
+    )
+
+
+def _count_estimate(spec, t, samples, seed, k_counts):
+    """Mean draw count and its standard error, ``k_counts[k]`` paths having taken k draws."""
+    n = samples
+    # exact integer arithmetic up to the final divisions
+    counts = k_counts.tolist()
+    sum_k = sum(k * c for k, c in enumerate(counts))
+    sum_k2 = sum(k * k * c for k, c in enumerate(counts))
+    var = (n * sum_k2 - sum_k * sum_k) / (n * (n - 1)) if n > 1 else 0.0
+    return _estimate(spec, t, n, seed, sum_k / n, var)
 
 
 @dataclass(frozen=True)
@@ -391,32 +462,16 @@ class SimRecord:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def _estimate(self, mean, var):
-        return SimEstimate(
-            mean=mean,
-            std_error=math.sqrt(max(var, 0.0) / self.samples),
-            samples=self.samples,
-            seed=self.seed,
-            t=self.t,
-            spec=self.spec,
-        )
-
     def count_estimate(self) -> SimEstimate:
         """Mean draw count and its standard error."""
-        n = self.samples
-        # exact integer arithmetic up to the final divisions
-        counts = self.k_counts.tolist()
-        sum_k = sum(k * c for k, c in enumerate(counts))
-        sum_k2 = sum(k * k * c for k, c in enumerate(counts))
-        var = (n * sum_k2 - sum_k * sum_k) / (n * (n - 1)) if n > 1 else 0.0
-        return self._estimate(sum_k / n, var)
+        return _count_estimate(self.spec, self.t, self.samples, self.seed, self.k_counts)
 
     def stopped_sum_estimate(self) -> SimEstimate:
         """Mean stopped sum (t plus the mean overshoot) and its standard error."""
         n = self.samples
         mean_o = self.overshoot_sum / n
         var = (self.overshoot_sumsq - self.overshoot_sum * mean_o) / (n - 1) if n > 1 else 0.0
-        return self._estimate(self.t + mean_o, var)
+        return _estimate(self.spec, self.t, n, self.seed, self.t + mean_o, var)
 
     def histogram(self) -> OvershootHistogram:
         """Overshoot histogram normalized to unit mass; needs ``bins``."""
@@ -450,7 +505,7 @@ def simulate(
     """
     if bins is not None:
         bins = _as_int("bins", bins, 10, 10_000)
-    t, samples, seed, workers = _check_common(transform, t, samples, seed, workers)
+    t, samples, seed, workers = _check_common((transform,), t, samples, seed, workers)
 
     def block(n, rng, ws):
         return _summary(*_run_block(transform, t, n, rng, ws), bins, ws)
@@ -501,7 +556,7 @@ def overshoot_histogram(
     return simulate(transform, t, samples, seed, workers, bins=bins).histogram()
 
 
-def _coupled(t, samples, seed, workers, bins=None):
+def _coupled(t, samples, seed, workers, bins=None, marks=()):
     """One pass of coupled identity/logproduct paths on shared uniforms.
 
     Returns (violations, identity record, logproduct record): the order
@@ -511,21 +566,36 @@ def _coupled(t, samples, seed, workers, bins=None):
     is exactly ``simulate``'s: a path leaves when its identity sum crosses,
     so every block hands out its draws as it does with the identity sum
     alone.
+
+    With ``marks``, thresholds in [0, t], a fourth entry holds per
+    transform, per mark L, the count vector of the draws its paths took to
+    first pass L, merged in block order; ``_count_estimate`` reads it as
+    ``SimRecord.count_estimate`` reads ``k_counts``.  These are exact
+    draw-count samples at L, of the same paths: a sum's draws up to L do
+    not depend on when the path leaves.  The records are the same with and
+    without marks.
     """
     ident = BUILTIN_TRANSFORMS["identity"]
     logp = BUILTIN_TRANSFORMS["logproduct"]
-    # identity's sums take the longer: its mean increment is the smaller
-    t, samples, seed, workers = _check_common(ident, t, samples, seed, workers)
+    t, samples, seed, workers = _check_common((ident, logp), t, samples, seed, workers)
+    marks = tuple(_as_real("mark", mark, 0.0, t) for mark in marks)
 
     def block(n, rng, ws):
-        violations, *pairs = _kernel((ident, logp), t, n, rng, ws)
-        return violations, *(_summary(*pair, bins, ws) for pair in pairs)
+        violations, *pairs = _kernel((ident, logp), t, n, rng, ws, marks)
+        counts = pairs.pop() if marks else ()
+        return violations, *(_summary(*pair, bins, ws) for pair in pairs), counts
 
     results = _fan_out(block, samples, seed, workers)
-    return sum(res[0] for res in results), *(
+    out = sum(res[0] for res in results), *(
         _merge(spec.label, t, samples, seed, bins, [res[i] for res in results])
         for i, spec in ((1, ident), (2, logp))
     )
+    if marks:
+        out += (tuple(
+            tuple(_add_counts([res[3][i][j] for res in results]) for j in range(len(marks)))
+            for i in range(2)
+        ),)
+    return out
 
 
 def paired_domination(

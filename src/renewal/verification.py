@@ -390,13 +390,21 @@ def _checks_simulation(samples, seed, workers):
     ident = BUILTIN_TRANSFORMS["identity"]
     p_lp = asymptotic_params(lp)
 
+    # one coupled pass at t=20: identity and logproduct paths on shared
+    # uniforms, each transform's first crossings kept as its own record
+    # (an exact sample of its paths), and the draws each path took to pass
+    # t=1 on the way; the six checks below read it
+    viol, id20, lp20, (id1, lp1) = montecarlo._coupled(
+        20.0, samples, seed, workers, bins=50, marks=(1.0,)
+    )
+
     ok = True
     parts = []
-    for spec, exact in (
-        (lp, closed_forms.product_count(1.0)),
-        (ident, closed_forms.uniform_sum_count(1.0)),
+    for spec, (counts,), exact in (
+        (lp, lp1, closed_forms.product_count(1.0)),
+        (ident, id1, closed_forms.uniform_sum_count(1.0)),
     ):
-        est = montecarlo.estimate_n(spec, 1.0, samples, seed, workers)
+        est = montecarlo._count_estimate(spec.label, 1.0, samples, seed, counts)
         dev = abs(est.mean - exact)
         lim = 3.0 * est.std_error
         ok = ok and dev <= lim
@@ -405,12 +413,7 @@ def _checks_simulation(samples, seed, workers):
         parts.append(
             f"{spec.label} t=1: |{est.mean:.6f} - {exact:.6f}| = {dev:.2e} <= {bound}{lim:.2e}"
         )
-    out.append(("sim-vs-exact", ok, "; ".join(parts)))
-
-    # one coupled pass at t=20: identity and logproduct paths on shared
-    # uniforms, each transform's first crossings kept as its own record
-    # (an exact sample of its paths); the five checks below read it
-    viol, id20, lp20 = montecarlo._coupled(20.0, samples, seed, workers, bins=50)
+    out.append(("sim-vs-exact", ok, "; ".join(parts) + " (t=1 counts on the coupled t=20 paths)"))
 
     # stopped sum = mu * expected count, on the logproduct record's paths
     ek, es = lp20.count_estimate(), lp20.stopped_sum_estimate()

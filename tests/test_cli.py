@@ -255,14 +255,14 @@ class TestSimulate:
         assert result.exit_code == 2
 
     def test_work_cap_refuses_at_once(self, runner, monkeypatch):
-        # about 1.7e12 rounds: weeks of work, refused before any block runs
+        # about 1.7e12 rounds: months of work, refused before any block runs
         def no_block(*args):
             raise AssertionError("a block ran before the work cap check")
 
         monkeypatch.setattr(renewal.montecarlo, "_kernel", no_block)
         result = runner.invoke(main, ["simulate", "-t", "1e12", "--samples", "1"])
         assert result.exit_code == 2
-        assert "t=1e+12 with samples=1 would take about 2.58e+07 s" in result.output
+        assert "t=1e+12 with samples=1 would take about 8.6e+06 s" in result.output
         assert "cap of 300 s; decrease t or samples" in result.output
 
     def test_workers_do_not_change_the_output(self, runner):

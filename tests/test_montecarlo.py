@@ -87,7 +87,7 @@ class TestEstimateN:
             mc.simulate(Identity(), 1.0, 1000, bins=True)
 
     def test_work_cap_refuses_before_any_block(self, monkeypatch):
-        # about 2e12 rounds of 15 us each: refused before a block runs
+        # about 2e12 rounds of 5 us each: refused before a block runs
         def no_block(*args):
             raise AssertionError("a block ran before the work cap check")
 
@@ -99,23 +99,28 @@ class TestEstimateN:
 
     def test_work_cap_names_the_costs_it_charged(self, monkeypatch):
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
-        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 25 ns per draw "
-                                              r"and 15 us per block round, over the cap"):
-            mc.estimate_n(_KNOTS_TXT, 20.0, 3 * 10**8)
-        # the coupled pass is charged at identity's cost
-        with pytest.raises(DomainError, match=r"at 15 ns per draw and 15 us per block round"):
+        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 17 ns per draw "
+                                              r"and 5 us per block round, over the cap"):
+            mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
+        # the coupled pass is charged for both sums: identity's 4.2 ns and
+        # logproduct's 5 ns per draw, and 5 us per block round for each
+        with pytest.raises(DomainError, match=r"at 9.2 ns per draw and 10 us per block round"):
             mc.paired_domination(1e12, 1)
 
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
-        assert (_KNOTS_TXT._ns_per_draw, LogProduct()._ns_per_draw) == (25.0, 15.0)
-        samples = 3 * 10**8
+        knot_ns, closed_ns = _KNOTS_TXT._ns_per_draw, LogProduct()._ns_per_draw
+        assert (knot_ns, closed_ns) == (17.0, 5.0)
+        # the sample count whose charge at the geometric mean of the two
+        # costs is the cap: over it at the knot file's, under at logproduct's
         rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
+        samples = int(300.0 / (rounds * math.sqrt(knot_ns * closed_ns) * 1e-9))
         blocks = -(-samples // mc._BLOCK)
-        seconds = rounds * (samples * 25e-9 + blocks * 15e-6)
-        # at a closed form's 15 ns the same pass would be admitted
-        assert rounds * (samples * 15e-9 + blocks * 15e-6) < 300.0 < seconds
+        seconds = rounds * (samples * knot_ns * 1e-9 + blocks * mc._US_PER_ROUND * 1e-6)
+        # at a closed form's cost per draw the same pass would be admitted
+        assert rounds * (samples * closed_ns * 1e-9 + blocks * mc._US_PER_ROUND * 1e-6) < 300.0
+        assert seconds > 300.0
         with pytest.raises(DomainError, match=f"would take about {seconds:.3g} s"):
             mc.estimate_n(_KNOTS_TXT, 20.0, samples)
 
@@ -162,8 +167,7 @@ class TestWorkerInvariance:
         # swapped transforms, so the violation counts are not all zero
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_BLOCK", 4096)
-        monkeypatch.setattr(mc, "_kernel",
-                            lambda specs, t, n, rng, ws: kernel(specs[::-1], t, n, rng, ws))
+        monkeypatch.setattr(mc, "_kernel", lambda specs, *args: kernel(specs[::-1], *args))
         got = [mc.paired_domination(3.0, 20_001, seed=2, workers=w) for w in (1, 2, 3, 7)]
         assert got[0][0] > 0 and got == [got[0]] * 4
 
@@ -464,8 +468,7 @@ class TestGoldenRecords:
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (0, _N_GOLDEN)
         # swapped transforms, so the count is not 0
         kernel = mc._kernel
-        monkeypatch.setattr(mc, "_kernel",
-                            lambda specs, t, n, rng, ws: kernel(specs[::-1], t, n, rng, ws))
+        monkeypatch.setattr(mc, "_kernel", lambda specs, *args: kernel(specs[::-1], *args))
         assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -496,7 +499,7 @@ class TestWorkspace:
         monkeypatch.setattr(mc, "_arrays", recording)
         if paired:
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_thread = len("ddddddd??")
+            per_thread = len("dddddd??")
         else:
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
             per_thread = len("dddd?") + len("dp?")
@@ -730,6 +733,155 @@ def _reference_paired_block(t, n, rng, base, dominating):
             idx, s1, s2, k1, k2 = idx[keep], s1[keep], s2[keep], k1[keep], k2[keep]
             done1, done2 = done1[keep], done2[keep]
     return violations, rounds, *out
+
+
+class _Recording:
+    """A generator wrapper that keeps a copy of every batch of draws it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, n, out):
+        x = self.rng.random(n, out=out)
+        self.draws.append(x.copy())
+        return x
+
+
+class _Slow:
+    """A generator stub: uniforms scaled by 0.05 for the first ``rounds`` rounds."""
+
+    def __init__(self, rng, rounds):
+        self.rng, self.rounds = rng, rounds
+
+    def random(self, n, out):
+        x = self.rng.random(n, out=out)
+        if self.rounds:
+            self.rounds -= 1
+            x *= 0.05
+        return x
+
+
+def _mark_walk(specs, t, n, draws, marks):
+    """Each sum's draw counts at each mark, from a walk of every path over ``draws``.
+
+    ``draws`` are the kernel's batches, one per round, one uniform per
+    surviving path in path order.  Each path keeps its own sums, in
+    ``_plain_form``, and records the draw on which each sum first went
+    above each mark's level; a sum stops at t, and a path leaves once all
+    its sums have.
+    """
+    forms = [_plain_form(spec, t) for spec in specs]
+    levels = [[math.exp(mark) if isinstance(spec, LogProduct) and t <= 700.0 else mark
+               for mark in marks] for spec in specs]
+    sums = [np.full(n, form[0]) for form in forms]
+    first = [[np.zeros(n, dtype=np.int64) for _ in marks] for _ in specs]
+    idx = np.arange(n)
+    for r, u in enumerate(draws, 1):
+        assert u.shape == idx.shape
+        done = np.ones(idx.size, dtype=bool)
+        for (_, step, level, _), s, lv, fs in zip(forms, sums, levels, first):
+            active = s[idx] <= level
+            s[idx[active]] = step(s[idx[active]], u[active])
+            for mark_level, f in zip(lv, fs):
+                f[idx[(f[idx] == 0) & (s[idx] > mark_level)]] = r
+            done &= s[idx] > level
+        idx = idx[~done]
+    assert idx.size == 0
+    return [[np.bincount(f).tolist() for f in fs] for fs in first]
+
+
+_I, _L = Identity(), LogProduct()
+
+
+class TestMarks:
+    # t = 5 with three marks and t = 20 with the verify suite's mark, one
+    # sum and two coupled sums, ordered and swapped (where violators wait);
+    # logproduct at t = 750 runs its sums additively
+    @pytest.mark.parametrize(
+        "specs, t, marks, n",
+        [pytest.param(specs, t, marks, n, id=f"{name}-t{t:g}-{n}")
+         for specs, name in (((_I,), "identity"), ((_L,), "logproduct"),
+                             ((_I, _L), "ordered"), ((_L, _I), "swapped"))
+         for t, marks, ns in ((5.0, (0.5, 1.0, 3.0), (1, 7, 4096)), (20.0, (1.0,), (1, 7, 4096)),
+                              (750.0, (650.0,), (1, 7)))
+         for n in ns if t < 700.0 or _L in specs],
+    )
+    def test_match_a_per_path_walk(self, specs, t, marks, n):
+        rng = _Recording(mc._stream(4, 3))
+        *_, counts = mc._kernel(specs, t, n, rng, marks=marks)
+        got = [[c.tolist() for c in cs] for cs in counts]
+        assert got == _mark_walk(specs, t, n, rng.draws, marks)
+        assert all(c.dtype == np.int64 and c.sum() == n for cs in counts for c in cs)
+
+    @pytest.mark.parametrize("specs", [(_I, _L), (_L, _I)], ids=["ordered", "swapped"])
+    def test_counted_through_rounds_with_nan_sums(self, specs):
+        # draws scaled down for eight rounds keep every sum below the mark
+        # 0.5 past the free rounds, so the counting runs on while crossed
+        # sums wait in the arrays as NaN and paths leave
+        t, marks, n = 3.0, (0.5, 2.5), 64
+        rng = _Recording(_Slow(mc._stream(8, 1), 8))
+        _, (stop1, _), (stop2, _), counts = mc._kernel(specs, t, n, rng, marks=marks)
+        got = [[c.tolist() for c in cs] for cs in counts]
+        assert got == _mark_walk(specs, t, n, rng.draws, marks)
+        assert np.flatnonzero(counts[0][0])[0] > math.floor(t)
+        # some sum crossed t while a base sum was still below the last mark
+        assert min(np.flatnonzero(stop1)[0], np.flatnonzero(stop2)[0]) < counts[0][1].shape[0] - 1
+
+    @pytest.mark.parametrize("specs", [(_I,), (_L,), (_I, _L), (_L, _I)],
+                             ids=["identity", "logproduct", "ordered", "swapped"])
+    @pytest.mark.parametrize("t, n", [(5.0, 7), (20.0, 4096), (750.0, 7)])
+    def test_change_nothing_else(self, specs, t, n):
+        marks = (0.5, 1.0, 3.0) if t < 700.0 else (650.0,)
+        rng, ref = mc._stream(2, 5), mc._stream(2, 5)
+        *got, _ = mc._kernel(specs, t, n, rng, marks=marks)
+        want = mc._kernel(specs, t, n, ref)
+        assert got[0] == want[0]
+        for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
+            assert k.tolist() == k_want.tolist()
+            assert [x.hex() for x in over.tolist()] == [x.hex() for x in over_want.tolist()]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_coupled_records_unchanged(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        *got, counts = mc._coupled(20.0, 20_001, 3, 2, bins=20, marks=(1.0, 20.0))
+        want = mc._coupled(20.0, 20_001, 3, 2, bins=20)
+        assert got[0] == want[0]
+        for rec, rec_want in zip(got[1:], want[1:]):
+            assert _record_fields(rec) == _record_fields(rec_want)
+            assert (rec.overshoot_sum.hex(), rec.overshoot_sumsq.hex()) == (
+                rec_want.overshoot_sum.hex(), rec_want.overshoot_sumsq.hex())
+        # a mark at t counts each record's own draws
+        for (_, at_t), rec in zip(counts, got[1:]):
+            assert at_t.tolist() == rec.k_counts.tolist()
+
+    def test_worker_invariant(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 4096)
+        got = [mc._coupled(5.0, 20_001, 9, w, marks=(0.5, 1.0, 3.0))[3] for w in (1, 2, 3, 7)]
+        lists = [[[c.tolist() for c in cs] for cs in g] for g in got]
+        assert lists == [lists[0]] * 4
+        assert all(sum(c) == 20_001 for cs in lists[0] for c in cs)
+
+    def test_estimate_matches_simulate_at_the_mark(self):
+        # with one path per block, every path walks its block's stream from
+        # its first draw, so its draws to pass t = 1 are simulate's at t = 1
+        counts = [mc._kernel((_I, _L), 3.0, 1, mc._stream(7, b), marks=(1.0,))[3]
+                  for b in range(50)]
+        for i, spec in enumerate((_I, _L)):
+            want = [mc._run_block(spec, 1.0, 1, mc._stream(7, b))[0].tolist() for b in range(50)]
+            assert [c[i][0].tolist() for c in counts] == want
+            merged = mc._add_counts([c[i][0] for c in counts])
+            est = mc._count_estimate(spec.label, 1.0, 50, 7, merged)
+            rec = mc.SimRecord(spec.label, 1.0, 50, 7, merged, 0.0, 0.0, None)
+            assert est == rec.count_estimate()
+
+    def test_marks_validated(self):
+        for marks in ((-0.5,), (20.5,), (math.nan,), (True,)):
+            with pytest.raises(DomainError, match="mark"):
+                mc._coupled(20.0, 10, 1, 1, marks=marks)
+
+    def test_identity_draw_is_the_draws(self):
+        x, buf = np.random.default_rng(1).random(8), np.zeros(8)
+        assert Identity()._draw(x, out=buf) is x and not buf.any()
 
 
 class TestChernoffBound:
