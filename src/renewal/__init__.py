@@ -9,60 +9,50 @@ any admissible transform, and Monte Carlo simulation.  ``verification``
 cross-checks the routes against each other.
 
 The names below are the ones users call; the modules hold the rest (the
-checks behind ``verification`` among them).
+checks behind ``verification`` among them).  Names and submodules load on
+first use (PEP 562), so ``import renewal`` imports none of the modules and a
+command that runs one layer compiles only that layer and ``bijections``;
+``renewal.solve``, ``from renewal import *`` and ``renewal.montecarlo`` work
+as if everything were imported up front.
 """
 
-from .bijections import (
-    AsymptoticParams,
-    BijectionSpec,
-    ConvergenceError,
-    DomainError,
-    Identity,
-    LogProduct,
-    PiecewiseLinear,
-    Power,
-    asymptotic_params,
-    from_knot_file,
-    parse_transform,
-)
-from .closed_forms import exp_tail_weight, product_count, uniform_sum_count
-from .montecarlo import (
-    OvershootHistogram,
-    SimEstimate,
-    estimate_n,
-    overshoot_histogram,
-    paired_domination,
-    simulate,
-)
-from .solver import RenewalCurve, asymptote_gap, eval_curve, marching_tolerance, solve
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticParams",
-    "BijectionSpec",
-    "ConvergenceError",
-    "DomainError",
-    "Identity",
-    "LogProduct",
-    "OvershootHistogram",
-    "PiecewiseLinear",
-    "Power",
-    "RenewalCurve",
-    "SimEstimate",
-    "asymptote_gap",
-    "asymptotic_params",
-    "estimate_n",
-    "eval_curve",
-    "exp_tail_weight",
-    "from_knot_file",
-    "marching_tolerance",
-    "overshoot_histogram",
-    "paired_domination",
-    "parse_transform",
-    "product_count",
-    "simulate",
-    "solve",
-    "uniform_sum_count",
-    "__version__",
-]
+# the check suites of ``verification``, in run order (``verification.SUITES``);
+# here so that the CLI's ``verify --suite`` choices need no layer imported
+_SUITES = ("closed-forms", "bijections", "solver", "simulation")
+
+# each public name, by the module that defines it
+_EXPORTS = {
+    "bijections": (
+        "AsymptoticParams", "BijectionSpec", "ConvergenceError", "DomainError",
+        "Identity", "LogProduct", "PiecewiseLinear", "Power",
+        "asymptotic_params", "from_knot_file", "parse_transform",
+    ),
+    "closed_forms": ("exp_tail_weight", "product_count", "uniform_sum_count"),
+    "montecarlo": (
+        "OvershootHistogram", "SimEstimate", "estimate_n", "overshoot_histogram",
+        "paired_domination", "simulate",
+    ),
+    "solver": ("RenewalCurve", "asymptote_gap", "eval_curve", "marching_tolerance", "solve"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "verification")
+
+__all__ = [*sorted(_OWNER), "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # binds the package attribute
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

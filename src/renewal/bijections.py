@@ -498,14 +498,6 @@ def parse_transform(text: str) -> BijectionSpec:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_lobatto(n: int):
-    """n-point Gauss-Lobatto nodes and weights on [-1, 1], ends included."""
-    p = np.polynomial.legendre.Legendre.basis(n - 1)
-    x = np.concatenate(([-1.0], p.deriv().roots(), [1.0]))
-    x = 0.5 * (x - x[::-1])
-    return x, 2.0 / (n * (n - 1) * p(x) ** 2)
-
-
 # fixed rules of a panel, all exact to degree 19.  The 21-point Gauss value is
 # kept; its error is estimated twice and the larger estimate counts:
 # - against the 11-point Gauss-Lobatto rule, the only one whose nodes include
@@ -519,14 +511,52 @@ def _gauss_lobatto(n: int):
 #   positions.  The pair does not: over 2e6 positions of one kink in a panel
 #   the larger estimate was never below 1/17 of the true error.  Null rules:
 #   Berntsen & Espelid, ACM Trans. Math. Softw. 17 (1991).
-_GL_COARSE = _gauss_lobatto(11)
-_GL_FINE = np.polynomial.legendre.leggauss(21)
-_P20 = np.polynomial.legendre.Legendre.basis(20)
-# the Gauss rule gives int P_20**2 = 2/41 exactly, so this reads on P_20 what
-# the Lobatto rule reads there
-_GL_NULL = _GL_FINE[1] * _P20(_GL_FINE[0]) * (
-    np.dot(_GL_COARSE[1], _P20(_GL_COARSE[0])) / (2.0 / 41.0)
+# The tables are numpy.polynomial's values written out (numpy 2.4.6), so that
+# importing the package does not import numpy.polynomial; tests/test_bijections.py
+# rebuilds them from it and compares.  Lobatto: the interior nodes are the
+# roots of P_10', symmetrized, and the weights 2 / (110 P_10(x)**2).
+_GL_COARSE = (
+    np.array([
+        -1.0, -0.9340014304080597, -0.7844834736631439, -0.5652353269962052,
+        -0.29575813558693953, 0.0, 0.29575813558693953, 0.5652353269962052,
+        0.7844834736631439, 0.9340014304080597, 1.0,
+    ]),
+    np.array([
+        0.01818181818181815, 0.10961227326699481, 0.1871698817803053, 0.2480481042640283,
+        0.2868791247790081, 0.3002175954556907, 0.2868791247790081, 0.2480481042640283,
+        0.1871698817803053, 0.10961227326699481, 0.01818181818181815,
+    ]),
 )
+# numpy.polynomial.legendre.leggauss(21)
+_GL_FINE = (
+    np.array([
+        -0.9937521706203895, -0.9672268385663063, -0.9200993341504008, -0.8533633645833173,
+        -0.7684399634756779, -0.6671388041974123, -0.5516188358872198, -0.4243421202074388,
+        -0.2880213168024011, -0.1455618541608951, 0.0, 0.1455618541608951,
+        0.2880213168024011, 0.4243421202074388, 0.5516188358872198, 0.6671388041974123,
+        0.7684399634756779, 0.8533633645833173, 0.9200993341504008, 0.9672268385663063,
+        0.9937521706203895,
+    ]),
+    np.array([
+        0.01601722825777436, 0.03695378977085188, 0.05713442542685717, 0.07610011362837911,
+        0.09344442345603395, 0.1087972991671484, 0.12183141605372864, 0.13226893863333763,
+        0.1398873947910734, 0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+        0.1398873947910734, 0.13226893863333763, 0.12183141605372864, 0.1087972991671484,
+        0.09344442345603395, 0.07610011362837911, 0.05713442542685717, 0.03695378977085188,
+        0.01601722825777436,
+    ]),
+)
+# w * P_20(x) on the Gauss nodes, times (Lobatto rule on P_20) / (2/41): the
+# Gauss rule gives int P_20**2 = 2/41 exactly, so this reads on P_20 what the
+# Lobatto rule reads there
+_GL_NULL = np.array([
+    0.008249840114741072, -0.028508053378358267, 0.05468115285002883, -0.0839935361643995,
+    0.11424977193290238, -0.1435086913755904, 0.17003860371214982, -0.19234017297103037,
+    0.20918762743401306, -0.21967056256358478, 0.2232280408182556, -0.21967056256358478,
+    0.20918762743401306, -0.19234017297103037, 0.17003860371214982, -0.1435086913755904,
+    0.11424977193290238, -0.0839935361643995, 0.05468115285002883, -0.028508053378358267,
+    0.008249840114741072,
+])
 # both rules' nodes, so that one operation maps them onto a panel
 _NODES = np.concatenate((_GL_COARSE[0], _GL_FINE[0]))
 _N_COARSE = _GL_COARSE[0].size

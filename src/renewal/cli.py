@@ -4,7 +4,9 @@ Commands map onto the library layers: ``exact`` prints closed-form counts,
 ``solve`` marches the renewal equation and emits the curve as CSV or JSON,
 ``asympt`` prints the asymptotic line parameters of a transform,
 ``simulate`` and ``overshoot`` run Monte Carlo, ``verify`` runs the
-cross-route check suites.
+cross-route check suites.  Each command imports the layer it runs when it
+runs, so start-up (and ``--help``) loads only click, numpy and
+``bijections``.
 
 Exit codes: 0 success; 1 verification failure; 2 bad arguments or domain
 errors; 3 a computation that could not converge.  All output for a given
@@ -21,7 +23,7 @@ import sys
 
 import click
 
-from . import __version__, closed_forms, montecarlo, solver, verification
+from . import _SUITES, __version__
 from .bijections import (
     ConvergenceError,
     DomainError,
@@ -75,6 +77,8 @@ def main():
 @_map_errors
 def exact(target, threshold):
     """Print a closed-form expected count and its asymptote."""
+    from . import closed_forms
+
     if target == "product":
         if not 0.0 <= threshold <= 2.0:
             raise click.UsageError(
@@ -104,6 +108,8 @@ def exact(target, threshold):
 @_map_errors
 def solve(spec, t_max, step, fmt, output):
     """Solve the renewal equation and emit the whole curve."""
+    from . import solver
+
     transform = parse_transform(spec)
     curve = solver.solve(transform, t_max, step)
     gap = solver.asymptote_gap(curve, asymptotic_params(transform), t_max)
@@ -156,6 +162,8 @@ def asympt(spec, threshold):
 @_map_errors
 def simulate(spec, threshold, samples, seed, workers):
     """Estimate the expected draw count by simulation; JSON on stdout."""
+    from . import montecarlo
+
     transform = parse_transform(spec)
     est = montecarlo.estimate_n(transform, threshold, samples, seed, workers)
     click.echo(json.dumps(montecarlo.estimate_payload(est), indent=2))
@@ -173,6 +181,8 @@ def simulate(spec, threshold, samples, seed, workers):
 @_map_errors
 def overshoot(spec, threshold, samples, bins, seed, workers):
     """Simulate the overshoot past the threshold; histogram JSON on stdout."""
+    from . import montecarlo
+
     transform = parse_transform(spec)
     hist = montecarlo.overshoot_histogram(transform, threshold, samples, bins, seed, workers)
     click.echo(json.dumps(montecarlo.histogram_payload(hist), indent=2))
@@ -180,7 +190,7 @@ def overshoot(spec, threshold, samples, bins, seed, workers):
 
 @main.command()
 @click.option("--suite", "suites", multiple=True,
-              type=click.Choice(list(verification.SUITES)),
+              type=click.Choice(_SUITES),
               help="Suites to run (repeatable); all when omitted.")
 @click.option("--step", type=float, default=1e-3, show_default=True,
               help="Solver step; values up to 0.1 are allowed so accuracy "
@@ -194,6 +204,8 @@ def overshoot(spec, threshold, samples, bins, seed, workers):
 @_map_errors
 def verify(suites, step, t_max, samples, seed, workers):
     """Run cross-route verification; one PASS/FAIL line per check."""
+    from . import verification
+
     results = verification.run_checks(
         suites or None,
         step=step,

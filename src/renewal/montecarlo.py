@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +369,10 @@ def _fan_out(block, samples, seed, workers):
     draws from ``_stream(seed, b)``, so its result depends neither on the
     worker count nor on which thread runs it.  ``ws`` is the pass
     workspace, one ``threading.local`` shared by the blocks and dropped
-    with the threads when the pass returns.
+    with the threads when the pass returns.  One worker runs the blocks on
+    the calling thread; a thread pool, and the import of
+    ``concurrent.futures`` (which loads ``logging``), exist only for
+    ``workers > 1``.
     """
     ws = threading.local()
 
@@ -380,6 +382,8 @@ def _fan_out(block, samples, seed, workers):
     blocks = range(-(-samples // _BLOCK))
     if workers == 1:
         return [run(b) for b in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, blocks))
 

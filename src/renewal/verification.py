@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_forms, montecarlo, solver
+from . import _SUITES, closed_forms, montecarlo, solver
 from .bijections import (
     BUILTIN_TRANSFORMS,
     DomainError,
@@ -37,7 +37,7 @@ from .bijections import (
 
 __all__ = ["CheckResult", "run_checks", "SUITES"]
 
-SUITES = ("closed-forms", "bijections", "solver", "simulation")
+SUITES = _SUITES
 
 _E = math.e
 _EM1 = math.e - 1.0

@@ -353,6 +353,30 @@ class TestQuadCore:
         assert got[0, 0] == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-16)
 
 
+def _gauss_lobatto(n):
+    """n-point Gauss-Lobatto nodes and weights on [-1, 1], as the tables were built."""
+    p = np.polynomial.legendre.Legendre.basis(n - 1)
+    x = np.concatenate(([-1.0], p.deriv().roots(), [1.0]))
+    x = 0.5 * (x - x[::-1])
+    return x, 2.0 / (n * (n - 1) * p(x) ** 2)
+
+
+def test_rule_tables_are_numpy_polynomials():
+    # The literals are numpy 2.4.6's values (x86-64 Linux, its bundled
+    # OpenBLAS), where this rebuild matches them bit for bit.  The nodes come
+    # from LAPACK eigen-solves, which other numpy or LAPACK builds may round
+    # differently in the last bits: the Lobatto roots from the unflipped
+    # companion matrix already differ by 14 ulp.  So allow 16 ulp.
+    coarse = _gauss_lobatto(11)
+    fine = np.polynomial.legendre.leggauss(21)
+    p20 = np.polynomial.legendre.Legendre.basis(20)
+    null = fine[1] * p20(fine[0]) * (np.dot(coarse[1], p20(coarse[0])) / (2.0 / 41.0))
+    got = (*bij._GL_COARSE, *bij._GL_FINE, bij._GL_NULL)
+    for have, want in zip(got, (*coarse, *fine, null)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        np.testing.assert_array_max_ulp(have, want, maxulp=16)
+
+
 class TestAsymptoticParams:
     def test_identity_constants(self):
         p = asymptotic_params(Identity())

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +330,42 @@ def test_version(runner):
     assert result.exit_code == 0
     assert "renewal" in result.output
     assert renewal.__version__ in result.output
+
+
+class TestFreshInterpreter:
+    """The CLI in a new Python process, where no test has imported a layer yet.
+
+    In-process, the test session has imported every module, so a command
+    that forgot to import the layer it runs would still pass there.
+    """
+
+    _SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _python(self, *args):
+        env = {**os.environ, "PYTHONPATH": self._SRC, "OPENBLAS_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_import_loads_no_layer_a_command_imports_itself(self):
+        done = self._python("-c", "import sys, renewal.cli; print(' '.join(sys.modules))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "renewal.bijections" in loaded
+        deferred = {"renewal.montecarlo", "renewal.solver", "renewal.verification",
+                    "renewal.closed_forms", "concurrent.futures", "numpy.polynomial"}
+        assert not deferred & loaded
+
+    @pytest.mark.parametrize("args, code", [
+        (["exact", "--target", "product", "-t", "1"], 0),
+        (["asympt", "--spec", "logproduct", "-t", "5"], 0),
+        (["solve", "--spec", "identity", "--t-max", "1", "--step", "0.01"], 0),
+        (["simulate", "-t", "1", "--samples", "1000"], 0),
+        (["overshoot", "-t", "1", "--samples", "1000", "--workers", "2"], 0),
+        (["verify", "--suite", "bijections"], 0),
+        (["simulate", "-t", "nan"], 2),
+        (["solve", "--spec", "power:0.1", "--t-max", "1", "--step", "0.01"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_command_exits_with_its_code(self, args, code):
+        done = self._python("-m", "renewal.cli", *args)
+        assert done.returncode == code, done.stderr
+        assert done.stdout if code == 0 else done.stderr
