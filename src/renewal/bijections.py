@@ -160,11 +160,6 @@ class BijectionSpec(abc.ABC):
     # points of (0, 1) where f has a derivative jump; quadrature over x
     # splits there first
     _kinks: ClassVar[tuple] = ()
-    # the Monte Carlo kernel's cost per draw on one thread, as its work cap
-    # charges it: a pass of 1e6 paths on 2 vCPUs, over the cap's 1 + t/mu
-    # rounds per path, measured 3.7 ns at t = 1 and 2.5 ns at t = 20 for
-    # identity, and each transform's charge lies within 1-2 times both
-    _ns_per_draw: ClassVar[float] = 4.2
 
     @abc.abstractmethod
     def _f(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -259,9 +254,6 @@ class LogProduct(BijectionSpec):
     """
 
     label: ClassVar[str] = "logproduct"
-    # the products measured 4.6 and 2.8 ns (see BijectionSpec), the sums
-    # past t = 700 3.2 ns
-    _ns_per_draw: ClassVar[float] = 5.0
 
     def _f(self, x, out=None):
         # the pin's mask is taken before out (which may alias x) is written,
@@ -324,15 +316,6 @@ class Power(BijectionSpec):
     def label(self) -> str:  # type: ignore[override]
         return f"power:{self.p:g}"
 
-    @property
-    def _ns_per_draw(self) -> float:  # type: ignore[override]
-        # np.power copies (p = 1) and squares (p = 2) on fast paths, measured
-        # 3.9-4.4 ns at t = 1 and 2.8-3.0 at t = 20; other exponents call pow:
-        # 5.0-5.6 and 3.9-4.5 ns below p = 1, 5.6-7.5 and 4.5-4.8 above
-        if self.p in (1.0, 2.0):
-            return 5.0
-        return 6.5 if self.p < 1.0 else 8.2
-
     def _f(self, x, out=None):
         return np.power(x, self.p, out=out)
 
@@ -393,13 +376,6 @@ class PiecewiseLinear(BijectionSpec):
     @property
     def _kinks(self) -> tuple:  # type: ignore[override]
         return tuple(x for x, _ in self.knots[1:-1])
-
-    @property
-    def _ns_per_draw(self) -> float:  # type: ignore[override]
-        # np.interp allocates its output and binary-searches the knots for
-        # every draw: measured 6-7.6 ns per halving of 2 to 200 knots at t = 1
-        # and 20 (7.6 and 5.8 ns for 2 knots, 70 and 61 ns for 1000)
-        return 2.0 + 7.5 * math.log2(len(self.knots))
 
     @cached_property
     def _xy(self):

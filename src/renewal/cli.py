@@ -195,21 +195,18 @@ def overshoot(spec, threshold, samples, bins, seed, workers):
 @click.option("--step", type=float, default=1e-3, show_default=True,
               help="Solver step; values up to 0.1 are allowed so accuracy "
                    "degradation can be demonstrated (expect failures).")
-@click.option("--t-max", type=float, default=10.0, show_default=True,
-              help="Solver march horizon for the solver suite.")
 @click.option("--samples", type=click.IntRange(1000, 10**8), default=1_000_000,
               show_default=True, help="Simulation suite sample count.")
 @_SEED
 @_WORKERS
 @_map_errors
-def verify(suites, step, t_max, samples, seed, workers):
+def verify(suites, step, samples, seed, workers):
     """Run cross-route verification; one PASS/FAIL line per check."""
     from . import verification
 
     results = verification.run_checks(
         suites or None,
         step=step,
-        t_max=t_max,
         samples=samples,
         seed=seed,
         workers=workers,

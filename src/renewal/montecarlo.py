@@ -37,6 +37,9 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     BUILTIN_TRANSFORMS,
+    LogProduct,
+    PiecewiseLinear,
+    Power,
     _as_int,
     _as_real,
     _as_reals,
@@ -64,10 +67,29 @@ __all__ = [
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
 # one-thread kernel cost of a round of one sum, charged per sum: measured
-# on 2 vCPUs at 2.7-3.9 us for one-path blocks (5.2 for two coupled sums);
-# the cost per draw is each transform's (``BijectionSpec._ns_per_draw``)
+# on 2 vCPUs at 2.7-3.9 us for one-path blocks (5.2 for two coupled sums)
 _US_PER_ROUND = 5.0
 _MAX_SIM_SECONDS = 300.0
+
+
+def _ns_per_draw(spec: BijectionSpec) -> float:
+    """The kernel's cost per draw of ``spec`` on one thread, as the work cap charges it.
+
+    Measured in passes of 1e6 paths on 2 vCPUs, over the cap's 1 + t/mu
+    rounds per path, at t = 1 and 20; each charge lies within 1-2 times both.
+    Identity 3.7 and 2.5 ns; logproduct's products 4.6 and 2.8 ns (its sums
+    past t = 700 3.2).  np.power copies (p = 1) and squares (p = 2) on fast
+    paths, 3.9-4.4 and 2.8-3.0 ns, and calls pow for other exponents: 5.0-5.6
+    and 3.9-4.5 ns below p = 1, 5.6-7.5 and 4.5-4.8 above.  np.interp
+    allocates its output and binary-searches the knots for every draw:
+    6-7.6 ns per halving of 2 to 200 knots (7.6 and 5.8 ns for 2 knots, 70
+    and 61 for 1000).  A subclass is charged its base's price.
+    """
+    if isinstance(spec, PiecewiseLinear):
+        return 2.0 + 7.5 * math.log2(len(spec.knots))
+    if isinstance(spec, Power):
+        return 5.0 if spec.p in (1.0, 2.0) else 6.5 if spec.p < 1.0 else 8.2
+    return 5.0 if isinstance(spec, LogProduct) else 4.2
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -92,7 +114,7 @@ def _check_common(specs, t, samples, seed, workers):
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
     rounds = 1.0 + t / min(asymptotic_params(spec).mu for spec in specs)
     blocks = -(-samples // _BLOCK)
-    ns, us = sum(spec._ns_per_draw for spec in specs), len(specs) * _US_PER_ROUND
+    ns, us = sum(map(_ns_per_draw, specs)), len(specs) * _US_PER_ROUND
     seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6)
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(

@@ -280,11 +280,11 @@ def _checks_bijections():
 # ---------------------------------------------------------------------- solver
 
 
-def _checks_solver(step, t_max, step_limit):
+def _checks_solver(step):
     out = []
-    hi = min(t_max, 10.0)
+    hi = 10.0
     curves = [
-        solver.solve(s, hi, step, step_limit=step_limit)
+        solver.solve(s, hi, step, step_limit=step)
         for s in (Identity(), LogProduct(), Power(2.0), Power(0.5))
     ]
     c_id, c_lp = curves[:2]
@@ -496,7 +496,6 @@ def run_checks(
     suites=None,
     *,
     step: float = 1e-3,
-    t_max: float = 10.0,
     samples: int = 10**6,
     seed: int = 42,
     workers: int = 1,
@@ -504,7 +503,7 @@ def run_checks(
     """Run the requested verification suites and return their CheckResults.
 
     ``suites`` is an iterable drawn from ``SUITES`` (None means all).  The
-    solver suite honors ``step`` in (0, 0.1] and ``t_max`` in [3, 100]; the
+    solver suite honors ``step`` in (0, 0.1] and marches to t = 10; the
     simulation suite honors ``samples``, ``seed``, ``workers``.  Steps above
     the solver's normal limit of 0.01 are accepted here so accuracy
     degradation can be demonstrated; expect solver-suite failures when you
@@ -518,14 +517,13 @@ def run_checks(
             if s not in SUITES:
                 raise DomainError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
     step = _as_real("step", step, 0.0, 0.1, open_lo=True)
-    t_max = _as_real("t_max", t_max, 3.0, 100.0)
     samples = _as_int("samples", samples, 1000)
 
     # built per call, so the ``_checks_<suite>`` functions are looked up when run
     runs = {
         "closed-forms": (_checks_closed_forms, ()),
         "bijections": (_checks_bijections, ()),
-        "solver": (_checks_solver, (step, t_max, max(step, 0.01))),
+        "solver": (_checks_solver, (step,)),
         "simulation": (_checks_simulation, (samples, seed, workers)),
     }
     results = []

@@ -147,9 +147,7 @@ _CONTRACT = [
     ("OvershootHistogram-t", "t",
      lambda v: montecarlo.OvershootHistogram([0.0, 1.0], [1.0], 10, v), 2),
     ("run_checks-step", "step",
-     lambda v: verification.run_checks(["solver"], step=v, t_max=3.0), 0.0625),
-    ("run_checks-t_max", "t_max",
-     lambda v: verification.run_checks(["solver"], step=0.0625, t_max=v), 3),
+     lambda v: verification.run_checks(["solver"], step=v), 0.0625),
 ]
 
 

@@ -310,7 +310,7 @@ class TestVerify:
 
     def test_coarse_step_degradation_demo_fails(self, runner):
         result = runner.invoke(
-            main, ["verify", "--suite", "solver", "--step", "0.05", "--t-max", "5"]
+            main, ["verify", "--suite", "solver", "--step", "0.05"]
         )
         assert result.exit_code == 1
         assert "FAIL" in result.output

@@ -110,7 +110,7 @@ class TestEstimateN:
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
-        knot_ns, closed_ns = _KNOTS_TXT._ns_per_draw, LogProduct()._ns_per_draw
+        knot_ns, closed_ns = mc._ns_per_draw(_KNOTS_TXT), mc._ns_per_draw(LogProduct())
         assert (knot_ns, closed_ns) == (17.0, 5.0)
         # the sample count whose charge at the geometric mean of the two
         # costs is the cap: over it at the knot file's, under at logproduct's
@@ -123,6 +123,16 @@ class TestEstimateN:
         assert seconds > 300.0
         with pytest.raises(DomainError, match=f"would take about {seconds:.3g} s"):
             mc.estimate_n(_KNOTS_TXT, 20.0, samples)
+
+    def test_work_cap_prices_per_draw(self):
+        # the prices sit beside the cap, not on the transforms; a subclass
+        # (here of LogProduct) is charged its base's price
+        assert not any(hasattr(cls, "_ns_per_draw")
+                       for cls in (BijectionSpec, Identity, LogProduct, Power, PiecewiseLinear))
+        specs = (Identity(), LogProduct(), Power(1.0), Power(2.0), Power(0.1), Power(0.5),
+                 Power(1.5), Power(10.0), _KNOTS_TXT, _AdditiveLogProduct())
+        assert [mc._ns_per_draw(s) for s in specs] == [
+            4.2, 5.0, 5.0, 5.0, 6.5, 6.5, 8.2, 8.2, 17.0, 5.0]
 
 
 class TestReproducibility:

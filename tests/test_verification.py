@@ -21,7 +21,7 @@ def test_suite_green(suite):
 def test_check_names_pinned():
     # names and order are part of the output contract; a coarse solver step
     # and the smallest sample count keep this fast (pass/fail is not asserted)
-    results = run_checks(step=0.01, t_max=3.0, samples=1000)
+    results = run_checks(step=0.01, samples=1000)
     names = {}
     for r in results:
         names.setdefault(r.suite, []).append(r.name)
@@ -63,7 +63,7 @@ def test_suite_functions_looked_up_per_call(monkeypatch):
 
 
 def test_solver_suite_red_at_coarse_step():
-    results = run_checks(["solver"], step=5e-2, t_max=5.0)
+    results = run_checks(["solver"], step=5e-2)
     names_failed = {r.name for r in results if not r.passed}
     assert "solver-vs-product-form" in names_failed
     assert "solver-vs-sum-count" in names_failed
@@ -80,8 +80,6 @@ def test_validation():
         run_checks(["bogus"])
     with pytest.raises(DomainError):
         run_checks(["solver"], step=0.2)
-    with pytest.raises(DomainError):
-        run_checks(["solver"], t_max=1.0)
     with pytest.raises(DomainError):
         run_checks(["simulation"], samples=10)
     with pytest.raises(DomainError, match="samples"):
