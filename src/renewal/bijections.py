@@ -124,6 +124,13 @@ def _as_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return n
 
 
+def _as_spec(name: str, value) -> None:
+    """Refuse a ``value`` that is not a ``BijectionSpec``, a transform's name included."""
+    if not isinstance(value, BijectionSpec):
+        raise DomainError(f"{name} must be a BijectionSpec (parse_transform builds one "
+                          f"from a name such as 'logproduct'), got {value!r}")
+
+
 class _SumForm(NamedTuple):
     """How the Monte Carlo kernel runs one transform's sums against a threshold t.
 
@@ -762,6 +769,7 @@ def asymptotic_params(spec: BijectionSpec) -> AsymptoticParams:
     E[f^2] come from one quadrature call, split first at the kinks of f, so
     a piecewise-linear f integrates exactly with no bisection.
     """
+    _as_spec("spec", spec)
 
     def moments(x, _):
         f = spec._f(x)

@@ -43,6 +43,7 @@ from .bijections import (
     _as_int,
     _as_real,
     _as_reals,
+    _as_spec,
     _quad,
     asymptotic_params,
     integrate,  # noqa: F401  (perfbench/tracing.py patches it here by name)
@@ -108,6 +109,8 @@ def _check_common(specs, t, samples, seed, workers):
     Each draw and each block round is charged for every sum, for as many
     rounds as the sum of smallest mean increment takes.
     """
+    for spec in specs:
+        _as_spec("transform", spec)
     t = _as_real("t", t, 0.0)
     samples = _as_int("samples", samples, 1)
     seed, workers = _as_int("seed", seed, 0), _as_int("workers", workers, 1, 256)
@@ -681,6 +684,7 @@ def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np
     ``edges`` must be a 1-D nondecreasing array of at least 2 entries in
     [0, 1], where the density is defined.
     """
+    _as_spec("transform", transform)
     edges = _as_reals("edges", edges)
     if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) < 0.0):
         raise DomainError("edges must be a 1-D nondecreasing array of at least 2 entries")

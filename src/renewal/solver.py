@@ -72,6 +72,7 @@ from .bijections import (
     LogProduct,
     _as_real,
     _as_reals,
+    _as_spec,
     _quad,
     integrate,  # noqa: F401  (perfbench/tracing.py patches it here by name)
 )
@@ -97,14 +98,22 @@ _RATE = math.e / (math.e - 1.0)
 # (ceil(1/step) of them) plus a fixed ~45 us, the price of 600 panels, its
 # share of its stretch's window slopes included; a blocked node, its final
 # slopes included, 0.11-0.2 us (the most at step 1e-5), taken as 0.225 us.
-# The cap, about 300 s, holds the blocks alone to about 1.3e9 nodes, so the
-# 1 GB memory cap trips first.  At its peak the march holds about 64 bytes
-# per node.
+# Each history panel costs its weights and recurrence spectra: 1.66-1.80 us
+# per panel at steps 1e-5 and 1e-6, taken as 1.8 us.  The cap, about 300 s,
+# holds the blocks alone to about 1.3e9 nodes, so the 1 GB memory cap trips
+# first.  The memory peak falls in one of two phases (traced at steps 1e-5
+# to 1e-6 and t_max 1e-3 to 20): the finished curve holds about 58 bytes
+# per node (charged 64); before it, the panel weights and spectra hold
+# 189-239 bytes per panel (peak RSS 238-250 at step 1e-6; charged 256)
+# beside the march's buffers, 21-28 bytes per node (charged 32).
 _WORK_UNIT_S = 75e-9
 _STEP_OVERHEAD = 600
 _NODE_WORK = 3
+_PANEL_WORK = 24
 _MAX_MARCH_WORK = 4e9
 _NODE_BYTES = 64
+_PANEL_BYTES = 256
+_BUFFER_BYTES = 32
 _MAX_MARCH_BYTES = 1e9
 # lines of CSV formatted per numpy pass (``_csv_lines``), and numbers per
 # chunk of JSON.  A pass holds about 0.75 kB per line at its peak;
@@ -221,6 +230,7 @@ class RenewalCurve:
     _slopes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        _as_spec("transform", self.transform)
         object.__setattr__(self, "step", _as_real("step", self.step, 0.0, open_lo=True))
         object.__setattr__(self, "t_max", _as_real("t_max", self.t_max, 0.0, open_lo=True))
         vals = np.asarray(self.values, dtype=float)
@@ -297,20 +307,21 @@ def _panel_weights(spec: BijectionSpec, step: float):
 
 
 def _check_cost(n: int, looped: int, n_pan: int) -> None:
-    """Refuse a march of n steps, ``looped`` of them looped, that costs too much."""
-    work = looped * (n_pan + _STEP_OVERHEAD) + n * _NODE_WORK
-    size = (n + 1) * _NODE_BYTES
+    """Refuse a march that costs too much: n steps, ``looped`` of them looped, n_pan panels."""
+    work = looped * (n_pan + _STEP_OVERHEAD) + n * _NODE_WORK + n_pan * _PANEL_WORK
+    size = max((n + 1) * _NODE_BYTES, n_pan * _PANEL_BYTES + (n + 1) * _BUFFER_BYTES)
     causes = []
     if work > _MAX_MARCH_WORK:
         causes.append(
             f"march work {work:.3g} ({looped} looped steps * ({n_pan} panels + "
-            f"{_STEP_OVERHEAD}) + {n} blocked nodes * {_NODE_WORK}, about "
-            f"{work * _WORK_UNIT_S:.3g} s) exceeds the cap of {_MAX_MARCH_WORK:.0e}"
+            f"{_STEP_OVERHEAD}) + {n} blocked nodes * {_NODE_WORK} + {n_pan} panels * "
+            f"{_PANEL_WORK}, about {work * _WORK_UNIT_S:.3g} s) exceeds the cap of "
+            f"{_MAX_MARCH_WORK:.0e}"
         )
     if size > _MAX_MARCH_BYTES:
         causes.append(
-            f"the march's {n + 1:.3g} nodes take about {size / 1e9:.3g} GB, over the "
-            f"cap of {_MAX_MARCH_BYTES / 1e9:g} GB"
+            f"the march's {n + 1:.3g} nodes and {n_pan:.3g} panels take about "
+            f"{size / 1e9:.3g} GB, over the cap of {_MAX_MARCH_BYTES / 1e9:g} GB"
         )
     if causes:
         raise DomainError("; ".join(causes) + "; increase step or decrease t_max")
@@ -542,6 +553,7 @@ def solve(
     at 1e-3, and p >= 0.2 solves at both; see ``Power``); a fall means the
     grid cannot resolve f, as for a density of f(X) too steep for the step.
     """
+    _as_spec("spec", spec)
     t_max = _as_real("t_max", t_max, 0.0, open_lo=True)
     h = _as_real("step", step, 0.0, _as_real("step_limit", step_limit), open_lo=True)
 

@@ -162,6 +162,22 @@ _INT_CONTRACT = [
 ]
 
 
+# the transform arguments: a transform's name, or anything else that is not
+# a BijectionSpec, is refused naming the argument (id, name, call with the
+# transform set to v)
+_SPEC_CONTRACT = [
+    ("solve", "spec", lambda v: solver.solve(v, 1.0, 1e-2)),
+    ("RenewalCurve", "transform", lambda v: solver.RenewalCurve(v, 0.5, 1.0, [1.0, 2.0, 3.0])),
+    ("simulate", "transform", lambda v: montecarlo.simulate(v, 2.0, 1000)),
+    ("estimate_n", "transform", lambda v: montecarlo.estimate_n(v, 2.0, 1000)),
+    ("overshoot_histogram", "transform",
+     lambda v: montecarlo.overshoot_histogram(v, 2.0, 1000, 10)),
+    ("asymptotic_params", "spec", bijections.asymptotic_params),
+    ("limit_overshoot_bin_probs", "transform",
+     lambda v: montecarlo.limit_overshoot_bin_probs(v, [0.0, 1.0])),
+]
+
+
 @functools.cache
 def _curve():
     return solver.solve(bijections.LogProduct(), 3.0, 1e-2)
@@ -204,3 +220,15 @@ def test_integer_argument_contract(name, call, good):
     # numpy integers are integers: they give what the equal Python int gives
     for kind in (np.int64, np.int32, np.uint16):
         assert _same(call(kind(good)), call(good)), kind
+
+
+@pytest.mark.parametrize("name, call", [row[1:] for row in _SPEC_CONTRACT],
+                         ids=[row[0] for row in _SPEC_CONTRACT])
+def test_transform_argument_contract(name, call):
+    # a name string, the class itself and other values are refused up front,
+    # pointing to parse_transform; a transform is admitted
+    for bad in ("logproduct", bijections.Identity, None, 1.0):
+        with pytest.raises(DomainError, match="^" + re.escape(name) + " must be a BijectionSpec "
+                                              r"\(parse_transform builds one"):
+            call(bad)
+    call(bijections.Identity())

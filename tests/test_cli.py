@@ -150,7 +150,7 @@ class TestSolve:
         monkeypatch.setattr(renewal.solver, "_panel_weights", no_weights)
         result = runner.invoke(main, ["solve", "--t-max", "400", "--step", "1e-5"])
         assert result.exit_code == 2
-        assert "4e+07 nodes take about 2.56 GB" in result.output
+        assert "4e+07 nodes and 1e+05 panels take about 2.56 GB" in result.output
         assert "cap" in result.output
         assert "increase step or decrease t_max" in result.output
 
@@ -354,6 +354,23 @@ class TestFreshInterpreter:
         deferred = {"renewal.montecarlo", "renewal.solver", "renewal.verification",
                     "renewal.closed_forms", "concurrent.futures", "numpy.polynomial"}
         assert not deferred & loaded
+
+    @pytest.mark.parametrize("suite, deferred", [
+        ("bijections", {"closed_forms", "montecarlo", "solver"}),
+        ("closed-forms", {"montecarlo", "solver"}),
+    ], ids=["bijections", "closed-forms"])
+    def test_verify_suite_loads_only_its_layers(self, suite, deferred):
+        done = self._python("-c", (
+            "import sys\n"
+            "from renewal.cli import main\n"
+            f"main(['verify', '--suite', {suite!r}], standalone_mode=False)\n"
+            "print('loaded', *sys.modules)"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert "0 failed" in done.stdout
+        loaded = set(done.stdout.splitlines()[-1].split()[1:])
+        assert "renewal.verification" in loaded
+        assert not {f"renewal.{name}" for name in deferred} & loaded
 
     @pytest.mark.parametrize("args, code", [
         (["exact", "--target", "product", "-t", "1"], 0),

@@ -574,6 +574,30 @@ class TestSolveValidation:
         with pytest.raises(DomainError, match="cap"):
             solve(rw.Identity(), 1e4, 1e-5)
 
+    def test_panel_cap_refuses_before_the_weights(self, monkeypatch):
+        # step 1e-8 marches 1e5 nodes but needs 1e8 history panels, some
+        # 25 GB of weights and spectra: refused before any weight is computed
+        monkeypatch.setattr(solver, "_panel_weights", lambda *args: pytest.fail("weights ran"))
+        with pytest.raises(DomainError, match=r"^the march's 1e\+05 nodes and 1e\+08 panels "
+                                              r"take about 25.6 GB, over the cap of 1 GB"):
+            solve(rw.Identity(), 1e-3, 1e-8)
+
+    @pytest.mark.parametrize("t_max", [1e-3, 5.0])
+    def test_memory_charge_covers_the_traced_peak(self, t_max):
+        # at step 1e-5 the panels' phase is the peak for t_max = 1e-3, and
+        # shares it with the march's buffers at t_max = 5
+        step = 1e-5
+        n, n_pan = math.ceil(t_max / step - 1e-12), math.ceil(1.0 / step - 1e-12)
+        charged = max((n + 1) * solver._NODE_BYTES,
+                      n_pan * solver._PANEL_BYTES + (n + 1) * solver._BUFFER_BYTES)
+        tracemalloc.start()
+        try:
+            solve(rw.Identity(), t_max, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged <= 2.0 * peak
+
     def test_arbitrary_transform_supported(self):
         spec = rw.PiecewiseLinear(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)))
         curve = solve(spec, 2.0, 5e-3)

@@ -84,3 +84,7 @@ def test_validation():
         run_checks(["simulation"], samples=10)
     with pytest.raises(DomainError, match="samples"):
         run_checks(["simulation"], samples=True)
+    # iterated, a string would name suites by its characters ("unknown suite 's'")
+    with pytest.raises(DomainError, match="^suites must be an iterable of suite names, "
+                                          "got the string 'solver'"):
+        run_checks("solver")
