@@ -172,22 +172,13 @@ class BijectionSpec(abc.ABC):
     def _f(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply f without domain checks (x already validated).
 
-        The result may be written to ``out``, which may alias ``x``; some
-        transforms allocate instead, so callers use the return value.
+        Without ``out`` the result is a fresh array.  With it the result may
+        be written to ``out``, which may alias ``x``, or be a fresh array, or
+        ``x`` itself (the identity's), so callers use the return value.
         """
-
-    def _draw(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f of uniform draws, which lie in [0, 1): the Monte Carlo kernel's hook.
-
-        Bit for bit ``_f(x, out=out)`` for every x in [0, 1), and with the
-        same ``out`` contract; x = 1, which ``Generator.random`` never
-        returns, is outside it, so a transform may skip work that only pins
-        f(1) = 1.
-        """
-        return self._f(x, out=out)
 
     def _sum_form(self, t: float) -> _SumForm:
-        """The Monte Carlo kernel's sums at threshold t; by default, sums of ``_draw``.
+        """The Monte Carlo kernel's sums at threshold t; by default, sums of ``_f``.
 
         A sum starts at 0, adds f of each draw, has crossed once it is > t
         and overshoots by s - t.  Every increment is at most f(1) = 1 and
@@ -195,7 +186,7 @@ class BijectionSpec(abc.ABC):
         increments is at most r <= t: the first floor(t) draws cannot cross.
         """
         def step(s, x, out):
-            s += self._draw(x, out=out)
+            s += self._f(x, out=out)
 
         def over(s):
             s -= t
@@ -230,13 +221,9 @@ class Identity(BijectionSpec):
     label: ClassVar[str] = "identity"
 
     def _f(self, x, out=None):
-        # in place is a no-op: the Monte Carlo kernel passes out=x
-        return x if out is x else np.positive(x, out=out)
-
-    def _draw(self, x, out=None):
-        # the draws themselves, never a copy into ``out``: a coupled pass
-        # steps an identity base sum with a scratch array it need not fill
-        return x
+        # with ``out``, x itself, never a copy into it: a coupled
+        # pass steps an identity base sum with a scratch array it need not fill
+        return np.positive(x) if out is None else x
 
     def _finv(self, u):
         return +u
@@ -266,12 +253,8 @@ class LogProduct(BijectionSpec):
         # the pin's mask is taken before out (which may alias x) is written,
         # and only when x reaches 1, which uniform draws never do
         one = x == 1.0 if np.max(x, initial=0.0) == 1.0 else None
-        y = self._draw(x, out=out)
+        y = np.log1p(np.multiply(x, _EM1, out=out), out=out)
         return y if one is None else np.where(one, 1.0, y)
-
-    def _draw(self, x, out=None):
-        # _f without the scan for x == 1
-        return np.log1p(np.multiply(x, _EM1, out=out), out=out)
 
     def _sum_form(self, t):
         if t > _PRODUCT_T_MAX:

@@ -92,15 +92,6 @@ def exp_tail_weight(t: float, n: int) -> float:
     return exp_tail_weights(t, n)[-1]
 
 
-def product_series_term(t: float, n: int) -> float:
-    """n-th term of the series for the product-form count: weight / (e-1)^n."""
-    t = _as_real("t", t, 0.0, 1.0)
-    n = _as_int("n", n, 0)
-    if n == 0:
-        return 1.0
-    return exp_tail_weight(t, n) / _EM1**n
-
-
 def product_count_01(t: float) -> float:
     """Exact expected draw count for the product form, t in [0, 1]."""
     t = _as_real("t", t, 0.0, 1.0)
@@ -128,8 +119,8 @@ def product_count_series(t: float) -> float:
     1/(e-1)), so the truncated tail is of the same order and the result
     agrees with ``product_count_01`` within about 1e-11.  The tail weights
     come from one running partial sum of exp(-t)'s Taylor series, so the
-    whole series costs O(terms), and each term equals ``product_series_term``
-    bit for bit.
+    whole series costs O(terms): term n is ``exp_tail_weights(t, n)[n]``
+    over (e-1)^n.
     """
     t = _as_real("t", t, 0.0, 1.0)
     total = 1.0

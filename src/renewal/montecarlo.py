@@ -229,7 +229,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     float and 1 bool array for one sum, 6 and 2 for two.  Each round draws
     into ``u``.  One sum steps in place there.  Of two, the base steps
     first, with ``spare`` as scratch (an identity base needs none: its
-    ``_draw`` returns the draws themselves), and the dominating sum then
+    ``_f`` returns the draws themselves), and the dominating sum then
     steps in place in ``u``, whose draws are no longer needed.  A
     crossed dominating sum turns NaN, which stays NaN under addition and
     multiplication and is never above a level, so after each round's step

@@ -96,7 +96,7 @@ _RATE = math.e / (math.e - 1.0)
 # march cost in units of about 75 ns (measured on 2 vCPUs, one BLAS thread,
 # step 1e-5 to 1e-2): a looped step costs one unit per history panel
 # (ceil(1/step) of them) plus a fixed ~45 us, the price of 600 panels, its
-# share of its stretch's window slopes included; a blocked node, its final
+# share of its stretch's history slopes included; a blocked node, its final
 # slopes included, 0.11-0.2 us (the most at step 1e-5), taken as 0.225 us.
 # Each history panel costs its weights and recurrence spectra: 1.66-1.80 us
 # per panel at steps 1e-5 and 1e-6, taken as 1.8 us.  The cap, about 300 s,
@@ -233,7 +233,7 @@ class RenewalCurve:
         _as_spec("transform", self.transform)
         object.__setattr__(self, "step", _as_real("step", self.step, 0.0, open_lo=True))
         object.__setattr__(self, "t_max", _as_real("t_max", self.t_max, 0.0, open_lo=True))
-        vals = np.asarray(self.values, dtype=float)
+        vals = _as_reals("values", self.values, -math.inf, math.inf)
         if vals.ndim != 1 or vals.shape[0] < 2:
             raise DomainError("values must be a 1-D array with at least 2 entries")
         if not np.all(np.isfinite(vals)):
@@ -333,38 +333,33 @@ def _loop(v: np.ndarray, j: int, stop: int, weights, breaks: list) -> tuple:
     Step hi sets the slopes of nodes hi-2..hi from their segment
     (``_update_slopes``; a segment starts at each of the breaking nodes
     ``breaks``) and then solves for v[hi + 1].  The older slopes it reads
-    are those ``_final_slopes`` gives the window v[a..j], a = max(0, j -
-    n_pan - 1): no step reads a panel below a + 2, whose slopes the
-    window's start does not cut.  Returns a and the window's per-panel
-    (left, right) slopes as step ``stop`` leaves them, final up to node
-    stop - 2.
+    are those ``_final_slopes`` gives v[0..j].  Returns the per-panel (left,
+    right) slopes as step ``stop`` leaves them, final up to node stop - 2.
     """
     p, (a0, a1, a2), (b0, b1) = weights
     n_pan = p.shape[0]
-    a = max(0, j - n_pan - 1)
-    brk = {0} | {k - a for k in breaks if k > a}  # window indices; a starts a segment
-    q, end = j - a, stop - a
-    lv = v[a : j + 1].tolist()  # the stencils read plain floats, the dot products read rows
+    brk = set(breaks)
+    lv = v[: j + 1].tolist()  # the stencils read plain floats, the dot products read rows
     # one row per panel i: v[i], v[i+1] and the slopes at both ends.  With
     # the weights of panels m = n_pan-1..1 in that order, the history of
     # step hi + 1 (m = 1..r, i.e. panels i = hi-1 down to hi-r) is one dot
     # product
-    rows = np.zeros((end + 1, 4))
-    rows[: q + 1, 0] = lv
-    rows[:q, 1] = lv[1:]
-    if q:
-        rows[:q, 2], rows[:q, 3] = _final_slopes(np.array(lv), sorted(k for k in brk if k < q))
+    rows = np.zeros((stop + 1, 4))
+    rows[: j + 1, 0] = lv
+    rows[:j, 1] = lv[1:]
+    if j:
+        rows[:j, 2], rows[:j, 3] = _final_slopes(np.array(lv), [k for k in breaks if k < j])
     flat, wts = rows.reshape(-1), p[:0:-1].reshape(-1)
     sl, sr = rows[:, 2], rows[:, 3]
-    seg = max(k for k in brk if k < max(q, 1))
-    for hi in range(q, end + 1):
+    seg = max(k for k in breaks if k < max(j, 1))
+    for hi in range(j, stop + 1):
         if hi - 1 in brk:
             seg = hi - 1
         if hi:
             _update_slopes(lv, sl, sr, seg, hi)
-        if hi == end:
+        if hi == stop:
             break
-        r = min(a + hi, n_pan - 1)
+        r = min(hi, n_pan - 1)
         # an einsum, not np.dot: BLAS splits a long dot product across its
         # threads, and the sum then depends on their number
         hist = float(np.einsum("i,i->", wts[wts.size - 4 * r :], flat[4 * (hi - r) : 4 * hi]))
@@ -376,8 +371,8 @@ def _loop(v: np.ndarray, j: int, stop: int, weights, breaks: list) -> tuple:
             val = (1.0 + hist + a1 * lv[hi] + a0 * lv[hi - 1]) / (1.0 - a2)
         lv.append(val)
         rows[hi, 1] = rows[hi + 1, 0] = val
-    v[j + 1 : stop + 1] = lv[q + 1 :]
-    return a, sl, sr
+    v[j + 1 : stop + 1] = lv[j + 1 :]
+    return sl, sr
 
 
 def _tail_recurrence(weights) -> tuple:
@@ -508,15 +503,15 @@ def _march(n: int, weights, breaks: list) -> np.ndarray:
             if j <= b < stop:
                 stop = b + 3
         stop = min(stop, n)
-        a, sl, sr = _loop(v, j, stop, weights, breaks)
+        sl, sr = _loop(v, j, stop, weights, breaks)
         if stop == n:
             return v
         # the slopes frozen since the last blocks, against the five-point stage
         x = np.arange(max(j - 2, frozen), stop - 1)
         at = pad + x
         five = (buf[at - 2] - 8.0 * buf[at - 1] + 8.0 * buf[at + 1] - buf[at + 2]) / 12.0
-        left = np.where(x >= 0, sl[np.maximum(x - a, 0)], 0.0) - five
-        right = np.where(x >= 1, sr[np.maximum(x - a - 1, 0)], 0.0) - five
+        left = np.where(x >= 0, sl[np.maximum(x, 0)], 0.0) - five
+        right = np.where(x >= 1, sr[np.maximum(x - 1, 0)], 0.0) - five
         lost = np.where(x == 0, -1.0, 0.0)  # N(0) as the end of a panel below 0
         for i in np.flatnonzero((left != 0.0) | (right != 0.0) | (lost != 0.0)):
             dst = g[at[i] + 2 : at[i] + n_pan]

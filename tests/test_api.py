@@ -100,7 +100,6 @@ _CONTRACT = [
     ("forward", "x", lambda v: bijections.LogProduct().forward(v), 1),
     ("inverse", "u", lambda v: bijections.Power(0.5).inverse(v), 1),
     ("exp_tail_weights", "t", lambda v: closed_forms.exp_tail_weights(v, 5), 1),
-    ("product_series_term", "t", lambda v: closed_forms.product_series_term(v, 3), 1),
     ("product_count_01", "t", closed_forms.product_count_01, 1),
     ("product_count_12", "t", closed_forms.product_count_12, 2),
     ("product_count", "t", closed_forms.product_count, 2),

@@ -76,24 +76,12 @@ def test_f_in_place_is_bit_identical(spec):
     x = np.concatenate((np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, np.nextafter(1.0, 0.0)]))
     buf = x.copy()
     got = spec._f(buf, out=buf)
-    assert (got.view(np.uint64) == spec._f(x).view(np.uint64)).all()
+    want = spec._f(x).view(np.uint64)
+    assert (got.view(np.uint64) == want).all()
+    # into scratch, as a coupled pass steps its base sum
+    assert (spec._f(x, out=np.empty_like(x)).view(np.uint64) == want).all()
     assert float(got[1000]) == 1.0 and float(got[0]) == 0.0
     assert not isinstance(spec.forward(0.5), np.ndarray) and np.ndim(spec.forward(0.5)) == 0
-
-
-@pytest.mark.parametrize("spec", _MENAGERIE, ids=lambda s: s.label)
-@settings(max_examples=50, deadline=None)
-@given(xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
-@example(xs=[0.0])
-@example(xs=[float(np.nextafter(1.0, 0.0))])
-def test_draw_equals_f_on_uniform_draws(spec, xs):
-    # the Monte Carlo kernels' hook: bit for bit _f on [0, 1), also in place
-    x = np.array(xs)
-    want = spec._f(x).view(np.uint64)
-    assert (spec._draw(x).view(np.uint64) == want).all()
-    buf = x.copy()
-    assert (spec._draw(buf, out=buf).view(np.uint64) == want).all()
-    assert float(spec.forward(1.0)) == 1.0
 
 
 class TestLogProduct:

@@ -16,13 +16,17 @@ from renewal.closed_forms import (
     product_count_12,
     product_count_asymptote,
     product_count_series,
-    product_series_term,
     uniform_sum_asymptote,
     uniform_sum_count,
 )
 
 E = math.e
 EM1 = math.e - 1.0
+
+
+def product_series_term(t, n):
+    # term n of the product-form series, as product_count_series adds it
+    return exp_tail_weights(t, n)[n] / EM1**n
 
 
 def _partial_sum(t, n):

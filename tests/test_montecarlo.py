@@ -596,6 +596,22 @@ class TestOvershootHistogram:
         with pytest.raises(DomainError):
             mc.overshoot_histogram(Identity(), 1.0, 1000, bins=5, seed=1)
 
+    @pytest.mark.parametrize("edges, dens", [
+        ([0.0, 0.5, 1.0], [1.0]),
+        ([[0.0, 1.0]], [1.0]),
+        ([0.0, 1.0], [[1.0]]),
+    ], ids=["one-edge-too-many", "2-d-edges", "2-d-densities"])
+    def test_edges_must_outnumber_densities_by_one(self, edges, dens):
+        with pytest.raises(DomainError, match="one more entry than densities"):
+            mc.OvershootHistogram(edges, dens, 10, 2.0)
+
+    @pytest.mark.parametrize("edges, dens", [
+        ([0.0, 0.5], [2.0]), ([0.5, 1.0], [2.0]),
+    ], ids=["short-of-1", "above-0"])
+    def test_edges_must_span_the_unit_interval(self, edges, dens):
+        with pytest.raises(DomainError, match=r"span \[0, 1\]"):
+            mc.OvershootHistogram(edges, dens, 10, 2.0)
+
     def test_payload_shape(self):
         hist = mc.overshoot_histogram(Identity(), 1.0, 2000, bins=10, seed=1)
         payload = mc.histogram_payload(hist)
@@ -890,8 +906,9 @@ class TestMarks:
                 mc._coupled(20.0, 10, 1, 1, marks=marks)
 
     def test_identity_draw_is_the_draws(self):
+        # a coupled pass steps an identity base sum with scratch it need not fill
         x, buf = np.random.default_rng(1).random(8), np.zeros(8)
-        assert Identity()._draw(x, out=buf) is x and not buf.any()
+        assert Identity()._f(x, out=buf) is x and not buf.any()
 
 
 class TestChernoffBound:

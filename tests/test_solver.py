@@ -380,7 +380,22 @@ class TestTail:
         calls = _march_calls(monkeypatch)
         curve = solve(spec, t_max, step)
         assert calls["tail"] and calls["tail"][0] == 3  # the blocks start at node 3
+        # every breaking node lies at or below ceil(1/step), the history's
+        # panel count, so each looped stretch reads its whole history
+        assert all(j <= math.ceil(1.0 / step) for j, _ in calls["loop"])
         _assert_matches_the_loop(curve, *_looped_solve(spec, t_max, step))
+        _assert_loop_is_the_reference(curve, calls)
+
+    @pytest.mark.parametrize(
+        "spec, t_max", [(rw.Identity(), 0.02), (rw.LogProduct(), 1.02)], ids=["identity", "logproduct"]
+    )
+    def test_march_ending_inside_a_looped_stretch(self, monkeypatch, spec, t_max):
+        # the last node falls among the three looped steps from a breaking
+        # node (0 or 1), so the march returns straight after the loop
+        calls = _march_calls(monkeypatch)
+        curve = solve(spec, t_max, 1e-2)
+        assert calls["loop"][-1][1] == curve.n_panels
+        _assert_matches_the_loop(curve, *_looped_solve(spec, t_max, 1e-2))
         _assert_loop_is_the_reference(curve, calls)
 
     @pytest.mark.parametrize(
@@ -574,6 +589,15 @@ class TestSolveValidation:
         with pytest.raises(DomainError, match="cap"):
             solve(rw.Identity(), 1e4, 1e-5)
 
+    def test_work_cap_refuses_before_the_weights(self, monkeypatch):
+        # 2e9 nodes: 6e9 units of march work and 128 GB, both over their caps
+        monkeypatch.setattr(solver, "_panel_weights", lambda *args: pytest.fail("weights ran"))
+        with pytest.raises(DomainError) as err:
+            solve(rw.Identity(), 2e4, 1e-5)
+        msg = str(err.value)
+        assert msg.startswith("march work 6e+09 (6 looped steps") and "exceeds the cap of 4e+09" in msg
+        assert "take about 128 GB, over the cap of 1 GB" in msg
+
     def test_panel_cap_refuses_before_the_weights(self, monkeypatch):
         # step 1e-8 marches 1e5 nodes but needs 1e8 history panels, some
         # 25 GB of weights and spectra: refused before any weight is computed
@@ -621,6 +645,17 @@ class TestCurveObject:
             RenewalCurve(rw.Identity(), 0.5, 1.0, np.array([1.0, 3.0, 2.0]))
         with pytest.raises(DomainError, match="t_max"):
             RenewalCurve(rw.Identity(), 0.5, 9.0, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("values, match", [
+        ([True, 2.0, 3.0], "a bool among its entries"),
+        (["1", "2", "3"], "must hold real numbers"),
+        ([1.0, math.nan, 3.0], "values must lie in"),
+        ([1.0, 2.0, math.inf], "must be finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "1-D"),
+    ], ids=["bool", "strings", "nan", "inf", "2-d"])
+    def test_values_refused(self, values, match):
+        with pytest.raises(DomainError, match=match):
+            RenewalCurve(rw.Identity(), 0.5, 1.0, values)
 
 
 class TestEvalDomain:

@@ -51,6 +51,16 @@ def test_check_names_pinned():
     assert [r.suite for r in results] == [s for s in SUITES for _ in names[s]]
 
 
+@pytest.mark.parametrize("seed", [1362, 1386])
+def test_reproducibility_when_two_seeds_share_a_mean(seed):
+    # at 200000 samples seeds 1362 and 1363 (and 1386 and 1387) give the
+    # same mean draw count, but not the same standard error
+    results = run_checks(["simulation"], samples=200_000, seed=seed)
+    (rep,) = [r for r in results if r.name == "reproducibility"]
+    assert rep.passed
+    assert rep.detail == "same seed bit-identical: True; different seed differs: True"
+
+
 def test_suite_functions_looked_up_per_call(monkeypatch):
     # run_checks reads each _checks_<suite> name when it runs, so a function
     # patched onto the module is the one whose triples come back
