@@ -395,10 +395,11 @@ def from_knot_file(path) -> PiecewiseLinear:
     One ``x y`` pair per line (whitespace separated).  Blank lines are
     ignored.  The first knot must be ``0 0`` and the last ``1 1``; any
     malformed line is reported with its line number, and a path that cannot
-    be read as UTF-8 text raises ``DomainError`` naming it.
+    be read as UTF-8 text raises ``DomainError`` naming it.  A leading
+    byte-order mark, which some Windows editors write, is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             content = fh.read()
     except OSError as err:
         raise DomainError(f"{path}: cannot read knot file: {err.strerror or err}") from None

@@ -122,7 +122,11 @@ def solve(spec, t_max, step, fmt, output):
     )
     # everything that can fail has run, so a failure never leaves a partial file
     stdout = contextlib.nullcontext(click.get_text_stream("stdout"))
-    with stdout if output is None else open(output, "w") as fh:
+    try:
+        dest = stdout if output is None else open(output, "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --output {output}: {exc.strerror or exc}")
+    with dest as fh:
         if fmt == "csv":
             solver.write_curve_csv(curve, fh)
         else:

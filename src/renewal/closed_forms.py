@@ -44,9 +44,10 @@ _C12 = -_EM1 / _E ** (2.0 + 1.0 / _EM1) + 1.0 / _E + math.exp(-_RATE) / _EM1
 SUM_COUNT_T_CAP = 15.0
 
 
-def _taylor_partials(t: float):
-    """Partial Taylor sums of exp(-t), one per term: for n = 1, 2, ... the sum
-    of (-t)^k / k! for k < n, from one compensated (Kahan) accumulation."""
+def _tail_weights(t: float):
+    """exp_tail_weight(t, n) for n = 1, 2, ..., from one Kahan-summed running P_n(t)."""
+    et = math.exp(t)
+    sign = 1.0
     total = 0.0
     comp = 0.0
     term = 1.0
@@ -56,18 +57,10 @@ def _taylor_partials(t: float):
         tmp = total + y
         comp = (tmp - total) - y
         total = tmp
-        yield total
+        sign = -sign
+        yield sign * (1.0 - total * et)
         k += 1
         term *= -t / k
-
-
-def _tail_weights(t: float):
-    """exp_tail_weight(t, n) for n = 1, 2, ..., from one running partial sum."""
-    et = math.exp(t)
-    sign = 1.0
-    for partial in _taylor_partials(t):
-        sign = -sign
-        yield sign * (1.0 - partial * et)
 
 
 def exp_tail_weights(t: float, n: int) -> list:

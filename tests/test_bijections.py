@@ -156,6 +156,15 @@ class TestKnotFile:
         s = from_knot_file(p)
         assert s.knots == ((0.0, 0.0), (0.3, 0.55), (1.0, 1.0))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows editors may start a UTF-8 file with one
+        text = "0 0\n0.3 0.55\n1 1\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert from_knot_file(marked) == from_knot_file(plain)
+        assert from_knot_file(marked).knots == ((0.0, 0.0), (0.3, 0.55), (1.0, 1.0))
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "knots.txt"
         p.write_text("0 0\n0.3 oops\n1 1\n")

@@ -130,8 +130,17 @@ class TestSolve:
         # 3001 nodes: the writer streams three chunks of each list
         result = runner.invoke(main, ["solve", "--t-max", "3", "--step", "1e-3", "--format", "json"])
         assert result.exit_code == 0
-        payload = solver.curve_json_payload(solver.solve(LogProduct(), 3.0, 1e-3))
-        assert result.stdout == json.dumps(payload, indent=2) + "\n"
+        buf = io.StringIO()
+        solver.write_curve_json(solver.solve(LogProduct(), 3.0, 1e-3), buf)
+        assert result.stdout == buf.getvalue()
+        assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+    def test_unwritable_output_exits_2(self, runner, tmp_path):
+        # a missing directory: as root a read-only one would still be written
+        out = tmp_path / "missing" / "x.csv"
+        result = runner.invoke(main, ["solve", "--t-max", "1", "--step", "1e-2", "--output", str(out)])
+        assert result.exit_code == 2
+        assert f"cannot write --output {out}: No such file or directory" in result.output
 
     def test_refused_solve_leaves_no_file(self, runner, tmp_path):
         out = tmp_path / "f"

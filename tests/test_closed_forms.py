@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from renewal.bijections import DomainError
 from renewal.closed_forms import (
     SUM_COUNT_T_CAP,
-    _taylor_partials,
     exp_tail_weight,
     exp_tail_weights,
     product_count,
@@ -29,24 +27,25 @@ def product_series_term(t, n):
     return exp_tail_weights(t, n)[n] / EM1**n
 
 
-def _partial_sum(t, n):
-    # the sum of (-t)^k / k! for k < n, as the tail weights read it
-    return next(islice(_taylor_partials(t), n - 1, None))
-
-
 class TestTaylorExpNeg:
-    """The partial Taylor sums of exp(-t) that the tail weights are built from."""
+    """The tail weights read as partial Taylor sums P_n(t) of exp(-t):
+    W(t, n) = (-1)^n (1 - e^t P_n(t)) vanishes where P_n(t) has converged."""
 
     def test_matches_exp(self):
-        assert _partial_sum(1.0, 50) == pytest.approx(math.exp(-1.0), abs=5e-16)
-        assert _partial_sum(0.3, 40) == pytest.approx(math.exp(-0.3), abs=5e-16)
+        assert abs(exp_tail_weight(1.0, 50)) <= 5e-16
+        assert abs(exp_tail_weight(0.3, 40)) <= 5e-16
 
     def test_short_prefixes(self):
-        assert _partial_sum(0.7, 1) == 1.0
-        assert _partial_sum(0.7, 2) == pytest.approx(1.0 - 0.7, abs=1e-15)
+        # P_1 = 1 and P_2 = 1 - t, summed as the weights sum them
+        et = math.exp(0.7)
+        assert exp_tail_weights(0.7, 2)[1:] == [et - 1.0, 1.0 - (1.0 - 0.7) * et]
 
     def test_zero(self):
-        assert _partial_sum(0.0, 5) == 1.0
+        # every Taylor term past the first is a signed zero, so P_n(0) = 1
+        # exactly and each weight past the first is +0 or -0
+        weights = exp_tail_weights(0.0, 40)
+        assert weights[0] == 1.0
+        assert all(w == 0.0 for w in weights[1:])
 
 
 class TestExpTailWeight:

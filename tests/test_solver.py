@@ -24,7 +24,6 @@ from renewal.solver import (
     RenewalCurve,
     asymptote_gap,
     check_derivative_relation,
-    curve_json_payload,
     eval_curve,
     marching_tolerance,
     self_consistency_residual,
@@ -796,7 +795,7 @@ _CSV_DOUBLES = st.one_of(
 class TestSerialization:
     @pytest.fixture(scope="class")
     def fine_logproduct_curve(self):
-        # 200001 nodes, shared by both memory-per-node tests
+        # 200001 nodes, for the CSV memory-per-node test
         return solve(rw.LogProduct(), 20.0, 1e-4)
 
     @settings(max_examples=200, deadline=None)
@@ -857,16 +856,32 @@ class TestSerialization:
         assert text.count("\n") == curve.values.shape[0] + 1
         assert peak / curve.values.shape[0] < 100.0
 
+    @staticmethod
+    def _check_json(text, curve):
+        # the contract of write_curve_json: the text parses, its keys come in
+        # order, every number is the curve's bit for bit, and it is what
+        # json.dumps(..., indent=2) and a newline print
+        payload = json.loads(text)
+        assert list(payload) == ["spec", "step", "t_max", "t", "N"]
+        assert payload["spec"] == curve.transform.label
+        assert payload["step"].hex() == curve.step.hex()
+        assert payload["t_max"].hex() == curve.t_max.hex()
+        assert np.array(payload["t"]).tobytes() == curve.grid.tobytes()
+        assert np.array(payload["N"]).tobytes() == curve.values.tobytes()
+        assert text == json.dumps(payload, indent=2) + "\n"
+        return payload
+
     @pytest.mark.parametrize("t_max", [1.0, 10.23, 10.24, 20.48], ids=["101", "1024", "1025", "2049"])
     def test_json_matches_json_dumps(self, t_max):
         # node counts on and across the writer's chunk boundaries
         curve = solve(rw.LogProduct(), t_max, 1e-2)
         buf = io.StringIO()
         solver.write_curve_json(curve, buf)
-        assert buf.getvalue() == json.dumps(curve_json_payload(curve), indent=2) + "\n"
+        self._check_json(buf.getvalue(), curve)
 
-    def test_json_memory_per_node(self, fine_logproduct_curve):
-        # json.dumps of the whole payload peaked near 300 bytes per node
+    def test_json_memory_per_node(self):
+        # 20001 nodes: the writer peaks near 19 bytes per node, json.dumps
+        # of the whole payload near 260
         class Digest:
             def __init__(self):
                 self.sha, self.size = hashlib.sha256(), 0
@@ -875,7 +890,7 @@ class TestSerialization:
                 self.sha.update(text.encode())
                 self.size += len(text)
 
-        curve = fine_logproduct_curve
+        curve = solve(rw.LogProduct(), 2.0, 1e-4)
         sink = Digest()
         tracemalloc.start()
         try:
@@ -888,11 +903,11 @@ class TestSerialization:
 
     def test_json_payload(self):
         curve = solve(rw.Identity(), 1.0, 1e-2)
-        payload = curve_json_payload(curve)
-        assert list(payload) == ["spec", "step", "t_max", "t", "N"]
+        buf = io.StringIO()
+        solver.write_curve_json(curve, buf)
+        payload = self._check_json(buf.getvalue(), curve)
         assert payload["spec"] == "identity"
         assert payload["N"][0] == 1.0
-        assert len(payload["t"]) == curve.values.shape[0]
 
 
 class TestStructuralBounds:
