@@ -83,6 +83,13 @@ def _as_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
     return x
 
 
+def _line_at(name: str, t: float, line: float) -> float:
+    """``line``, an asymptotic line's value at ``t``, refused naming ``name`` if not finite."""
+    if not math.isfinite(line):
+        raise DomainError(f"{name} must keep the asymptotic line within the float range, got {t!r}")
+    return line
+
+
 def _as_reals(name: str, values, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """``values`` (scalar or array) as a float array with every entry in [lo, hi].
 

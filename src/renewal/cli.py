@@ -28,6 +28,7 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     _as_real,
+    _line_at,
     asymptotic_params,
     parse_transform,
 )
@@ -146,14 +147,16 @@ def asympt(spec, threshold):
         threshold = _as_real("-t", threshold, 0.0)
     transform = parse_transform(spec)
     p = asymptotic_params(transform)
+    # refused before any line is printed
+    line = None if threshold is None else _line_at("-t", threshold, (threshold + p.c) / p.mu)
     click.echo(f"spec = {transform.label}")
     click.echo(f"mu = {_fmt(p.mu)}")
     click.echo(f"sigma2 = {_fmt(p.sigma2)}")
     click.echo(f"c = {_fmt(p.c)}")
     click.echo(f"slope = {_fmt(p.slope)}")
     click.echo(f"intercept = {_fmt(p.intercept)}")
-    if threshold is not None:
-        click.echo(f"asymptote({_fmt(threshold)}) = {_fmt((threshold + p.c) / p.mu)}")
+    if line is not None:
+        click.echo(f"asymptote({_fmt(threshold)}) = {_fmt(line)}")
 
 
 @main.command()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .bijections import ConvergenceError, DomainError, _as_int, _as_real
+from .bijections import ConvergenceError, DomainError, _as_int, _as_real, _line_at
 
 __all__ = [
     "exp_tail_weight",
@@ -129,7 +129,8 @@ def product_count_series(t: float) -> float:
 
 def product_count_asymptote(t: float) -> float:
     """Asymptotic line for the product form: (e-1) * (t + (e-2)/2)."""
-    return _EM1 * (_as_real("t", t) + (_E - 2.0) / 2.0)
+    t = _as_real("t", t)
+    return _line_at("t", t, _EM1 * (t + (_E - 2.0) / 2.0))
 
 
 def uniform_sum_count(t: float) -> float:
@@ -165,4 +166,5 @@ def uniform_sum_count(t: float) -> float:
 
 def uniform_sum_asymptote(t: float) -> float:
     """Asymptotic line for the plain uniform sum: 2t + 2/3."""
-    return 2.0 * _as_real("t", t) + 2.0 / 3.0
+    t = _as_real("t", t)
+    return _line_at("t", t, 2.0 * t + 2.0 / 3.0)

@@ -58,7 +58,6 @@ __all__ = [
     "estimate_stopped_sum",
     "overshoot_histogram",
     "paired_domination",
-    "chernoff_bound",
     "k_concentration_check",
     "limit_overshoot_bin_probs",
     "estimate_payload",
@@ -639,13 +638,6 @@ def paired_domination(
     """
     violations, rec, _ = _coupled(t, samples, seed, workers)
     return violations, rec.samples
-
-
-def chernoff_bound(mu: float, delta: float) -> float:
-    """Upper tail bound min(1, 2 exp(-delta^2 mu / (2 + delta))), mu and delta > 0."""
-    mu = _as_real("mu", mu, 0.0, open_lo=True)
-    delta = _as_real("delta", delta, 0.0, open_lo=True)
-    return min(1.0, 2.0 * math.exp(-delta * delta * mu / (2.0 + delta)))
 
 
 def k_concentration_check(

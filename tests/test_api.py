@@ -122,10 +122,9 @@ _CONTRACT = [
      lambda v: solver.asymptote_gap(_curve(), bijections.asymptotic_params(bijections.LogProduct()), v), 2),
     ("check_derivative_relation", "t", lambda v: solver.check_derivative_relation(_curve(), v), 2),
     ("self_consistency_residual", "t", lambda v: solver.self_consistency_residual(_curve(), v), 2),
+    ("marching_tolerance", "step", solver.marching_tolerance, 0.5),
     ("simulate", "t", lambda v: montecarlo.simulate(bijections.Identity(), v, 1000), 2),
     ("paired_domination", "t", lambda v: montecarlo.paired_domination(v, 1000), 2),
-    ("chernoff_bound-mu", "mu", lambda v: montecarlo.chernoff_bound(v, 0.5), 100),
-    ("chernoff_bound-delta", "delta", lambda v: montecarlo.chernoff_bound(100.0, v), 1),
     ("k_concentration_check-t", "t",
      lambda v: montecarlo.k_concentration_check(bijections.Identity(), v, 1000, 6.0), 2),
     ("k_concentration_check-c", "c",

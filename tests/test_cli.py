@@ -210,6 +210,13 @@ class TestAsympt:
             assert "finite and >= 0" in result.output, t
             assert "asymptote(" not in result.output, t
 
+    def test_overflowing_line_refused(self, runner):
+        # power:10's line (t + c)/mu has slope 11: at t = 1e308 it would be inf
+        result = runner.invoke(main, ["asympt", "--spec", "power:10", "-t", "1e308"])
+        assert result.exit_code == 2
+        assert "-t must keep the asymptotic line within the float range, got 1e+308" in result.output
+        assert "spec =" not in result.output
+
 
 class TestSimulate:
     def test_payload_shape(self, runner):

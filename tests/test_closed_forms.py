@@ -220,6 +220,12 @@ class TestProductCount:
             EM1 * (2.0 + (E - 2.0) / 2.0), abs=1e-14
         )
 
+    def test_asymptote_overflow_refused(self):
+        assert product_count_asymptote(1e308) == EM1 * (1e308 + (E - 2.0) / 2.0)
+        for t in (1.2e308, -1.2e308):
+            with pytest.raises(DomainError, match="^t must keep the asymptotic line within the float"):
+                product_count_asymptote(t)
+
     def test_approaches_asymptote_from_above_at_two(self):
         gap2 = product_count(2.0) - product_count_asymptote(2.0)
         gap1 = product_count(1.0) - product_count_asymptote(1.0)
@@ -251,6 +257,12 @@ class TestUniformSumCount:
 
     def test_asymptote_formula(self):
         assert uniform_sum_asymptote(2.0) == pytest.approx(4.0 + 2.0 / 3.0, abs=1e-15)
+
+    def test_asymptote_overflow_refused(self):
+        assert uniform_sum_asymptote(8e307) == 1.6e308 + 2.0 / 3.0
+        for t in (1e308, -1e308):
+            with pytest.raises(DomainError, match="^t must keep the asymptotic line within the float"):
+                uniform_sum_asymptote(t)
 
     def test_cap_and_validation(self):
         # at the cap the o(1) term is 6.3e-15, so the asymptote is exact to far

@@ -612,6 +612,14 @@ class TestOvershootHistogram:
         with pytest.raises(DomainError, match=r"span \[0, 1\]"):
             mc.OvershootHistogram(edges, dens, 10, 2.0)
 
+    @pytest.mark.parametrize("dens", [[1.0, 1.0 - 4e-12], [1.0, 1.0 + 4e-12]],
+                             ids=["short", "over"])
+    def test_densities_must_integrate_to_one(self, dens):
+        # the verify check overshoot-limit-density relies on this refusal
+        # for its histograms' mass
+        with pytest.raises(DomainError, match="integrate to 1 within 1e-12"):
+            mc.OvershootHistogram([0.0, 0.5, 1.0], dens, 10, 2.0)
+
     def test_payload_shape(self):
         hist = mc.overshoot_histogram(Identity(), 1.0, 2000, bins=10, seed=1)
         payload = mc.histogram_payload(hist)
@@ -909,26 +917,6 @@ class TestMarks:
         # a coupled pass steps an identity base sum with scratch it need not fill
         x, buf = np.random.default_rng(1).random(8), np.zeros(8)
         assert Identity()._f(x, out=buf) is x and not buf.any()
-
-
-class TestChernoffBound:
-    def test_pinned_value(self):
-        assert mc.chernoff_bound(100.0, 0.5) == pytest.approx(
-            9.079985952496971e-05, rel=1e-15
-        )
-
-    def test_clamped_to_one(self):
-        assert mc.chernoff_bound(100.0, 0.1) == 1.0
-        assert mc.chernoff_bound(0.5, 0.2) == 1.0
-
-    def test_decreasing_in_deviation(self):
-        vals = [mc.chernoff_bound(100.0, d) for d in (0.3, 0.5, 1.0, 2.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        for mu, d in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5), (math.nan, 0.5)):
-            with pytest.raises(DomainError):
-                mc.chernoff_bound(mu, d)
 
 
 class TestConcentration:

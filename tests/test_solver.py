@@ -40,6 +40,9 @@ E = math.e
 def test_marching_tolerance_scale():
     assert marching_tolerance(1e-3) == pytest.approx(1e-5)
     assert marching_tolerance(1e-2) == pytest.approx(1e-3)
+    for step in (0.0, -1.0):
+        with pytest.raises(DomainError, match="^step must be finite and > 0"):
+            marching_tolerance(step)
 
 
 class TestAccuracy:

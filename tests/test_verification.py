@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from renewal import verification
-from renewal.bijections import DomainError
+from renewal import solver, verification
+from renewal.bijections import ConvergenceError, DomainError
+from renewal.cli import main
 from renewal.verification import SUITES, CheckResult, run_checks
 
 
@@ -35,17 +38,17 @@ def test_check_names_pinned():
             "endpoint-exactness", "roundtrip", "strict-monotonicity",
             "logproduct-known-points", "mean-increment-analytic",
             "mean-overshoot-constants", "overshoot-constant-routes",
-            "variance-analytic", "mean-by-parts", "params-in-range",
+            "variance-analytic", "mean-by-parts",
         ],
         "solver": [
-            "solver-vs-product-form", "solver-vs-sum-count", "curve-monotone",
-            "mean-bracket-grid", "domination-grid", "derivative-identity",
-            "asymptote-approach", "self-consistency",
+            "solver-vs-product-form", "solver-vs-sum-count", "mean-bracket-grid",
+            "domination-grid", "derivative-identity", "asymptote-approach",
+            "self-consistency",
         ],
         "simulation": [
             "sim-vs-exact", "stopped-sum-proportionality", "paired-domination",
             "overshoot-limit-density", "mean-overshoot-vs-c", "count-concentration",
-            "reproducibility", "tail-bound-shape",
+            "reproducibility",
         ],
     }
     assert [r.suite for r in results] == [s for s in SUITES for _ in names[s]]
@@ -98,3 +101,14 @@ def test_validation():
     with pytest.raises(DomainError, match="^suites must be an iterable of suite names, "
                                           "got the string 'solver'"):
         run_checks("solver")
+
+
+def test_non_increasing_march_stops_the_solver_suite(monkeypatch):
+    # solve refuses a march whose values fall, so no curve the solver suite
+    # checks can be anything but strictly increasing: the suite raises and
+    # the CLI exits 3 before printing a line
+    monkeypatch.setattr(solver, "_march", lambda n, weights, breaks: np.linspace(2.0, 1.0, n + 1))
+    with pytest.raises(ConvergenceError, match="not strictly increasing"):
+        run_checks(["solver"])
+    result = CliRunner().invoke(main, ["verify", "--suite", "solver"])
+    assert result.exit_code == 3 and result.output.startswith("error: marched values")
