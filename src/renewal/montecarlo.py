@@ -1,18 +1,21 @@
 """Monte Carlo estimation of draw counts, stopped sums, and overshoots.
 
 A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  One
-kernel, ``_kernel``, simulates every block in vectorized rounds: each round
-draws one uniform per still-active path, steps each path's sums, and
-retires paths whose sums crossed the threshold.  It runs one sum per path
-for ``simulate``, or two sums driven by the same uniforms for the coupled
-identity/logproduct pass, where a path retires once both have crossed.
-Each sum runs in its transform's form: most add f(x) and cross t, while
-logproduct's (up to t = 700) multiply by 1 + (e-1)x and cross e^t, which
-is the same event at one multiply per draw instead of a log1p.  Increments
-never exceed 1, so no sum can cross in its first floor(t) draws, or its
-first floor(t) - 1 for a product, whose rounding can pass e^t at integer
-t; those rounds skip the stop test.  Each pass holds one workspace:
-every worker thread makes its working arrays the first time it runs a
+kernel, ``_kernel``, simulates every block in vectorized rounds: each
+round draws one uniform per still-active path, steps each path's sums, and
+retires paths whose sums crossed the threshold.  The active paths fill the
+first slots of the working arrays, and a round's h leavers retire in O(h)
+work: the live paths of the last h slots move into their slots.  It runs
+one sum per path for ``simulate``, or two sums driven by the same uniforms
+for the coupled identity/logproduct pass, where a path retires once both
+have crossed.  Each sum runs in its transform's form: most add f(x) and
+cross t, while logproduct's (up to t = 700) multiply by 1 + (e-1)x and
+cross e^t, which is the same event at one multiply per draw instead of a
+log1p.  Increments never exceed 1, so no sum can cross in its first
+floor(t) draws, or its first floor(t) - 1 for a product, whose rounding
+can pass e^t at integer t; those rounds skip the stop test.  Each pass
+holds one workspace: every worker thread makes its working arrays (3 float
+and 1 bool array of 2^16 entries for one sum) the first time it runs a
 block, and its later blocks and their rounds reuse them while they stay in
 cache.  The workspace is freed when the pass returns.
 
@@ -75,21 +78,24 @@ _MAX_SIM_SECONDS = 300.0
 def _ns_per_draw(spec: BijectionSpec) -> float:
     """The kernel's cost per draw of ``spec`` on one thread, as the work cap charges it.
 
-    Measured in passes of 1e6 paths on 2 vCPUs, over the cap's 1 + t/mu
-    rounds per path, at t = 1 and 20; each charge lies within 1-2 times both.
-    Identity 3.7 and 2.5 ns; logproduct's products 4.6 and 2.8 ns (its sums
-    past t = 700 3.2).  np.power copies (p = 1) and squares (p = 2) on fast
-    paths, 3.9-4.4 and 2.8-3.0 ns, and calls pow for other exponents: 5.0-5.6
-    and 3.9-4.5 ns below p = 1, 5.6-7.5 and 4.5-4.8 above.  np.interp
-    allocates its output and binary-searches the knots for every draw:
-    6-7.6 ns per halving of 2 to 200 knots (7.6 and 5.8 ns for 2 knots, 70
-    and 61 for 1000).  A subclass is charged its base's price.
+    Measured as kernel time in one-thread passes of 1e6 paths on 2 vCPUs,
+    over the cap's 1 + t/mu draws per path, at t = 1 and 20, while the host
+    drew uniforms at 2.2-2.4 ns each.  Identity 5.1-5.3 and 3.1-3.2 ns;
+    logproduct's products 6.9-7.2 and 3.7-3.9 ns (its sums past t = 700
+    5.0).  np.power copies (p = 1) and squares (p = 2) on fast paths, 5.4
+    and 3.5-3.7 ns, 5.6-6.0 and 3.7-4.2 ns, and calls pow for other
+    exponents: 6.8-8.4 and 5.1-5.7 ns at p = 0.1 and 0.5, 8.0 and 6.0-6.5
+    at p = 1.5.  Each of these charges lies within 1-2 times both figures.
+    np.interp allocates its output and binary-searches the knots for every
+    draw: 7.6-8.8 ns for 2 knots, 15-16 and 14-14.5 ns for the 4 of
+    ``perfbench/knots.txt``, and 89-92 and 97-101 ns for 1000, where the
+    charge is below both.  A subclass is charged its base's price.
     """
     if isinstance(spec, PiecewiseLinear):
         return 2.0 + 7.5 * math.log2(len(spec.knots))
     if isinstance(spec, Power):
-        return 5.0 if spec.p in (1.0, 2.0) else 6.5 if spec.p < 1.0 else 8.2
-    return 5.0 if isinstance(spec, LogProduct) else 4.2
+        return 6.5 if spec.p in (1.0, 2.0) else 8.5 if spec.p < 1.0 else 8.2
+    return 7.3 if isinstance(spec, LogProduct) else 5.8
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -201,7 +207,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     ``(violations, (stopped, over), ...)``, one pair per sum:
     ``stopped[r]`` counts the sums that first crossed t on draw r, and
     ``over`` holds their overshoots in crossing order (by draw, then by
-    path).  ``violations`` counts the paths whose base sum crossed before
+    slot).  ``violations`` counts the paths whose base sum crossed before
     the dominating one (expected: none; 0 with one sum).
 
     With ``marks``, thresholds in [0, t], one more entry follows the pairs:
@@ -221,35 +227,36 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     the fewest free draws of the path's sums (at most ``_DRAW_CAP``, past
     which the cap check trips before the next draw), only draw and step.
 
-    A path leaves once every sum of it has crossed; the surviving paths
-    keep their order, so each round's draws reach the same paths as they
-    would with path ids.  The working arrays come from the pass workspace
-    ``ws`` (fresh ones when it is None; each ``over`` is one of them): 4
-    float and 1 bool array for one sum, 6 and 2 for two.  Each round draws
-    into ``u``.  One sum steps in place there.  Of two, the base steps
-    first, with ``spare`` as scratch (an identity base needs none: its
-    ``_f`` returns the draws themselves), and the dominating sum then
-    steps in place in ``u``, whose draws are no longer needed.  A
-    crossed dominating sum turns NaN, which stays NaN under addition and
-    multiplication and is never above a level, so after each round's step
-    the level test flags only that round's crossings; once every surviving
-    dominating sum is NaN its step is skipped.  A base sum that crosses
-    while its dominating sum is still finite is a violation, and its path
-    stays.  While no violator is waiting, the leavers are just the round's
-    base crossings; otherwise the round's crossed base sums turn NaN too,
-    and the leavers are the paths whose sums are both NaN.
+    A path leaves once every sum of it has crossed.  The m surviving paths
+    hold slots [0, m), and a round's h leavers retire in O(h) work: the live
+    paths of the tail slots [m - h, m) move, in ascending slot order, into the
+    leavers' slots below m - h, also ascending, and every other path keeps its
+    slot.  The move depends only on which paths leave: while no violator
+    waits, those are the base's crossings, so an identity base walks
+    ``simulate``'s paths.  The working arrays come from the pass workspace
+    ``ws`` (fresh ones when it is None; each ``over`` is one of them): 3 float
+    and 1 bool array for one sum, 6 and 2 for two.  Each round draws into
+    ``u``.  One sum steps in place there.  Of two, the base steps first, with
+    ``spare`` as scratch (an identity base needs none: its ``_f`` returns the
+    draws themselves), and the dominating sum then steps in place in ``u``,
+    whose draws are no longer needed.  A crossed dominating sum turns NaN,
+    which stays NaN under addition and multiplication and is never above a
+    level, so after each round's step the level test flags only that round's
+    crossings; once every surviving dominating sum is NaN its step is skipped.
+    A base sum that crosses while its dominating sum is still finite is a
+    violation, and its path stays.  While no violator is waiting, the leavers
+    are just the round's base crossings; otherwise the round's crossed base
+    sums turn NaN too, and the leavers are the paths whose sums are both NaN.
 
-    Each compaction is ``np.take`` of a temporary index array with
-    ``mode="clip"``: ``np.compress`` with ``out=`` (and ``np.take`` in its
-    default ``mode="raise"``) fills a buffer and copies it into ``out``.
-    The index arrays die within their round: one kept alive into the next
-    round made the allocator hand out fresh pages, about 900 KB of page
-    faults per block at t = 20.
+    The overshoots are gathered with ``np.take(..., mode="clip")``: in its
+    default ``mode="raise"``, ``np.take`` with ``out=`` fills a buffer and
+    copies it into ``out``.  The index arrays die within their round: one
+    kept alive into the next round made the allocator hand out fresh pages.
     """
     forms = [spec._sum_form(t) for spec in specs]
     if len(forms) == 1:
         (f1,), f2 = forms, None
-        u, s1, spare, over1, d1 = _arrays(ws, n, "dddd?")
+        u, s1, over1, d1 = _arrays(ws, n, "ddd?")
         s2 = d2 = None
     else:
         f1, f2 = forms
@@ -311,19 +318,20 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
                 base[j] = np.nan
                 np.logical_and(np.isnan(base, out=leave), np.isnan(dom, out=d2[:m]), out=leave)
                 nan1 += hit
-                hit = int(np.count_nonzero(leave))
+                j = np.flatnonzero(leave)
+                hit = j.size
                 nan1 -= hit
-        del j
         if hit:
-            keep = np.flatnonzero(np.logical_not(leave, out=leave))
             m -= hit
-            np.take(base, keep, out=spare[:m], mode="clip")
-            s1, spare = spare, s1
+            src = np.flatnonzero(np.logical_not(leave[m:], out=leave[m:]))
+            dst = j[: src.size]
+            src += m
+            base[dst] = base[src]
             if f2 is not None:
-                np.take(dom, keep, out=spare[:m], mode="clip")
-                s2, spare = spare, s2
+                dom[dst] = dom[src]
                 nan2 -= hit
-            del keep
+            del src, dst
+        del j
         if marks:
             _tally(passed, levels, n, m, ((s1, nan1, d1), (s2, nan2, d2)))
     for k in stopped:

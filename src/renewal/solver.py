@@ -137,9 +137,15 @@ def marching_tolerance(step: float) -> float:
     - ``eval_curve`` next to any breaking point that is not a grid node,
       which is first order there: logproduct at step 3e-3 is 7.2e-4 off
       near t = 1, against 9e-5.
+
+    A step whose 10 * step^2 underflows to 0 or overflows to inf (below
+    about 5e-163 or above about 4.2e153) is refused with ``DomainError``.
     """
     step = _as_real("step", step, 0.0, open_lo=True)
-    return 10.0 * step * step
+    tol = 10.0 * step * step
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"step must give a positive finite 10 * step^2, got {step!r}")
+    return tol
 
 
 def _update_slopes(v, sl, sr, seg: int, hi: int) -> None:

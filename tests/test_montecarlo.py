@@ -12,6 +12,7 @@ import pytest
 
 import renewal.montecarlo as mc
 from renewal.bijections import (
+    BUILTIN_TRANSFORMS,
     BijectionSpec,
     ConvergenceError,
     DomainError,
@@ -24,6 +25,7 @@ from renewal.bijections import (
     integrate,
 )
 from renewal.closed_forms import product_count, uniform_sum_count
+from renewal.solver import eval_curve, solve
 from renewal.verification import _MENAGERIE
 
 E = math.e
@@ -102,16 +104,16 @@ class TestEstimateN:
         with pytest.raises(DomainError, match=r"about \S+ s on one thread at 17 ns per draw "
                                               r"and 5 us per block round, over the cap"):
             mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
-        # the coupled pass is charged for both sums: identity's 4.2 ns and
-        # logproduct's 5 ns per draw, and 5 us per block round for each
-        with pytest.raises(DomainError, match=r"at 9.2 ns per draw and 10 us per block round"):
+        # the coupled pass is charged for both sums: identity's 5.8 ns and
+        # logproduct's 7.3 ns per draw, and 5 us per block round for each
+        with pytest.raises(DomainError, match=r"at 13.1 ns per draw and 10 us per block round"):
             mc.paired_domination(1e12, 1)
 
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
         knot_ns, closed_ns = mc._ns_per_draw(_KNOTS_TXT), mc._ns_per_draw(LogProduct())
-        assert (knot_ns, closed_ns) == (17.0, 5.0)
+        assert (knot_ns, closed_ns) == (17.0, 7.3)
         # the sample count whose charge at the geometric mean of the two
         # costs is the cap: over it at the knot file's, under at logproduct's
         rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
@@ -132,7 +134,7 @@ class TestEstimateN:
         specs = (Identity(), LogProduct(), Power(1.0), Power(2.0), Power(0.1), Power(0.5),
                  Power(1.5), Power(10.0), _KNOTS_TXT, _AdditiveLogProduct())
         assert [mc._ns_per_draw(s) for s in specs] == [
-            4.2, 5.0, 5.0, 5.0, 6.5, 6.5, 8.2, 8.2, 17.0, 5.0]
+            5.8, 7.3, 6.5, 6.5, 8.5, 8.5, 8.2, 8.2, 17.0, 7.3]
 
 
 class TestReproducibility:
@@ -247,8 +249,22 @@ def _plain_form(transform, t):
     return 0.0, lambda s, u: s + transform._f(u), t, lambda s: s - t
 
 
+def _retire(idx, done):
+    """The kernel's retirement rule on the path ids ``idx`` of m slots, in slot order.
+
+    The h paths that are ``done`` leave.  The live paths of the tail slots
+    [m - h, m) move, in slot order, into the leavers' slots below m - h.
+    Returns the ids of the m - h slots left.
+    """
+    m = idx.size - int(np.count_nonzero(done))
+    src = m + np.flatnonzero(~done[m:])
+    idx = idx.copy()
+    idx[np.flatnonzero(done)[: src.size]] = idx[src]
+    return idx[:m]
+
+
 def _reference_block(transform, t, n, rng):
-    """The kernel written plainly: path ids, and fresh arrays every round."""
+    """The kernel written plainly: per-path sums, path ids in slot order, fresh arrays."""
     start, step, level, overshoot = _plain_form(transform, t)
     idx = np.arange(n)
     sums = np.full(n, start)
@@ -257,11 +273,11 @@ def _reference_block(transform, t, n, rng):
     r = 0
     while idx.size:
         r += 1
-        sums = step(sums, rng.random(idx.size))
-        done = sums > level
+        sums[idx] = step(sums[idx], rng.random(idx.size))
+        done = sums[idx] > level
         k[idx[done]] = r
-        over[idx[done]] = overshoot(sums[done])
-        idx, sums = idx[~done], sums[~done]
+        over[idx[done]] = overshoot(sums[idx[done]])
+        idx = _retire(idx, done)
     return k, over
 
 
@@ -413,33 +429,33 @@ class TestBinCounts:
 
 
 # records of 2 * _BLOCK + 17 paths at seed 42, computed by the kernel that
-# allocated per block and histogrammed with np.histogram
+# retires crossed paths by moving the live tail into their slots
 _N_GOLDEN = 2 * mc._BLOCK + 17
 _GOLDEN = {
     "identity": (
         Identity(), 1.0, None,
-        [0, 0, 65541, 43683, 16418, 4338, 927, 155, 24, 3],
-        "0x1.6f2da174cdc39p+15", "0x1.7f607fc7cb0cbp+14", None,
+        [0, 0, 65541, 43701, 16491, 4271, 908, 156, 15, 6],
+        "0x1.6ea7f383950adp+15", "0x1.7e91c4468d434p+14", None,
     ),
     "logproduct": (
         LogProduct(), 20.0, 17,
-        [0] * 25 + [1, 15, 122, 501, 1649, 4070, 7562, 11647, 15499, 17949, 18151, 16192,
-                    13270, 9629, 6347, 3942, 2230, 1228, 584, 281, 122, 58, 29, 6, 2, 1, 2],
-        "0x1.6fc7c768ed637p+15", "0x1.8072587b0b40ap+14",
-        [13061, 12384, 12049, 11489, 10820, 10539, 9612, 9008, 8303, 7440, 6708, 5734,
-         4799, 3881, 2914, 1749, 599],
+        [0] * 25 + [1, 13, 126, 501, 1662, 3914, 7334, 11847, 15712, 18018, 18179, 16250,
+                    13061, 9580, 6455, 3960, 2200, 1179, 604, 285, 120, 56, 22, 5, 3, 1, 1],
+        "0x1.7009dddc91b6bp+15", "0x1.80eb9d1db16a8p+14",
+        [13052, 12474, 11939, 11432, 10935, 10342, 9742, 8953, 8324, 7528, 6539, 5840,
+         4848, 3885, 2821, 1827, 608],
     ),
     "power:0.5": (
         Power(0.5), 5.0, None,
-        [0] * 6 + [4292, 35973, 50965, 28806, 8956, 1793, 272, 31, 0, 1],
-        "0x1.8008f4c41da86p+15", "0x1.99dae3c71fe88p+14", None,
+        [0] * 6 + [4292, 36051, 50818, 28760, 9104, 1768, 265, 30, 1],
+        "0x1.8058c327a6a2ep+15", "0x1.99ff43a1efcfbp+14", None,
     ),
     "knots.txt": (
         _KNOTS_TXT, 3.0, 10,
-        [0] * 4 + [492, 3374, 10061, 17982, 22972, 23349, 19685, 14123, 9123, 5178, 2647,
-                   1259, 503, 218, 77, 31, 8, 5, 2],
-        "0x1.1fedbbecd2343p+15", "0x1.0664203ed2ad0p+14",
-        [32505, 26327, 21591, 16418, 11527, 8112, 6413, 4546, 2726, 924],
+        [0] * 4 + [492, 3485, 9930, 17954, 22813, 23436, 19774, 14361, 8991, 5109, 2651,
+                   1275, 500, 201, 74, 27, 13, 1, 2],
+        "0x1.1fd5268720defp+15", "0x1.07033b6d7cc71p+14",
+        [32863, 26322, 21134, 16330, 11627, 8149, 6338, 4587, 2833, 906],
     ),
 }
 
@@ -448,17 +464,17 @@ _GOLDEN = {
 # of squares, histogram)
 _GOLDEN_COUPLED = (
     ("identity", 28,
-     [4, 13, 64, 204, 599, 1378, 2643, 4510, 6920, 9554, 11688, 13301, 14294, 13981, 12780,
-      10892, 8708, 6518, 4677, 3269, 2114, 1294, 770, 428, 235, 126, 58, 35, 12, 13, 4, 1, 2],
-     "0x1.54f0eaf0468cfp+15", "0x1.54e0fec5ad06ap+14",
-     [15103, 14048, 13213, 12307, 11282, 10416, 9443, 8552, 7710, 6818, 5908, 4993, 4012,
-      3201, 2232, 1397, 454]),
+     [4, 12, 59, 204, 561, 1397, 2619, 4460, 6963, 9370, 11886, 13529, 14265, 13963, 12701,
+      10839, 8653, 6508, 4717, 3226, 2177, 1297, 803, 387, 234, 124, 68, 31, 15, 10, 7],
+     "0x1.558f36cd96015p+15", "0x1.5553957e4327ep+14",
+     [14975, 14038, 13032, 12067, 11591, 10422, 9527, 8726, 7658, 6906, 5927, 4992, 4017,
+      3122, 2260, 1377, 452]),
     ("logproduct", 25,
-     [1, 13, 116, 530, 1664, 3857, 7566, 11692, 15641, 17958, 18092, 16313, 13133, 9719,
-      6308, 4051, 2192, 1176, 571, 273, 129, 58, 19, 10, 4, 3],
-     "0x1.6fe0aa92380a5p+15", "0x1.80e3d350d2a95p+14",
-     [13038, 12677, 11942, 11332, 10879, 10348, 9641, 9011, 8244, 7547, 6665, 5850, 4779,
-      3770, 2963, 1798, 605]),
+     [1, 13, 116, 530, 1636, 3912, 7377, 11954, 15539, 18105, 18198, 16173, 13049, 9637,
+      6502, 3826, 2230, 1213, 591, 282, 124, 46, 25, 6, 1, 3],
+     "0x1.6f4f4319ca8c4p+15", "0x1.8033869e5bacep+14",
+     [13072, 12642, 12181, 11321, 10850, 10301, 9746, 8890, 8087, 7524, 6743, 5763, 4801,
+      3899, 2888, 1790, 591]),
 )
 
 
@@ -479,7 +495,7 @@ class TestGoldenRecords:
         # swapped transforms, so the count is not 0
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_kernel", lambda specs, *args: kernel(specs[::-1], *args))
-        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88788, _N_GOLDEN)
+        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88715, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_coupled_records_are_bit_identical(self, workers):
@@ -490,6 +506,25 @@ class TestGoldenRecords:
             assert rec.k_counts.tolist() == [0] * first + k_counts
             assert (rec.overshoot_sum.hex(), rec.overshoot_sumsq.hex()) == (o, o2)
             assert rec.hist_counts.tolist() == hist
+
+    @pytest.mark.parametrize("spec, t, k_counts", [
+        *(pytest.param(spec, t, k, id=name) for name, (spec, t, _, k, *_) in _GOLDEN.items()),
+        *(pytest.param(BUILTIN_TRANSFORMS[label], 20.0, [0] * first + k, id="coupled-" + label)
+          for label, first, k, *_ in _GOLDEN_COUPLED),
+    ])
+    def test_pinned_counts_are_unbiased(self, spec, t, k_counts):
+        # the pins are regenerated whenever the paths change, so a biased
+        # kernel would pin its own records: each pinned mean count must lie
+        # within 4 of its standard errors of N(t)
+        if t == 20.0:
+            params = asymptotic_params(spec)
+            exact = (t + params.c) / params.mu
+        elif isinstance(spec, Identity):
+            exact = E
+        else:
+            exact = float(eval_curve(solve(spec, t, 1e-3), t))
+        est = mc._count_estimate(spec.label, t, _N_GOLDEN, 42, np.array(k_counts))
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 class TestWorkspace:
@@ -512,7 +547,7 @@ class TestWorkspace:
             per_thread = len("dddddd??")
         else:
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
-            per_thread = len("dddd?") + len("dp?")
+            per_thread = len("ddd?") + len("dp?")
         # three blocks: each thread makes its arrays once
         assert len(refs) == 3 * per_thread
         assert len(ids) <= workers * per_thread and (workers > 1 or len(ids) == per_thread)
@@ -713,10 +748,10 @@ class TestPairedDomination:
             # where every sum crosses on its first draw (one path may go either way)
             assert want == 0 if not swap or t == 0.0 else (want > 0 or n == 1)
         # each sum's first crossings, bit for bit: draw counts, and the
-        # overshoots in crossing order (by draw, then by path)
+        # overshoots in crossing order (by draw, then by slot)
         for (stopped, over), (k, o) in zip(pairs, crossings):
             assert stopped.dtype == np.int64 and stopped.tolist() == np.bincount(k).tolist()
-            assert over.tolist() == o[np.argsort(k, kind="stable")].tolist()
+            assert over.tolist() == o.tolist()
         # the kernel drew exactly as many uniforms as the reference
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -731,42 +766,34 @@ class TestPairedDomination:
 
 
 def _reference_paired_block(t, n, rng, base, dominating):
-    """The coupled-path kernel written plainly: path ids, per-path counts, fresh arrays.
+    """The coupled-path kernel written plainly: per-path sums and counts, path ids in slot order.
 
     Returns the violation count, the number of rounds (most draws of a
-    path), and per path, in path order, each sum's first-crossing draw and
-    overshoot: ``(k_base, over_base)`` and ``(k_dominating, over_dominating)``.
-    A sum stops growing once it passes t.  Each sum runs in ``_plain_form``.
+    path), and per sum each path's first-crossing draw, in path order, and
+    the overshoots in crossing order (by draw, then by slot): ``(k_base,
+    over_base)`` and ``(k_dominating, over_dominating)``.  A sum stops
+    growing once it passes t, and a path leaves once both of its sums
+    have.  Each sum runs in ``_plain_form``.
     """
-    (start1, step1, level1, over1), (start2, step2, level2, over2) = (
-        _plain_form(base, t), _plain_form(dominating, t))
+    forms = (_plain_form(base, t), _plain_form(dominating, t))
     idx = np.arange(n)
-    s1, s2 = np.full(n, start1), np.full(n, start2)
-    k1, k2 = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    done1, done2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    out = [(np.zeros(n, dtype=np.int64), np.zeros(n)) for _ in range(2)]
+    sums = [np.full(n, form[0]) for form in forms]
+    ks = [np.zeros(n, dtype=np.int64) for _ in forms]
+    overs = [[] for _ in forms]
     violations = rounds = 0
     while idx.size:
         rounds += 1
         u = rng.random(idx.size)
-        act1 = ~done1
-        s1[act1] = step1(s1[act1], u[act1])
-        k1[act1] += 1
-        done1 = s1 > level1
-        act2 = ~done2
-        s2[act2] = step2(s2[act2], u[act2])
-        k2[act2] += 1
-        done2 = s2 > level2
-        both = done1 & done2
-        if both.any():
-            violations += int(np.count_nonzero(k2[both] > k1[both]))
-            for (k_out, o_out), k, s, over in zip(out, (k1, k2), (s1, s2), (over1, over2)):
-                k_out[idx[both]] = k[both]
-                o_out[idx[both]] = over(s[both])
-            keep = ~both
-            idx, s1, s2, k1, k2 = idx[keep], s1[keep], s2[keep], k1[keep], k2[keep]
-            done1, done2 = done1[keep], done2[keep]
-    return violations, rounds, *out
+        for (_, step, level, over), s, k, o in zip(forms, sums, ks, overs):
+            active = k[idx] == 0
+            s[idx[active]] = step(s[idx[active]], u[active])
+            crossed = idx[active & (s[idx] > level)]
+            k[crossed] = rounds
+            o.extend(over(s[crossed]).tolist())
+        both = (ks[0][idx] > 0) & (ks[1][idx] > 0)
+        violations += int(np.count_nonzero(ks[1][idx[both]] > ks[0][idx[both]]))
+        idx = _retire(idx, both)
+    return violations, rounds, *((k, np.array(o)) for k, o in zip(ks, overs))
 
 
 class _Recording:
@@ -799,7 +826,7 @@ def _mark_walk(specs, t, n, draws, marks):
     """Each sum's draw counts at each mark, from a walk of every path over ``draws``.
 
     ``draws`` are the kernel's batches, one per round, one uniform per
-    surviving path in path order.  Each path keeps its own sums, in
+    surviving path in slot order (``_retire``).  Each path keeps its own sums, in
     ``_plain_form``, and records the draw on which each sum first went
     above each mark's level; a sum stops at t, and a path leaves once all
     its sums have.
@@ -819,7 +846,7 @@ def _mark_walk(specs, t, n, draws, marks):
             for mark_level, f in zip(lv, fs):
                 f[idx[(f[idx] == 0) & (s[idx] > mark_level)]] = r
             done &= s[idx] > level
-        idx = idx[~done]
+        idx = _retire(idx, done)
     assert idx.size == 0
     return [[np.bincount(f).tolist() for f in fs] for fs in first]
 

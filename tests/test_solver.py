@@ -43,6 +43,10 @@ def test_marching_tolerance_scale():
     for step in (0.0, -1.0):
         with pytest.raises(DomainError, match="^step must be finite and > 0"):
             marching_tolerance(step)
+    # 10 * step^2 underflows to 0 and overflows to inf
+    for step in (1e-170, 1e200):
+        with pytest.raises(DomainError, match="^step must give a positive finite 10 \\* step\\^2"):
+            marching_tolerance(step)
 
 
 class TestAccuracy:
