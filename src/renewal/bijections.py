@@ -46,9 +46,14 @@ __all__ = [
 ]
 
 _EM1 = math.e - 1.0
-# the largest t at which LogProduct's Monte Carlo sums run as products: a
-# crossed product is at most about e^(t + 1), which must stay a finite double
+# the largest t at which LogProduct's Monte Carlo sums run as products: the
+# level e^t, and a product that crossed it, must stay finite doubles
 _PRODUCT_T_MAX = 700.0
+# LogProduct's products take one factor x + 1/(e-1) per draw, and gain an
+# exact power of two every _RESCALE draws, which keeps them and their levels
+# normal doubles; (1/(e-1))^_RESCALE is about 2^-800
+_C = 1.0 / _EM1
+_RESCALE = 1024
 
 
 class DomainError(ValueError):
@@ -141,21 +146,20 @@ def _as_spec(name: str, value) -> None:
 class _SumForm(NamedTuple):
     """How the Monte Carlo kernel runs one transform's sums against a threshold t.
 
-    Every sum starts at ``start`` and has crossed t once it is > ``level``;
-    none can cross within its first ``free`` draws.  ``step(s, x, out)``
-    advances the sums ``s`` in place by the uniform draws ``x``, with
-    ``out`` as scratch (it may be ``x``); ``over(s)`` maps crossed sums to
-    their overshoots past t, in place.  ``level_at(L)`` is the level a sum
-    is above once it has passed a threshold L <= t (``level_at(t)`` is
-    ``level``).
+    Every sum starts at ``start``; none can cross within its first ``free``
+    draws.  ``step(s, x, out, r)`` advances the sums ``s`` in place by their
+    r-th uniform draws ``x``, with ``out`` as scratch (it may be ``x``).
+    ``level(r, L)`` is the level a sum of r draws is above once it has
+    passed a threshold L <= t, and ``level(r, t)`` the level it crosses t
+    at; every sum of one round has taken the same r draws.  ``over(s, r)``
+    maps sums that crossed on draw r to their overshoots past t, in place.
     """
 
     start: float
-    level: float
     free: int
     step: Callable
     over: Callable
-    level_at: Callable
+    level: Callable
 
 
 class BijectionSpec(abc.ABC):
@@ -187,18 +191,19 @@ class BijectionSpec(abc.ABC):
     def _sum_form(self, t: float) -> _SumForm:
         """The Monte Carlo kernel's sums at threshold t; by default, sums of ``_f``.
 
-        A sum starts at 0, adds f of each draw, has crossed once it is > t
-        and overshoots by s - t.  Every increment is at most f(1) = 1 and
-        float addition rounds monotonically, so a sum of r <= floor(t)
-        increments is at most r <= t: the first floor(t) draws cannot cross.
+        A sum starts at 0, adds f of each draw, has passed a threshold L once
+        it is > L, whatever its draw count, and overshoots t by s - t.  Every
+        increment is at most f(1) = 1 and float addition rounds monotonically,
+        so a sum of r <= floor(t) increments is at most r <= t: the first
+        floor(t) draws cannot cross.
         """
-        def step(s, x, out):
+        def step(s, x, out, r):
             s += self._f(x, out=out)
 
-        def over(s):
+        def over(s, r):
             s -= t
 
-        return _SumForm(0.0, t, math.floor(t), step, over, float)
+        return _SumForm(0.0, math.floor(t), step, over, lambda r, mark: mark)
 
     @abc.abstractmethod
     def _finv(self, u: np.ndarray) -> np.ndarray:
@@ -244,14 +249,23 @@ class LogProduct(BijectionSpec):
     independent 1 + (e-1)X factors exceeding e^t.  f(1) must be exactly 1.0
     in floats, so the endpoint is pinned rather than trusted to log1p.
 
-    The Monte Carlo kernel runs the product, one multiply per draw instead
-    of a log1p: a sum starts at 1, takes P *= 1 + (e-1)x, has crossed once
-    P > E = fl(e^t), and overshoots by log1p((P - E)/E), which is > 0
-    whenever P > E.  Each factor is at most fl(e), but the rounded product
-    of r such factors can pass fl(e^r), so only the first floor(t) - 1
-    draws skip the stop test: r <= t - 1 factors stay below e^(t-1) times
-    a rounding factor far under e.  Above t = 700, where e^(t+1) nears the
-    largest double, the sums add log1p increments, as the default form does.
+    The Monte Carlo kernel runs the product, one add and one multiply per
+    draw instead of a log1p.  With c = 1/(e-1), 1 + (e-1)x = (x + c)/c, so a
+    sum starts at 1 and takes S *= x + c: after r draws S = P c^r, where P
+    is the product of 1 + (e-1)X factors.  P > e^L is S > e^L c^r, so a sum
+    of r draws has passed L once it is above the level e^L c^r, and it
+    overshoots t by log1p((S - V)/V) for V = e^t c^r, which is > 0 whenever
+    S > V.  Each factor fl(x + c) is at most about 1 + c = e c, so r factors
+    stay below e^r c^r times a rounding factor far under e, and r <= t - 1
+    of them below e^(t-1) c^r: only the first floor(t) - 1 draws skip the
+    stop test.  c^r falls 0.54 in log per draw and leaves the normal doubles
+    after about 1300 draws, so every ``_RESCALE`` draws the sums gain an
+    exact power of two, the one that brings c^r back within 2^+-0.5, and the
+    levels gain it too.  The scaling is exact, so it changes no comparison
+    and no overshoot, and sums and levels stay normal doubles at every
+    round.  e^t, and a sum that crossed it (at most about e^(t+1) c^r), must
+    stay finite: above t = ``_PRODUCT_T_MAX`` the sums add log1p
+    increments, as the default form does.
     """
 
     label: ClassVar[str] = "logproduct"
@@ -266,17 +280,30 @@ class LogProduct(BijectionSpec):
     def _sum_form(self, t):
         if t > _PRODUCT_T_MAX:
             return super()._sum_form(t)
-        level = math.exp(t)
+        scales = [1.0]  # c^(k _RESCALE) times the power of two sums have gained by then
 
-        def step(s, x, out):
-            s *= np.add(np.multiply(x, _EM1, out=out), 1.0, out=out)
+        def gained(k):  # the binary exponent sums have gained after k _RESCALE draws
+            return round(k * _RESCALE * math.log2(_EM1))
 
-        def over(s):
-            s -= level
-            s /= level
+        def level(r, mark):
+            k, j = divmod(r, _RESCALE)
+            while len(scales) <= k:
+                shift = gained(len(scales)) - gained(len(scales) - 1)
+                scales.append(math.ldexp(scales[-1] * _C**_RESCALE, shift))
+            return math.exp(mark) * scales[k] * _C**j
+
+        def step(s, x, out, r):
+            s *= np.add(x, _C, out=out)
+            if r % _RESCALE == 0:
+                s *= 2.0 ** (gained(r // _RESCALE) - gained(r // _RESCALE - 1))
+
+        def over(s, r):
+            v = level(r, t)
+            s -= v
+            s /= v
             np.log1p(s, out=s)
 
-        return _SumForm(1.0, level, max(math.floor(t) - 1, 0), step, over, math.exp)
+        return _SumForm(1.0, max(math.floor(t) - 1, 0), step, over, level)
 
     def _finv(self, u):
         out = np.expm1(u) / _EM1

@@ -9,18 +9,20 @@ work: the live paths of the last h slots move into their slots.  It runs
 one sum per path for ``simulate``, or two sums driven by the same uniforms
 for the coupled identity/logproduct pass, where a path retires once both
 have crossed.  Each sum runs in its transform's form: most add f(x) and
-cross t, while logproduct's (up to t = 700) multiply by 1 + (e-1)x and
-cross e^t, which is the same event at one multiply per draw instead of a
-log1p.  Increments never exceed 1, so no sum can cross in its first
-floor(t) draws, or its first floor(t) - 1 for a product, whose rounding
-can pass e^t at integer t; those rounds skip the stop test.  Each pass
+cross t, while logproduct's (up to t = 700) multiply by x + 1/(e-1) and
+cross e^t (e-1)^-r after r draws, which is the same event at one add and
+one multiply per draw instead of a log1p.  Every survivor of a round has
+taken the same r draws, so the round tests them all against one level.
+Increments never exceed 1, so no sum can cross in its first floor(t)
+draws, or its first floor(t) - 1 for a product, whose rounding can pass
+the level at integer t; those rounds skip the stop test.  Each pass
 holds one workspace: every worker thread makes its working arrays (3 float
 and 1 bool array of 2^16 entries for one sum) the first time it runs a
 block, and its later blocks and their rounds reuse them while they stay in
 cache.  The workspace is freed when the pass returns.
 
 The block is the unit of randomness as well as of work: block b draws from
-its own PCG64DXSM stream, child b of ``SeedSequence(seed)``.  Workers are
+its own SFC64 stream, child b of ``SeedSequence(seed)``.  Workers are
 threads that run whole blocks, and block results are merged in block
 order, so every result is a pure function of (transform, t, samples,
 seed): bit-identical across runs, thread schedules and worker counts.
@@ -69,50 +71,59 @@ __all__ = [
 
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
-# one-thread kernel cost of a round of one sum, charged per sum: measured
-# on 2 vCPUs at 2.7-3.9 us for one-path blocks (5.2 for two coupled sums)
-_US_PER_ROUND = 5.0
+# one-thread kernel costs the work cap charges per sum, beside each draw's
+# (``_ns_per_draw``), measured on 2 vCPUs: a block round (one-path blocks at
+# t = 200 took 4.0-6.3 us per charged round of one sum, 7.1-9.4 us of two
+# coupled sums), and a path's own work, paid once: its stopped count,
+# overshoot gather and map, and retirement
+_US_PER_ROUND = 7.0
+_NS_PER_PATH = 10.0
 _MAX_SIM_SECONDS = 300.0
 
 
 def _ns_per_draw(spec: BijectionSpec) -> float:
     """The kernel's cost per draw of ``spec`` on one thread, as the work cap charges it.
 
-    Measured as kernel time in one-thread passes of 1e6 paths on 2 vCPUs,
-    over the cap's 1 + t/mu draws per path, at t = 1 and 20, while the host
-    drew uniforms at 2.2-2.4 ns each.  Identity 5.1-5.3 and 3.1-3.2 ns;
-    logproduct's products 6.9-7.2 and 3.7-3.9 ns (its sums past t = 700
-    5.0).  np.power copies (p = 1) and squares (p = 2) on fast paths, 5.4
-    and 3.5-3.7 ns, 5.6-6.0 and 3.7-4.2 ns, and calls pow for other
-    exponents: 6.8-8.4 and 5.1-5.7 ns at p = 0.1 and 0.5, 8.0 and 6.0-6.5
-    at p = 1.5.  Each of these charges lies within 1-2 times both figures.
+    With ``_NS_PER_PATH`` and ``_US_PER_ROUND`` it prices one-thread passes
+    of 1e6 paths at 1.2-1.8 times their kernel time at both t = 1 and t =
+    20 (1 + t/mu charged draws per path), measured on 2 vCPUs while the host
+    drew SFC64 uniforms at 2.1-2.5 ns each.  Per path at t = 1 and 20:
+    identity 14-16 and 111-115 ns; logproduct's products 17 and 112-117 ns.
+    np.power copies (p = 1) and squares (p = 2) on fast paths, 15-18 and
+    129-131 ns, 21-23 and 199-238 ns, and calls pow for other exponents:
+    15-16 and 119-146 ns at p = 0.1 and 0.5, 26 and 283 ns at p = 1.5.
     np.interp allocates its output and binary-searches the knots for every
-    draw: 7.6-8.8 ns for 2 knots, 15-16 and 14-14.5 ns for the 4 of
-    ``perfbench/knots.txt``, and 89-92 and 97-101 ns for 1000, where the
-    charge is below both.  A subclass is charged its base's price.
+    draw: 26-27 and 300-311 ns for 2 knots, 56-57 and 757-776 ns for the 4
+    of ``perfbench/knots.txt``, 273-295 and 4077-4472 ns for 1000 (about 85
+    ns per draw).  The coupled pass, charged for both of its sums, took
+    30-31 and 186-204 ns.  A subclass is charged its base's price.
     """
     if isinstance(spec, PiecewiseLinear):
-        return 2.0 + 7.5 * math.log2(len(spec.knots))
+        return 11.0 * math.log2(len(spec.knots))
     if isinstance(spec, Power):
-        return 6.5 if spec.p in (1.0, 2.0) else 8.5 if spec.p < 1.0 else 8.2
-    return 7.3 if isinstance(spec, LogProduct) else 5.8
+        return 4.8 if spec.p in (1.0, 2.0) else 6.3 if spec.p < 1.0 else 7.6
+    return 4.2 if isinstance(spec, LogProduct) else 3.2
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
-    """PCG64DXSM stream of block ``block``: child ``block`` of ``SeedSequence(seed)``.
+    """SFC64 stream of block ``block``: child ``block`` of ``SeedSequence(seed)``.
 
     ``SeedSequence(seed).spawn(n)`` hands out the streams of blocks 0..n-1;
-    building one from its spawn key needs no parent.
+    building one from its spawn key needs no parent.  SFC64 is numpy's
+    cheapest bit generator per uniform, which is most of the kernel's time.
+    It has no jump-ahead, which the blocks do not need: each owns a stream
+    seeded from its own spawn key.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(block,))
-    return np.random.Generator(np.random.PCG64DXSM(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _check_common(specs, t, samples, seed, workers):
     """Validate a pass of sums of ``specs``; refuse one estimated over ``_MAX_SIM_SECONDS``.
 
     Each draw and each block round is charged for every sum, for as many
-    rounds as the sum of smallest mean increment takes.
+    rounds as the sum of smallest mean increment takes, and each path once
+    per sum.
     """
     for spec in specs:
         _as_spec("transform", spec)
@@ -123,11 +134,12 @@ def _check_common(specs, t, samples, seed, workers):
     rounds = 1.0 + t / min(asymptotic_params(spec).mu for spec in specs)
     blocks = -(-samples // _BLOCK)
     ns, us = sum(map(_ns_per_draw, specs)), len(specs) * _US_PER_ROUND
-    seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6)
+    path_ns = len(specs) * _NS_PER_PATH
+    seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6) + samples * path_ns * 1e-9
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(
             f"simulating t={t:g} with samples={samples} would take about {seconds:.3g} s "
-            f"on one thread at {ns:g} ns per draw and {us:g} us "
+            f"on one thread at {ns:g} ns per draw, {path_ns:g} ns per path and {us:g} us "
             f"per block round, over the cap of {_MAX_SIM_SECONDS:g} s; decrease t or samples"
         )
     return t, samples, seed, workers
@@ -216,16 +228,21 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     a path that has passed L stays past it, and these are the first
     differences of the running number of paths past L, taken after each
     round as the paths gone (past t >= L), those whose sum is NaN (past t)
-    and those whose sum is above L's level in the form of t: one compare
-    and one count per sum and mark per round, until every path is past.
+    and those whose sum is above L's level after r draws in the form of t:
+    one compare and one count per sum and mark per round, until every path
+    is past.
 
     Each sum runs in its transform's form (``BijectionSpec._sum_form``):
-    its start, the level it crosses, the in-place step per draw and the
-    map from a crossed sum to its overshoot.  Most sums add f(x) and cross
-    t; logproduct's multiply by 1 + (e-1)x and cross e^t.  No sum can
-    cross within its form's free draws, so the first rounds, as many as
-    the fewest free draws of the path's sums (at most ``_DRAW_CAP``, past
-    which the cap check trips before the next draw), only draw and step.
+    its start, the in-place step per draw, the level a sum of r draws is
+    above once it has passed a threshold, and the map from a sum that
+    crossed on draw r to its overshoot.  Every surviving path has taken r
+    draws in round r, so each round tests every sum against one level per
+    sum and threshold, the form's ``level(r, t)``.  Most sums add f(x) and
+    cross t at every r; logproduct's multiply by x + 1/(e-1) and cross e^t
+    (e-1)^-r.  No sum can cross within its form's free draws, so the first
+    rounds, as many as the fewest free draws of the path's sums (at most
+    ``_DRAW_CAP``, past which the cap check trips before the next draw),
+    only draw and step.
 
     A path leaves once every sum of it has crossed.  The m surviving paths
     hold slots [0, m), and a round's h leavers retire in O(h) work: the live
@@ -263,19 +280,19 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
         u, s1, spare, over1, d1, s2, over2, d2 = _arrays(ws, n, "dddd?dd?")
         s2.fill(f2.start)
     s1.fill(f1.start)
-    levels = [[f.level_at(mark) for mark in marks] for f in forms]
     passed = [[[0] for _ in marks] for _ in forms]  # running counts past each mark
     nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
-    r = min(min(f.free for f in forms), _DRAW_CAP)
-    for _ in range(r):
+    free = min(min(f.free for f in forms), _DRAW_CAP)
+    for r in range(1, free + 1):
         x = rng.random(n, out=u)
         if f2 is None:
-            f1.step(s1, x, x)
+            f1.step(s1, x, x, r)
         else:
-            f1.step(s1, x, spare)
-            f2.step(s2, x, x)
+            f1.step(s1, x, spare, r)
+            f2.step(s2, x, x, r)
         if marks:
-            _tally(passed, levels, n, n, ((s1, 0, d1), (s2, 0, d2)))
+            _tally(passed, forms, marks, r, n, n, ((s1, 0, d1), (s2, 0, d2)))
+    r = free
     stopped = [[0] * (r + 1) for _ in forms]
     violations = 0
     m = n
@@ -289,28 +306,28 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
         x = rng.random(m, out=u[:m])
         base = s1[:m]
         if f2 is None:
-            f1.step(base, x, x)
+            f1.step(base, x, x, r)
         else:
-            f1.step(base, x, spare[:m])
+            f1.step(base, x, spare[:m], r)
             dom = s2[:m]
             if nan2 < m:
-                f2.step(dom, x, x)
-                j = np.flatnonzero(np.greater(dom, f2.level, out=d2[:m]))
+                f2.step(dom, x, x, r)
+                j = np.flatnonzero(np.greater(dom, f2.level(r, t), out=d2[:m]))
                 stopped[1].append(j.size)
                 if j.size:
                     stop = over2[n - m + nan2 : n - m + nan2 + j.size]
                     np.take(dom, j, out=stop, mode="clip")
-                    f2.over(stop)
+                    f2.over(stop, r)
                     dom[j] = np.nan
                     nan2 += j.size
-        leave = np.greater(base, f1.level, out=d1[:m])
+        leave = np.greater(base, f1.level(r, t), out=d1[:m])
         j = np.flatnonzero(leave)
         hit = j.size
         stopped[0].append(hit)
         if hit:
             stop = over1[n - m + nan1 : n - m + nan1 + hit]
             np.take(base, j, out=stop, mode="clip")
-            f1.over(stop)
+            f1.over(stop, r)
         if f2 is not None and (hit or nan1):
             fresh = hit - int(np.count_nonzero(np.isnan(dom[j])))
             violations += fresh
@@ -333,7 +350,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
             del src, dst
         del j
         if marks:
-            _tally(passed, levels, n, m, ((s1, nan1, d1), (s2, nan2, d2)))
+            _tally(passed, forms, marks, r, n, m, ((s1, nan1, d1), (s2, nan2, d2)))
     for k in stopped:
         while not k[-1]:  # violators left in rounds where no base sum crossed
             del k[-1]
@@ -344,17 +361,19 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     return out
 
 
-def _tally(passed, levels, n, m, sums):
-    """Append each mark's running count of paths past it after a round with m survivors.
+def _tally(passed, forms, marks, r, n, m, sums):
+    """Append each mark's running count of paths past it after round r, with m survivors.
 
     ``sums`` holds per sum its array (the survivors first), its count of
-    NaN survivors and a bool scratch array.  A count that has reached n is
-    final and is no longer extended.
+    NaN survivors and a bool scratch array; each form gives a mark's level
+    at r draws.  A count that has reached n is final and is no longer
+    extended.
     """
-    for cs, lv, (s, nan, d) in zip(passed, levels, sums):
-        for c, level in zip(cs, lv):
+    for cs, f, (s, nan, d) in zip(passed, forms, sums):
+        for c, mark in zip(cs, marks):
             if c[-1] < n:
-                c.append(n - m + nan + int(np.count_nonzero(np.greater(s[:m], level, out=d[:m]))))
+                above = np.greater(s[:m], f.level(r, mark), out=d[:m])
+                c.append(n - m + nan + int(np.count_nonzero(above)))
 
 
 def _run_block(transform, t, n, rng, ws=None):

@@ -282,7 +282,7 @@ class TestSimulate:
         monkeypatch.setattr(renewal.montecarlo, "_kernel", no_block)
         result = runner.invoke(main, ["simulate", "-t", "1e12", "--samples", "1"])
         assert result.exit_code == 2
-        assert "t=1e+12 with samples=1 would take about 8.6e+06 s" in result.output
+        assert "t=1e+12 with samples=1 would take about 1.2e+07 s" in result.output
         assert "cap of 300 s; decrease t or samples" in result.output
 
     def test_workers_do_not_change_the_output(self, runner):

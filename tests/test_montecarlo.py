@@ -89,7 +89,7 @@ class TestEstimateN:
             mc.simulate(Identity(), 1.0, 1000, bins=True)
 
     def test_work_cap_refuses_before_any_block(self, monkeypatch):
-        # about 2e12 rounds of 5 us each: refused before a block runs
+        # about 2e12 rounds of 7 us each: refused before a block runs
         def no_block(*args):
             raise AssertionError("a block ran before the work cap check")
 
@@ -101,27 +101,31 @@ class TestEstimateN:
 
     def test_work_cap_names_the_costs_it_charged(self, monkeypatch):
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
-        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 17 ns per draw "
-                                              r"and 5 us per block round, over the cap"):
+        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 22 ns per draw, "
+                                              r"10 ns per path and 7 us per block round, over"):
             mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
-        # the coupled pass is charged for both sums: identity's 5.8 ns and
-        # logproduct's 7.3 ns per draw, and 5 us per block round for each
-        with pytest.raises(DomainError, match=r"at 13.1 ns per draw and 10 us per block round"):
+        # the coupled pass is charged for both sums: identity's 3.2 ns and
+        # logproduct's 4.2 ns per draw, and 10 ns per path and 7 us per block
+        # round for each
+        with pytest.raises(DomainError, match=r"at 7.4 ns per draw, 20 ns per path and 14 us "
+                                              r"per block round"):
             mc.paired_domination(1e12, 1)
 
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
         knot_ns, closed_ns = mc._ns_per_draw(_KNOTS_TXT), mc._ns_per_draw(LogProduct())
-        assert (knot_ns, closed_ns) == (17.0, 7.3)
+        assert (knot_ns, closed_ns) == (22.0, 4.2)
         # the sample count whose charge at the geometric mean of the two
         # costs is the cap: over it at the knot file's, under at logproduct's
         rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
         samples = int(300.0 / (rounds * math.sqrt(knot_ns * closed_ns) * 1e-9))
         blocks = -(-samples // mc._BLOCK)
-        seconds = rounds * (samples * knot_ns * 1e-9 + blocks * mc._US_PER_ROUND * 1e-6)
+        fixed = blocks * mc._US_PER_ROUND * 1e-6
+        per_path = samples * mc._NS_PER_PATH * 1e-9
+        seconds = rounds * (samples * knot_ns * 1e-9 + fixed) + per_path
         # at a closed form's cost per draw the same pass would be admitted
-        assert rounds * (samples * closed_ns * 1e-9 + blocks * mc._US_PER_ROUND * 1e-6) < 300.0
+        assert rounds * (samples * closed_ns * 1e-9 + fixed) + per_path < 300.0
         assert seconds > 300.0
         with pytest.raises(DomainError, match=f"would take about {seconds:.3g} s"):
             mc.estimate_n(_KNOTS_TXT, 20.0, samples)
@@ -134,7 +138,7 @@ class TestEstimateN:
         specs = (Identity(), LogProduct(), Power(1.0), Power(2.0), Power(0.1), Power(0.5),
                  Power(1.5), Power(10.0), _KNOTS_TXT, _AdditiveLogProduct())
         assert [mc._ns_per_draw(s) for s in specs] == [
-            5.8, 7.3, 6.5, 6.5, 8.5, 8.5, 8.2, 8.2, 17.0, 7.3]
+            3.2, 4.2, 4.8, 4.8, 6.3, 6.3, 7.6, 7.6, 22.0, 4.2]
 
 
 class TestReproducibility:
@@ -236,17 +240,34 @@ class TestDrawCap:
         assert mc.paired_domination(10.0, 64, seed=0) == (0, 64)
 
 
+def _state(rng):
+    """The state of ``rng``'s bit generator as plain values, which == compares.
+
+    SFC64 keeps its state words in an array, whose == is elementwise.
+    """
+    state = rng.bit_generator.state
+    return {**state, "state": {k: np.asarray(v).tolist() for k, v in state["state"].items()}}
+
+
 def _plain_form(transform, t):
     """A sum's (start, step, level, overshoot), written plainly.
 
-    LogProduct's sums up to t = 700 are products of 1 + (e-1)x that cross
-    e^t, with overshoot log1p((P - e^t)/e^t); every other sum adds f(x).
+    LogProduct's sums up to t = 700 are products of x + 1/(e-1) factors: one
+    of r draws has passed L once it is above e^L (e-1)^-r, and overshoots t
+    by log1p((S - V)/V) at V = e^t (e-1)^-r.  The kernel rescales its
+    products every 1024 draws; no path here takes that many.  Every other
+    sum adds f(x), passes L once it is above L and overshoots t by s - t.
+    ``level(r, L)`` and ``overshoot(s, r)`` take the draw count r.
     """
     if isinstance(transform, LogProduct) and t <= 700.0:
-        level = math.exp(t)
-        return (1.0, lambda s, u: s * (1.0 + (E - 1.0) * u), level,
-                lambda s: np.log1p((s - level) / level))
-    return 0.0, lambda s, u: s + transform._f(u), t, lambda s: s - t
+        c = 1.0 / (E - 1.0)
+
+        def level(r, mark):
+            return math.exp(mark) * c**r
+
+        return (1.0, lambda s, u: s * (u + c), level,
+                lambda s, r: np.log1p((s - level(r, t)) / level(r, t)))
+    return 0.0, lambda s, u: s + transform._f(u), lambda r, mark: mark, lambda s, r: s - t
 
 
 def _retire(idx, done):
@@ -274,9 +295,9 @@ def _reference_block(transform, t, n, rng):
     while idx.size:
         r += 1
         sums[idx] = step(sums[idx], rng.random(idx.size))
-        done = sums[idx] > level
+        done = sums[idx] > level(r, t)
         k[idx[done]] = r
-        over[idx[done]] = overshoot(sums[idx[done]])
+        over[idx[done]] = overshoot(sums[idx[done]], r)
         idx = _retire(idx, done)
     return k, over
 
@@ -294,8 +315,9 @@ class _Constant:
     def __init__(self, x):
         self.x, self.draws = x, 0
 
-    def random(self, n, out):
+    def random(self, n, out=None):
         self.draws += n
+        out = np.empty(n) if out is None else out
         out.fill(self.x)
         return out
 
@@ -325,7 +347,7 @@ class TestKernel:
         assert stopped.dtype == np.int64 and (stopped == np.bincount(k)).all()
         assert (np.sort(over) == np.sort(want)).all()
         # the kernel drew exactly as many uniforms as the reference
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _state(rng) == _state(ref)
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         k, _ = _reference_block(Identity(), 10.0, 4096, mc._stream(3, 0))
@@ -347,7 +369,7 @@ class TestKernel:
             mc._kernel(specs, 10.0, 64, rng)
         ref = mc._stream(3, 0)
         ref.random(5 * 64)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _state(rng) == _state(ref)
 
     def test_workspace_reuse_matches_fresh_arrays(self):
         # a workspace left dirty by a longer block must not leak into the
@@ -384,6 +406,30 @@ class TestKernel:
             mc._kernel(specs, t, n, rng)
         assert rng.draws == 40 * n
 
+    @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 19.5, 20.0, 700.0])
+    def test_product_free_rounds_cannot_cross(self, t):
+        # every draw the largest uniform below 1, so the products grow as
+        # fast as they can: the kernel, which skips the stop test in its
+        # free rounds, stops on the draw of the reference, which tests every
+        # round, with the same overshoot
+        x = float(np.nextafter(1.0, 0.0))
+        k, want = _reference_block(LogProduct(), t, 3, _Constant(x))
+        _, (stopped, over) = mc._kernel((LogProduct(),), t, 3, _Constant(x))
+        assert stopped.tolist() == np.bincount(k).tolist()
+        assert over.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("t, increment", [(700.0, 0.2), (0.5, 0.0)])
+    def test_product_levels_stay_normal(self, monkeypatch, t, increment):
+        # no sum passes t within the cap of 3000 draws (0.2 per draw needs
+        # 3500 to pass 700), but the products fall 0.34 and 0.54 in log per
+        # draw, and e^t (e-1)^-r leaves the normal doubles by draw 2600 and
+        # 1310: unscaled, a subnormal sum could sit above a level rounded to 0
+        monkeypatch.setattr(mc, "_DRAW_CAP", 3000)
+        rng = _Constant(math.expm1(increment) / (E - 1.0))
+        with pytest.raises(ConvergenceError, match="draws"):
+            mc._kernel((LogProduct(),), t, 3, rng)
+        assert rng.draws == 3000 * 3
+
     def test_product_overshoots_are_the_more_accurate(self):
         # 200 one-path blocks at t = 20, each on its own stream, so a path's
         # k draws are its stream's first k uniforms: each overshoot against
@@ -402,13 +448,13 @@ class TestKernel:
                     assert mpmath.fsum(steps[:-1]) <= 20 < mpmath.fsum(steps)
                     errors.append(abs(float(over[0] - (mpmath.fsum(steps) - 20))))
             worst[type(spec)] = max(errors)
-        # measured: 2.6e-15 for the products, 9.9e-15 for the sums
+        # measured: 1.7e-15 for the products, 1.0e-14 for the sums
         assert worst[LogProduct] <= 1e-14 and worst[LogProduct] <= worst[_AdditiveLogProduct]
 
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
         for worker, child in enumerate(children):
-            want = np.random.Generator(np.random.PCG64DXSM(child)).random(4)
+            want = np.random.Generator(np.random.SFC64(child)).random(4)
             assert (mc._stream(9, worker).random(4) == want).all()
 
 
@@ -429,33 +475,33 @@ class TestBinCounts:
 
 
 # records of 2 * _BLOCK + 17 paths at seed 42, computed by the kernel that
-# retires crossed paths by moving the live tail into their slots
+# draws from SFC64 block streams and steps logproduct's products by x + 1/(e-1)
 _N_GOLDEN = 2 * mc._BLOCK + 17
 _GOLDEN = {
     "identity": (
         Identity(), 1.0, None,
-        [0, 0, 65541, 43701, 16491, 4271, 908, 156, 15, 6],
-        "0x1.6ea7f383950adp+15", "0x1.7e91c4468d434p+14", None,
+        [0, 0, 65471, 43858, 16389, 4270, 910, 173, 14, 4],
+        "0x1.6f950c00ea61bp+15", "0x1.808aa21ca85efp+14", None,
     ),
     "logproduct": (
         LogProduct(), 20.0, 17,
-        [0] * 25 + [1, 13, 126, 501, 1662, 3914, 7334, 11847, 15712, 18018, 18179, 16250,
-                    13061, 9580, 6455, 3960, 2200, 1179, 604, 285, 120, 56, 22, 5, 3, 1, 1],
-        "0x1.7009dddc91b6bp+15", "0x1.80eb9d1db16a8p+14",
-        [13052, 12474, 11939, 11432, 10935, 10342, 9742, 8953, 8324, 7528, 6539, 5840,
-         4848, 3885, 2821, 1827, 608],
+        [0] * 26 + [15, 119, 540, 1664, 3951, 7444, 11857, 15709, 18250, 18115, 16348, 12990,
+                    9280, 6446, 3877, 2218, 1229, 560, 266, 119, 61, 19, 5, 5, 0, 2],
+        "0x1.6f82d6682d4e2p+15", "0x1.7ff74ae7b64a4p+14",
+        [13123, 12525, 11866, 11483, 10833, 10403, 9815, 9035, 8182, 7479, 6583, 5753,
+         4999, 3837, 2847, 1743, 583],
     ),
     "power:0.5": (
         Power(0.5), 5.0, None,
-        [0] * 6 + [4292, 36051, 50818, 28760, 9104, 1768, 265, 30, 1],
-        "0x1.8058c327a6a2ep+15", "0x1.99ff43a1efcfbp+14", None,
+        [0] * 6 + [4349, 35958, 51181, 28688, 8795, 1800, 286, 29, 2, 1],
+        "0x1.8061adf7aaab7p+15", "0x1.9a903728802a7p+14", None,
     ),
     "knots.txt": (
         _KNOTS_TXT, 3.0, 10,
-        [0] * 4 + [492, 3485, 9930, 17954, 22813, 23436, 19774, 14361, 8991, 5109, 2651,
-                   1275, 500, 201, 74, 27, 13, 1, 2],
-        "0x1.1fd5268720defp+15", "0x1.07033b6d7cc71p+14",
-        [32863, 26322, 21134, 16330, 11627, 8149, 6338, 4587, 2833, 906],
+        [0] * 4 + [478, 3469, 9966, 18106, 23091, 23404, 19695, 14026, 8986, 5092, 2607,
+                   1301, 510, 210, 99, 35, 10, 4],
+        "0x1.1f87755beaf1ep+15", "0x1.05ec4dc1c994cp+14",
+        [32594, 26538, 21124, 16553, 11554, 8222, 6333, 4545, 2714, 912],
     ),
 }
 
@@ -464,17 +510,17 @@ _GOLDEN = {
 # of squares, histogram)
 _GOLDEN_COUPLED = (
     ("identity", 28,
-     [4, 12, 59, 204, 561, 1397, 2619, 4460, 6963, 9370, 11886, 13529, 14265, 13963, 12701,
-      10839, 8653, 6508, 4717, 3226, 2177, 1297, 803, 387, 234, 124, 68, 31, 15, 10, 7],
-     "0x1.558f36cd96015p+15", "0x1.5553957e4327ep+14",
-     [14975, 14038, 13032, 12067, 11591, 10422, 9527, 8726, 7658, 6906, 5927, 4992, 4017,
-      3122, 2260, 1377, 452]),
-    ("logproduct", 25,
-     [1, 13, 116, 530, 1636, 3912, 7377, 11954, 15539, 18105, 18198, 16173, 13049, 9637,
-      6502, 3826, 2230, 1213, 591, 282, 124, 46, 25, 6, 1, 3],
-     "0x1.6f4f4319ca8c4p+15", "0x1.8033869e5bacep+14",
-     [13072, 12642, 12181, 11321, 10850, 10301, 9746, 8890, 8087, 7524, 6743, 5763, 4801,
-      3899, 2888, 1790, 591]),
+     [2, 20, 63, 211, 601, 1374, 2619, 4577, 6967, 9462, 11911, 13511, 14328, 13893, 12584,
+      10873, 8658, 6474, 4807, 3082, 2051, 1298, 777, 442, 252, 131, 57, 30, 21, 9, 2, 2],
+     "0x1.5600600d39a52p+15", "0x1.560d87e122b7fp+14",
+     [14929, 13968, 12984, 12291, 11331, 10655, 9487, 8667, 7728, 6711, 6008, 5015, 4102,
+      3146, 2222, 1404, 441]),
+    ("logproduct", 26,
+     [15, 119, 547, 1644, 3990, 7522, 11782, 15737, 18110, 18193, 16303, 12879, 9445, 6449,
+      3825, 2260, 1187, 602, 276, 129, 42, 17, 12, 3, 1],
+     "0x1.6fe68f376800ap+15", "0x1.81222c1b6d848p+14",
+     [12875, 12545, 12109, 11552, 11145, 10322, 9605, 8868, 8104, 7313, 6655, 5814, 4970,
+      3965, 2857, 1775, 615]),
 )
 
 
@@ -495,7 +541,7 @@ class TestGoldenRecords:
         # swapped transforms, so the count is not 0
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_kernel", lambda specs, *args: kernel(specs[::-1], *args))
-        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88715, _N_GOLDEN)
+        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88690, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_coupled_records_are_bit_identical(self, workers):
@@ -753,7 +799,7 @@ class TestPairedDomination:
             assert stopped.dtype == np.int64 and stopped.tolist() == np.bincount(k).tolist()
             assert over.tolist() == o.tolist()
         # the kernel drew exactly as many uniforms as the reference
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _state(rng) == _state(ref)
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         specs = (Identity(), LogProduct())
@@ -787,9 +833,9 @@ def _reference_paired_block(t, n, rng, base, dominating):
         for (_, step, level, over), s, k, o in zip(forms, sums, ks, overs):
             active = k[idx] == 0
             s[idx[active]] = step(s[idx[active]], u[active])
-            crossed = idx[active & (s[idx] > level)]
+            crossed = idx[active & (s[idx] > level(rounds, t))]
             k[crossed] = rounds
-            o.extend(over(s[crossed]).tolist())
+            o.extend(over(s[crossed], rounds).tolist())
         both = (ks[0][idx] > 0) & (ks[1][idx] > 0)
         violations += int(np.count_nonzero(ks[1][idx[both]] > ks[0][idx[both]]))
         idx = _retire(idx, both)
@@ -832,20 +878,20 @@ def _mark_walk(specs, t, n, draws, marks):
     its sums have.
     """
     forms = [_plain_form(spec, t) for spec in specs]
-    levels = [[math.exp(mark) if isinstance(spec, LogProduct) and t <= 700.0 else mark
-               for mark in marks] for spec in specs]
     sums = [np.full(n, form[0]) for form in forms]
+    crossed = [np.zeros(n, dtype=bool) for _ in specs]
     first = [[np.zeros(n, dtype=np.int64) for _ in marks] for _ in specs]
     idx = np.arange(n)
     for r, u in enumerate(draws, 1):
         assert u.shape == idx.shape
         done = np.ones(idx.size, dtype=bool)
-        for (_, step, level, _), s, lv, fs in zip(forms, sums, levels, first):
-            active = s[idx] <= level
+        for (_, step, level, _), s, x, fs in zip(forms, sums, crossed, first):
+            active = ~x[idx]
             s[idx[active]] = step(s[idx[active]], u[active])
-            for mark_level, f in zip(lv, fs):
-                f[idx[(f[idx] == 0) & (s[idx] > mark_level)]] = r
-            done &= s[idx] > level
+            for mark, f in zip(marks, fs):
+                f[idx[(f[idx] == 0) & (s[idx] > level(r, mark))]] = r
+            x[idx] |= s[idx] > level(r, t)
+            done &= x[idx]
         idx = _retire(idx, done)
     assert idx.size == 0
     return [[np.bincount(f).tolist() for f in fs] for fs in first]
@@ -900,7 +946,7 @@ class TestMarks:
         for (k, over), (k_want, over_want) in zip(got[1:], want[1:]):
             assert k.tolist() == k_want.tolist()
             assert [x.hex() for x in over.tolist()] == [x.hex() for x in over_want.tolist()]
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _state(rng) == _state(ref)
 
     def test_coupled_records_unchanged(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK", 4096)
