@@ -8,18 +8,22 @@ first slots of the working arrays, and a round's h leavers retire in O(h)
 work: the live paths of the last h slots move into their slots.  It runs
 one sum per path for ``simulate``, or two sums driven by the same uniforms
 for the coupled identity/logproduct pass, where a path retires once both
-have crossed.  Each sum runs in its transform's form: most add f(x) and
-cross t, while logproduct's (up to t = 700) multiply by x + 1/(e-1) and
-cross e^t (e-1)^-r after r draws, which is the same event at one add and
-one multiply per draw instead of a log1p.  Every survivor of a round has
-taken the same r draws, so the round tests them all against one level.
-Increments never exceed 1, so no sum can cross in its first floor(t)
-draws, or its first floor(t) - 1 for a product, whose rounding can pass
-the level at integer t; those rounds skip the stop test.  Each pass
-holds one workspace: every worker thread makes its working arrays (3 float
-and 1 bool array of 2^16 entries for one sum) the first time it runs a
-block, and its later blocks and their rounds reuse them while they stay in
-cache.  The workspace is freed when the pass returns.
+have crossed.  ``simulate`` and the coupled pass gather each crossed sum's
+overshoot; ``estimate_n`` and ``k_concentration_check``, which read only
+the draw counts, run the one-sum kernel count-only, on the same paths and
+uniforms, and gather none.  Each sum runs in its transform's form: most
+add f(x) and cross t, while logproduct's (up to t = 700) multiply by x +
+1/(e-1) and cross e^t (e-1)^-r after r draws, which is the same event at
+one add and one multiply per draw instead of a log1p.  Every survivor of a
+round has taken the same r draws, so the round tests them all against one
+level.  Increments never exceed 1, so no sum can cross in its first
+floor(t) draws, or its first floor(t) - 1 for a product, whose rounding
+can pass the level at integer t; those rounds skip the stop test.  Each
+pass holds one workspace: every worker thread makes its working arrays (3
+float and 1 bool array of 2^16 entries for one sum, 2 and 1 counted only)
+the first time it runs a block, and its later blocks and their rounds
+reuse them while they stay in cache.  The workspace is freed when the pass
+returns.
 
 The block is the unit of randomness as well as of work: block b draws from
 its own SFC64 stream, child b of ``SeedSequence(seed)``.  Workers are
@@ -75,10 +79,13 @@ _DRAW_CAP = 10**9
 # (``_ns_per_draw``), measured on 2 vCPUs: a block round (one-path blocks at
 # t = 200 took 4.0-6.3 us per charged round of one sum, 7.1-9.4 us of two
 # coupled sums), and a path's own work, paid once: its stopped count,
-# overshoot gather and map, and retirement
+# overshoot gather and map, and retirement.  A count-only pass skips the
+# gather and map but is charged the same: one-thread passes of 1e6 paths at
+# t = 1 and 20 read 1.1-1.9 times their time, within the cap's [1, 2] band
 _US_PER_ROUND = 7.0
 _NS_PER_PATH = 10.0
 _MAX_SIM_SECONDS = 300.0
+_PAGE = 4096
 
 
 def _ns_per_draw(spec: BijectionSpec) -> float:
@@ -200,17 +207,31 @@ def _arrays(ws, n, dtypes):
 
     Without a workspace the arrays are fresh.  With one (the
     ``threading.local`` of a pass) they are views of the calling thread's
-    ``_BLOCK``-entry arrays for ``dtypes``, made the first time it asks.
+    ``_BLOCK``-entry arrays for ``dtypes``, made the first time it asks,
+    each starting on a page of a buffer one page longer.  Left to malloc,
+    arrays made one after another start 16 bytes apart modulo a page,
+    where numpy's two-array loops run slower (4K aliasing: ``s *= x`` took
+    0.26 ns per entry there against 0.21 at equal offsets), and the rest
+    land wherever the heap's history left room: in the simulate
+    benchmark's process one logproduct overshoot pass of 1e6 paths took
+    150-188 ms so and 132-144 ms page-aligned (6 alternating runs on 2
+    vCPUs).  One buffer for all of a thread's arrays ran as fast, but
+    raised ``verify``'s peak RSS by 0.5 MB.
     """
     if ws is None:
         return [np.empty(n, dtype=c) for c in dtypes]
     arrays = ws.__dict__.get(dtypes)
     if arrays is None:
-        arrays = ws.__dict__[dtypes] = [np.empty(_BLOCK, dtype=c) for c in dtypes]
+        arrays = ws.__dict__[dtypes] = []
+        for c in dtypes:
+            size = _BLOCK * np.dtype(c).itemsize
+            raw = np.empty(size + _PAGE, np.uint8)
+            at = -raw.ctypes.data % _PAGE
+            arrays.append(raw[at : at + size].view(c))
     return [a[:n] for a in arrays]
 
 
-def _kernel(specs, t, n, rng, ws=None, marks=()):
+def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     """Simulate n paths of one sum, or of two coupled sums on shared uniforms.
 
     ``specs`` holds the transform of each sum: ``(f,)``, or ``(f_base,
@@ -220,7 +241,9 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     ``stopped[r]`` counts the sums that first crossed t on draw r, and
     ``over`` holds their overshoots in crossing order (by draw, then by
     slot).  ``violations`` counts the paths whose base sum crossed before
-    the dominating one (expected: none; 0 with one sum).
+    the dominating one (expected: none; 0 with one sum).  One sum with
+    ``overshoots`` false is counted only: ``over`` is None, and its rounds
+    gather, map and store no overshoot.  Two sums always gather theirs.
 
     With ``marks``, thresholds in [0, t], one more entry follows the pairs:
     per sum, per mark L, the counts ``c[r]`` of paths whose sum first passed
@@ -250,9 +273,16 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     leavers' slots below m - h, also ascending, and every other path keeps its
     slot.  The move depends only on which paths leave: while no violator
     waits, those are the base's crossings, so an identity base walks
-    ``simulate``'s paths.  The working arrays come from the pass workspace
-    ``ws`` (fresh ones when it is None; each ``over`` is one of them): 3 float
-    and 1 bool array for one sum, 6 and 2 for two.  Each round draws into
+    ``simulate``'s paths.  The leavers' slots below m - h are the flagged
+    ones among the first m - h, and the live tail paths the unflagged ones
+    among the last h.  A pass that gathers overshoots takes the former from
+    the head of the round's list of crossed slots, made for the gather; a
+    count-only pass counts its crossings and lists only those slots, which
+    measured faster than listing every crossing, while listing them again
+    slowed the gathering passes.  The working arrays come from the pass
+    workspace ``ws`` (fresh ones when it is None; each ``over`` is one of
+    them): 3 float and 1 bool array for one sum (2 and 1 counted only, with
+    no ``over``), 6 and 2 for two.  Each round draws into
     ``u``.  One sum steps in place there.  Of two, the base steps first, with
     ``spare`` as scratch (an identity base needs none: its ``_f`` returns the
     draws themselves), and the dominating sum then steps in place in ``u``,
@@ -265,7 +295,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     are just the round's base crossings; otherwise the round's crossed base
     sums turn NaN too, and the leavers are the paths whose sums are both NaN.
 
-    The overshoots are gathered with ``np.take(..., mode="clip")``: in its
+    Overshoots are gathered with ``np.take(..., mode="clip")``: in its
     default ``mode="raise"``, ``np.take`` with ``out=`` fills a buffer and
     copies it into ``out``.  The index arrays die within their round: one
     kept alive into the next round made the allocator hand out fresh pages.
@@ -273,7 +303,10 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
     forms = [spec._sum_form(t) for spec in specs]
     if len(forms) == 1:
         (f1,), f2 = forms, None
-        u, s1, over1, d1 = _arrays(ws, n, "ddd?")
+        if overshoots:
+            u, s1, over1, d1 = _arrays(ws, n, "ddd?")
+        else:
+            (u, s1, d1), over1 = _arrays(ws, n, "dd?"), None
         s2 = d2 = None
     else:
         f1, f2 = forms
@@ -321,13 +354,16 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
                     dom[j] = np.nan
                     nan2 += j.size
         leave = np.greater(base, f1.level(r, t), out=d1[:m])
-        j = np.flatnonzero(leave)
-        hit = j.size
+        if over1 is None:
+            j, hit = None, int(np.count_nonzero(leave))
+        else:
+            j = np.flatnonzero(leave)
+            hit = j.size
+            if hit:
+                stop = over1[n - m + nan1 : n - m + nan1 + hit]
+                np.take(base, j, out=stop, mode="clip")
+                f1.over(stop, r)
         stopped[0].append(hit)
-        if hit:
-            stop = over1[n - m + nan1 : n - m + nan1 + hit]
-            np.take(base, j, out=stop, mode="clip")
-            f1.over(stop, r)
         if f2 is not None and (hit or nan1):
             fresh = hit - int(np.count_nonzero(np.isnan(dom[j])))
             violations += fresh
@@ -341,7 +377,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=()):
         if hit:
             m -= hit
             src = np.flatnonzero(np.logical_not(leave[m:], out=leave[m:]))
-            dst = j[: src.size]
+            dst = np.flatnonzero(leave[:m]) if j is None else j[: src.size]
             src += m
             base[dst] = base[src]
             if f2 is not None:
@@ -376,9 +412,13 @@ def _tally(passed, forms, marks, r, n, m, sums):
                 c.append(n - m + nan + int(np.count_nonzero(above)))
 
 
-def _run_block(transform, t, n, rng, ws=None):
-    """One sum of ``_kernel``: (stopped, over); perfbench/tracing.py patches this name."""
-    return _kernel((transform,), t, n, rng, ws)[1]
+def _run_block(transform, t, n, rng, ws=None, overshoots=True):
+    """One sum of ``_kernel``: (stopped, over); perfbench/tracing.py patches this name.
+
+    The patch forwards positional arguments only, so callers pass
+    ``overshoots`` by position.
+    """
+    return _kernel((transform,), t, n, rng, ws, (), overshoots)[1]
 
 
 def _bin_counts(over, bins, ws=None):
@@ -554,8 +594,10 @@ def simulate(
     The record is a pure function of (transform, t, samples, seed): the
     ``workers`` threads share the blocks, whose results merge in block order.
     The overshoot histogram is counted only when ``bins`` (in [10, 10000])
-    is given.  The estimators are views of the record, so one call serves
-    them all on shared paths.  A pass estimated to outrun
+    is given.  ``SimRecord``'s estimators are views of the record, so one
+    call serves them all on shared paths; ``estimate_n`` and
+    ``k_concentration_check`` count the same paths in a pass of their own
+    that gathers no overshoots.  A pass estimated to outrun
     ``_MAX_SIM_SECONDS`` on one thread is refused before any block runs.
     """
     if bins is not None:
@@ -573,12 +615,25 @@ def estimate_n(
 ) -> SimEstimate:
     """Estimate the expected draw count at threshold t.
 
-    The draw-count sums are integers, accumulated exactly, so the mean and
-    standard error are deterministic down to the final float divisions.
-    At t = 0 every path stops on its first draw and the estimate is
-    exactly 1.0 with zero standard error.
+    One count-only pass over ``simulate``'s paths: it tallies each block's
+    draw counts and gathers no overshoots, and its estimate is bit for bit
+    ``simulate(...).count_estimate()``.  The draw-count sums are integers,
+    accumulated exactly, so the mean and standard error are deterministic
+    down to the final float divisions.  At t = 0 every path stops on its
+    first draw and the estimate is exactly 1.0 with zero standard error.
     """
-    return simulate(transform, t, samples, seed, workers).count_estimate()
+    t, samples, seed, k_counts = _count_pass(transform, t, samples, seed, workers)
+    return _count_estimate(transform.label, t, samples, seed, k_counts)
+
+
+def _count_pass(transform, t, samples, seed, workers):
+    """``simulate``'s paths, counted only: validated (t, samples, seed) and ``k_counts``."""
+    t, samples, seed, workers = _check_common((transform,), t, samples, seed, workers)
+
+    def block(n, rng, ws):
+        return _run_block(transform, t, n, rng, ws, False)[0]
+
+    return t, samples, seed, _add_counts(_fan_out(block, samples, seed, workers))
 
 
 def estimate_stopped_sum(
@@ -683,15 +738,18 @@ def k_concentration_check(
     """
     t = _as_real("t", t, 1.0)
     c = _as_real("c", c, 0.0, open_lo=True)
-    rec = simulate(transform, t, samples, seed, workers)
-    return _far_fraction(rec, asymptotic_params(transform).mu, c)
+    t, _, _, k_counts = _count_pass(transform, t, samples, seed, workers)
+    return _far_fraction(k_counts, t, asymptotic_params(transform).mu, c)
 
 
-def _far_fraction(rec, mu, c):
-    """Fraction of ``rec``'s paths whose draw count strays past 1 + t/mu by c * sqrt(t)."""
-    k = np.arange(rec.k_counts.shape[0])
-    far = np.abs(k - 1 - rec.t / mu) > c * math.sqrt(rec.t)
-    return int(rec.k_counts[far].sum()) / rec.samples
+def _far_fraction(k_counts, t, mu, c):
+    """Fraction of paths whose draw count strays past 1 + t/mu by c * sqrt(t).
+
+    ``k_counts[k]`` paths took k draws to cross t.
+    """
+    k = np.arange(k_counts.shape[0])
+    far = np.abs(k - 1 - t / mu) > c * math.sqrt(t)
+    return int(k_counts[far].sum()) / int(k_counts.sum())
 
 
 def limit_overshoot_bin_probs(transform: BijectionSpec, edges: np.ndarray) -> np.ndarray:

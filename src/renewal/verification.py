@@ -443,7 +443,7 @@ def _checks_simulation(samples, seed, workers):
         f"|mean overshoot - c| = {dev:.2e} <= 3se = {lim:.2e} (t=20)",
     ))
 
-    frac = montecarlo._far_fraction(lp20, p_lp.mu, 6.0)
+    frac = montecarlo._far_fraction(lp20.k_counts, 20.0, p_lp.mu, 6.0)
     out.append((
         "count-concentration",
         frac < 1e-3,

@@ -348,6 +348,12 @@ class TestKernel:
         assert (np.sort(over) == np.sort(want)).all()
         # the kernel drew exactly as many uniforms as the reference
         assert _state(rng) == _state(ref)
+        # counted only, the same paths take the same draws
+        counting = mc._stream(6, 2)
+        violations, (counted, none) = mc._kernel((spec,), t, n, counting, None, (), False)
+        assert violations == 0 and none is None
+        assert counted.dtype == np.int64 and counted.tolist() == stopped.tolist()
+        assert _state(counting) == _state(ref)
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         k, _ = _reference_block(Identity(), 10.0, 4096, mc._stream(3, 0))
@@ -417,6 +423,17 @@ class TestKernel:
         _, (stopped, over) = mc._kernel((LogProduct(),), t, 3, _Constant(x))
         assert stopped.tolist() == np.bincount(k).tolist()
         assert over.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 19.5, 20.0, 700.0, 750.0])
+    def test_product_free_rounds(self, t):
+        # the kernel-level test above cannot pin the rounding margin: with
+        # every draw the largest uniform below 1 no product crosses on draw
+        # floor(t) at any integer t up to 700, so one more free round passes
+        # it.  Products skip the stop test on floor(t) - 1 draws; the default
+        # form, and the products' past their cutoff, on floor(t)
+        products = LogProduct()._sum_form(t).free
+        assert products == (math.floor(t) if t > 700.0 else max(math.floor(t) - 1, 0))
+        assert BijectionSpec._sum_form(LogProduct(), t).free == math.floor(t)
 
     @pytest.mark.parametrize("t, increment", [(700.0, 0.2), (0.5, 0.0)])
     def test_product_levels_stay_normal(self, monkeypatch, t, increment):
@@ -575,29 +592,47 @@ class TestGoldenRecords:
 
 class TestWorkspace:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("paired", [False, True], ids=["simulate", "paired"])
-    def test_reused_across_blocks_and_freed_with_the_pass(self, monkeypatch, workers, paired):
+    @pytest.mark.parametrize("kind", ["simulate", "paired", "counted"])
+    def test_reused_across_blocks_and_freed_with_the_pass(self, monkeypatch, workers, kind):
         arrays = mc._arrays
-        refs, ids = [], set()
+        refs, ids, asked = [], set(), []
 
         def recording(ws, n, dtypes):
             views = arrays(ws, n, dtypes)
-            assert ws is not None and all(v.base.shape == (mc._BLOCK,) for v in views)
+            assert ws is not None and [v.dtype for v in views] == [np.dtype(c) for c in dtypes]
+            # each array has a buffer of its own and starts on a page of it
+            assert all(v.ctypes.data % 4096 == 0 for v in views)
+            assert all(v.base.nbytes == mc._BLOCK * v.itemsize + 4096 for v in views)
             refs.extend(weakref.ref(v.base) for v in views)
             ids.update(id(v.base) for v in views)
+            asked.append(dtypes)
             return views
 
         monkeypatch.setattr(mc, "_arrays", recording)
-        if paired:
+        if kind == "paired":
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_thread = len("dddddd??")
-        else:
+            per_block = ["dddd?dd?"]
+        elif kind == "simulate":
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
-            per_thread = len("ddd?") + len("dp?")
+            per_block = ["ddd?", "dp?"]
+        else:
+            # a count-only pass keeps no overshoots
+            mc.estimate_n(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers)
+            per_block = ["dd?"]
         # three blocks: each thread makes its arrays once
-        assert len(refs) == 3 * per_thread
+        assert sorted(asked) == sorted(per_block * 3)
+        per_thread = len("".join(per_block))
         assert len(ids) <= workers * per_thread and (workers > 1 or len(ids) == per_thread)
         assert all(ref() is None for ref in refs)
+
+
+# (transform, t) of the count-only passes checked against simulate's records
+_COUNTED = [
+    *((Identity(), t) for t in (0.0, 1.0, 20.0)),
+    *((LogProduct(), t) for t in (1.0, 20.0, 750.0)),
+    (Power(0.5), 20.0),
+    (_KNOTS_TXT, 20.0),
+]
 
 
 class TestSimulateRecord:
@@ -617,9 +652,26 @@ class TestSimulateRecord:
         hist = mc.overshoot_histogram(spec, t, samples, bins=20, **args)
         assert (rec.histogram().densities == hist.densities).all()
         k = np.arange(rec.k_counts.shape[0])
-        far = rec.k_counts[np.abs(k - 1 - t / asymptotic_params(spec).mu) > c * math.sqrt(t)]
+        mu = asymptotic_params(spec).mu
+        far = rec.k_counts[np.abs(k - 1 - t / mu) > c * math.sqrt(t)]
         assert 0 < far.sum() < samples
         assert far.sum() / samples == mc.k_concentration_check(spec, t, samples, c, **args)
+        assert far.sum() / samples == mc._far_fraction(rec.k_counts, t, mu, c)
+        # estimate_n and k_concentration_check run count-only passes of
+        # their own: at the real block size (65537 and 200003 paths end in a
+        # one-path and a short block) they count simulate's paths, at t = 0,
+        # within and past the free rounds and past the products' cutoff
+        # (k_concentration_check, whose pass is estimate_n's, at t = 20 only)
+        monkeypatch.setattr(mc, "_BLOCK", 1 << 16)
+        for spec, t in _COUNTED:
+            mu = asymptotic_params(spec).mu
+            for samples in (1, 65537, 200003):
+                rec = mc.simulate(spec, t, samples, **args)
+                got, want = mc.estimate_n(spec, t, samples, **args), rec.count_estimate()
+                assert (got.mean, got.std_error) == (want.mean, want.std_error), (spec, t)
+                if t == 20.0:
+                    frac = mc.k_concentration_check(spec, t, samples, c, **args)
+                    assert frac == mc._far_fraction(rec.k_counts, t, mu, c), (spec, t)
 
     def test_record_matches_the_kernel(self):
         # one worker, one block: the record summarizes exactly these paths
