@@ -11,7 +11,8 @@ Two stopping problems have exact answers and anchor every other module:
 
 The series for the product form is built from partial Taylor sums of
 exp(-t); its tail weights are exposed because their three-term recurrence
-is a sharp self-test of the whole evaluation chain.
+is a sharp self-test of the whole evaluation chain, which acceptance
+criterion 4 (``tests/test_acceptance.py``) checks.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def exp_tail_weight(t: float, n: int) -> float:
 
         W(t, n+1) + W(t, n) = e^t t^n / n!
 
-    which the verification suite checks to 1e-12.
+    which acceptance criterion 4 checks to 1e-12 for n < 30 on a 100-point
+    grid of [0, 1].
     """
     return exp_tail_weights(t, n)[-1]
 

@@ -739,16 +739,8 @@ def k_concentration_check(
     t = _as_real("t", t, 1.0)
     c = _as_real("c", c, 0.0, open_lo=True)
     t, _, _, k_counts = _count_pass(transform, t, samples, seed, workers)
-    return _far_fraction(k_counts, t, asymptotic_params(transform).mu, c)
-
-
-def _far_fraction(k_counts, t, mu, c):
-    """Fraction of paths whose draw count strays past 1 + t/mu by c * sqrt(t).
-
-    ``k_counts[k]`` paths took k draws to cross t.
-    """
     k = np.arange(k_counts.shape[0])
-    far = np.abs(k - 1 - t / mu) > c * math.sqrt(t)
+    far = np.abs(k - 1 - t / asymptotic_params(transform).mu) > c * math.sqrt(t)
     return int(k_counts[far].sum()) / int(k_counts.sum())
 
 

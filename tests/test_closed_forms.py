@@ -163,9 +163,9 @@ class TestProductSeriesTerm:
         assert product_series_term(0.7, 0) == 1.0
 
     def test_terms_decay_within_unit_interval(self):
-        for t in (0.1, 0.5, 1.0):
+        for t in (0.1, 0.5, 0.9, 1.0):
             prev = 1.0
-            for n in range(40):
+            for n in range(41):
                 q = product_series_term(t, n)
                 assert -1e-15 <= q <= 1.0 + 1e-15
                 assert q <= prev + 1e-15

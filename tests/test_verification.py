@@ -29,16 +29,10 @@ def test_check_names_pinned():
     for r in results:
         names.setdefault(r.suite, []).append(r.name)
     assert names == {
-        "closed-forms": [
-            "tail-weight-recurrence", "series-vs-closed", "piece-junction",
-            "series-terms-monotone", "sum-count-endpoints", "mean-bracket-exact",
-            "domination-exact",
-        ],
+        "closed-forms": ["series-vs-closed", "mean-bracket-exact", "domination-exact"],
         "bijections": [
-            "endpoint-exactness", "roundtrip", "strict-monotonicity",
-            "logproduct-known-points", "mean-increment-analytic",
-            "mean-overshoot-constants", "overshoot-constant-routes",
-            "variance-analytic", "mean-by-parts",
+            "mean-increment-analytic", "mean-overshoot-constants",
+            "overshoot-constant-routes", "variance-analytic", "mean-by-parts",
         ],
         "solver": [
             "solver-vs-product-form", "solver-vs-sum-count", "mean-bracket-grid",
@@ -47,8 +41,7 @@ def test_check_names_pinned():
         ],
         "simulation": [
             "sim-vs-exact", "stopped-sum-proportionality", "paired-domination",
-            "overshoot-limit-density", "mean-overshoot-vs-c", "count-concentration",
-            "reproducibility",
+            "overshoot-limit-density", "mean-overshoot-vs-c", "reproducibility",
         ],
     }
     assert [r.suite for r in results] == [s for s in SUITES for _ in names[s]]
