@@ -3,7 +3,10 @@
 A pass of ``samples`` paths is cut into blocks of at most 2^16 paths.  One
 kernel, ``_kernel``, simulates every block in vectorized rounds: each
 round draws one uniform per still-active path, steps each path's sums, and
-retires paths whose sums crossed the threshold.  The active paths fill the
+retires paths whose sums crossed the threshold.  A draw is a 32-bit word k
+standing for the midpoint uniform x = (k + 1/2) 2^-32, two to each raw
+64-bit word of the block's stream (``_draw``): for every increasing f,
+|E f(x) - E f(U)| <= 2^-33, and E x = 1/2 exactly.  The active paths fill the
 first slots of the working arrays, and a round's h leavers retire in O(h)
 work: the live paths of the last h slots move into their slots.  It runs
 one sum per path for ``simulate``, or two sums driven by the same uniforms
@@ -11,19 +14,22 @@ for the coupled identity/logproduct pass, where a path retires once both
 have crossed.  ``simulate`` and the coupled pass gather each crossed sum's
 overshoot; ``estimate_n`` and ``k_concentration_check``, which read only
 the draw counts, run the one-sum kernel count-only, on the same paths and
-uniforms, and gather none.  Each sum runs in its transform's form: most
-add f(x) and cross t, while logproduct's (up to t = 700) multiply by x +
-1/(e-1) and cross e^t (e-1)^-r after r draws, which is the same event at
-one add and one multiply per draw instead of a log1p.  Every survivor of a
-round has taken the same r draws, so the round tests them all against one
-level.  Increments never exceed 1, so no sum can cross in its first
-floor(t) draws, or its first floor(t) - 1 for a product, whose rounding
-can pass the level at integer t; those rounds skip the stop test.  Each
-pass holds one workspace: every worker thread makes its working arrays (3
-float and 1 bool array of 2^16 entries for one sum, 2 and 1 counted only)
-the first time it runs a block, and its later blocks and their rounds
-reuse them while they stay in cache.  The workspace is freed when the pass
-returns.
+uniforms, and gather none.  Each sum runs in its transform's form, which
+takes the words k: the identity's are exact integer sums of k, crossed
+exactly where the real sums of the x cross; logproduct's (up to t = 700)
+multiply by k + 1/2 + 2^32/(e-1), which is 2^32 (x + 1/(e-1)), and cross
+e^t (e-1)^-r after r draws, scaled by the same power of two, which is the
+same event at one add and one multiply per draw instead of a log1p; the
+others turn k into x and add f(x).  Every survivor of a round has taken
+the same r draws, so the round tests them all against one level.
+Increments never exceed 1, so no sum can cross in its first floor(t)
+draws, or its first floor(t) - 1 for a product, whose rounding can pass
+the level at integer t; those rounds skip the stop test.  Each pass holds
+one workspace: every worker thread makes its working arrays (a float
+scratch array, the sums, an overshoot array and a bool array of 2^16
+entries for one sum, all but the overshoots counted only) the first time
+it runs a block, and its later blocks and their rounds reuse them while
+they stay in cache.  The workspace is freed when the pass returns.
 
 The block is the unit of randomness as well as of work: block b draws from
 its own SFC64 stream, child b of ``SeedSequence(seed)``.  Workers are
@@ -77,68 +83,89 @@ _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
 # one-thread kernel costs the work cap charges per sum, beside each draw's
 # (``_ns_per_draw``), measured on 2 vCPUs: a block round (one-path blocks at
-# t = 200 took 4.0-6.3 us per charged round of one sum, 7.1-9.4 us of two
+# t = 200 took 4.1-6.0 us per charged round of one sum, 8.5-9.6 us of two
 # coupled sums), and a path's own work, paid once: its stopped count,
 # overshoot gather and map, and retirement.  A count-only pass skips the
 # gather and map but is charged the same: one-thread passes of 1e6 paths at
-# t = 1 and 20 read 1.1-1.9 times their time, within the cap's [1, 2] band
+# t = 1 and 20 read 1.0-2.0 times their time, within the cap's [1, 2] band
 _US_PER_ROUND = 7.0
 _NS_PER_PATH = 10.0
 _MAX_SIM_SECONDS = 300.0
 _PAGE = 4096
+# the value a crossed sum takes while its path waits, by its array's type
+# code: below 0, and so below every sum, and kept there by every step
+_VOID = {"d": -np.inf, "q": np.iinfo(np.int64).min}
 
 
 def _ns_per_draw(spec: BijectionSpec) -> float:
     """The kernel's cost per draw of ``spec`` on one thread, as the work cap charges it.
 
     With ``_NS_PER_PATH`` and ``_US_PER_ROUND`` it prices one-thread passes
-    of 1e6 paths at 1.2-1.8 times their kernel time at both t = 1 and t =
-    20 (1 + t/mu charged draws per path), measured on 2 vCPUs while the host
-    drew SFC64 uniforms at 2.1-2.5 ns each.  Per path at t = 1 and 20:
-    identity 14-16 and 111-115 ns; logproduct's products 17 and 112-117 ns.
-    np.power copies (p = 1) and squares (p = 2) on fast paths, 15-18 and
-    129-131 ns, 21-23 and 199-238 ns, and calls pow for other exponents:
-    15-16 and 119-146 ns at p = 0.1 and 0.5, 26 and 283 ns at p = 1.5.
-    np.interp allocates its output and binary-searches the knots for every
-    draw: 26-27 and 300-311 ns for 2 knots, 56-57 and 757-776 ns for the 4
-    of ``perfbench/knots.txt``, 273-295 and 4077-4472 ns for 1000 (about 85
-    ns per draw).  The coupled pass, charged for both of its sums, took
-    30-31 and 186-204 ns.  A subclass is charged its base's price.
+    of 1e6 paths, gathering and counted only, at 1.0-2.0 times their time
+    at both t = 1 and t = 20 (1 + t/mu charged draws per path), measured on
+    2 vCPUs with two 32-bit draws per raw SFC64 word.  Medians per path at
+    t = 1 and 20, gathering (counted only): identity 17.6 (9.5) and 88
+    (81) ns; logproduct's products 15.4 (9.6) and 89 (84) ns.  np.power
+    copies (p = 1) and squares (p = 2) on fast paths, 17.5 (15.6) and 134
+    (132) ns, 23 (20) and 192 (189) ns, and calls pow for other exponents:
+    19.4 (11.3) and 120 (113) ns at p = 0.1, 21.0 (13.3) and 151 (151) ns
+    at p = 0.5, 28 (25) and 282 (277) ns at p = 1.5.  np.interp allocates
+    its output and binary-searches the knots for every draw: 59 (55) and
+    742 (731) ns for the 4 of ``perfbench/knots.txt``, 286 (278) and 4085
+    (4046) ns for 1000.  The coupled pass, charged for both of its sums,
+    took 34 and 184 ns.  Identity at t = 1 leaves the least room: its
+    gathering pass takes 1.85 times its counting one, and the charge sits
+    within 5% of both ends.  A subclass is charged its base's price.
     """
     if isinstance(spec, PiecewiseLinear):
         return 11.0 * math.log2(len(spec.knots))
     if isinstance(spec, Power):
-        return 4.8 if spec.p in (1.0, 2.0) else 6.3 if spec.p < 1.0 else 7.6
-    return 4.2 if isinstance(spec, LogProduct) else 3.2
+        return 4.8 if spec.p in (1.0, 2.0) else 5.3 if spec.p < 1.0 else 7.6
+    return 2.9 if isinstance(spec, LogProduct) else 2.7
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
     """SFC64 stream of block ``block``: child ``block`` of ``SeedSequence(seed)``.
 
     ``SeedSequence(seed).spawn(n)`` hands out the streams of blocks 0..n-1;
-    building one from its spawn key needs no parent.  SFC64 is numpy's
-    cheapest bit generator per uniform, which is most of the kernel's time.
-    It has no jump-ahead, which the blocks do not need: each owns a stream
-    seeded from its own spawn key.
+    building one from its spawn key needs no parent.  The kernel reads only
+    its bit generator's raw 64-bit words (``_draw``): SFC64 is numpy's
+    cheapest bit generator per word, and its words are most of the kernel's
+    time.  It has no jump-ahead, which the blocks do not need: each owns a
+    stream seeded from its own spawn key.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(block,))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+def _draw(rng, m: int) -> np.ndarray:
+    """The next m Monte Carlo draws of ``rng`` as 32-bit words k, uint32.
+
+    Draw i stands for the uniform x_i = (k_i + 1/2) 2^-32 (``bijections._SumForm``).
+    The words are the halves of ceil(m/2) ``random_raw`` words of the bit
+    generator, low half first, taken by value, so they do not depend on the
+    byte order; an odd m leaves the high half of the last word unused.
+    ``random_raw`` has no ``out=``: each call allocates its words.
+    """
+    raw = rng.bit_generator.random_raw((m + 1) // 2)
+    return raw.astype("<u8", copy=False).view("<u4")[:m]
 
 
 def _check_common(specs, t, samples, seed, workers):
     """Validate a pass of sums of ``specs``; refuse one estimated over ``_MAX_SIM_SECONDS``.
 
     Each draw and each block round is charged for every sum, for as many
-    rounds as the sum of smallest mean increment takes, and each path once
-    per sum.
+    rounds as the sum of smallest mean increment mu takes, and each path
+    once per sum.  Returns (t, samples, seed, workers, mu).
     """
     for spec in specs:
         _as_spec("transform", spec)
     t = _as_real("t", t, 0.0)
     samples = _as_int("samples", samples, 1)
     seed, workers = _as_int("seed", seed, 0), _as_int("workers", workers, 1, 256)
+    mu = min(asymptotic_params(spec).mu for spec in specs)
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
-    rounds = 1.0 + t / min(asymptotic_params(spec).mu for spec in specs)
+    rounds = 1.0 + t / mu
     blocks = -(-samples // _BLOCK)
     ns, us = sum(map(_ns_per_draw, specs)), len(specs) * _US_PER_ROUND
     path_ns = len(specs) * _NS_PER_PATH
@@ -149,7 +176,7 @@ def _check_common(specs, t, samples, seed, workers):
             f"on one thread at {ns:g} ns per draw, {path_ns:g} ns per path and {us:g} us "
             f"per block round, over the cap of {_MAX_SIM_SECONDS:g} s; decrease t or samples"
         )
-    return t, samples, seed, workers
+    return t, samples, seed, workers, mu
 
 
 @dataclass(frozen=True)
@@ -250,20 +277,24 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     L on draw r, as ``stopped`` counts them for t.  Sums never decrease, so
     a path that has passed L stays past it, and these are the first
     differences of the running number of paths past L, taken after each
-    round as the paths gone (past t >= L), those whose sum is NaN (past t)
+    round as the paths gone (past t >= L), those whose sum is void (past t)
     and those whose sum is above L's level after r draws in the form of t:
     one compare and one count per sum and mark per round, until every path
     is past.
 
-    Each sum runs in its transform's form (``BijectionSpec._sum_form``):
-    its start, the in-place step per draw, the level a sum of r draws is
-    above once it has passed a threshold, and the map from a sum that
-    crossed on draw r to its overshoot.  Every surviving path has taken r
-    draws in round r, so each round tests every sum against one level per
-    sum and threshold, the form's ``level(r, t)``.  Most sums add f(x) and
-    cross t at every r; logproduct's multiply by x + 1/(e-1) and cross e^t
-    (e-1)^-r.  No sum can cross within its form's free draws, so the first
-    rounds, as many as the fewest free draws of the path's sums (at most
+    Each round draws one 32-bit word k per surviving path (``_draw``), for
+    the uniform x = (k + 1/2) 2^-32, and each sum steps by the words in its
+    transform's form (``BijectionSpec._sum_form``): its start and array
+    type, the in-place step per draw, the level a sum of r draws is above
+    once it has passed a threshold, and the gather of the overshoots of the
+    sums that crossed on draw r.  Every surviving path has taken r draws in
+    round r, so each round tests every sum against one level per sum and
+    threshold, the form's ``level(r, t)``.  Identity's sums add k exactly
+    in int64 and cross floor(t 2^32 - r/2); logproduct's multiply by 2^32 (x
+    + 1/(e-1)) and cross e^t (e-1)^-r, both scaled by one power of two; the
+    others add f(x) and cross t.  No sum can cross within its form's free
+    draws, so the first rounds, as many as the fewest free draws of the
+    path's sums (at most
     ``_DRAW_CAP``, past which the cap check trips before the next draw),
     only draw and step.
 
@@ -281,21 +312,22 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     measured faster than listing every crossing, while listing them again
     slowed the gathering passes.  The working arrays come from the pass
     workspace ``ws`` (fresh ones when it is None; each ``over`` is one of
-    them): 3 float and 1 bool array for one sum (2 and 1 counted only, with
-    no ``over``), 6 and 2 for two.  Each round draws into
-    ``u``.  One sum steps in place there.  Of two, the base steps first, with
-    ``spare`` as scratch (an identity base needs none: its ``_f`` returns the
-    draws themselves), and the dominating sum then steps in place in ``u``,
-    whose draws are no longer needed.  A crossed dominating sum turns NaN,
-    which stays NaN under addition and multiplication and is never above a
-    level, so after each round's step the level test flags only that round's
-    crossings; once every surviving dominating sum is NaN its step is skipped.
-    A base sum that crosses while its dominating sum is still finite is a
-    violation, and its path stays.  While no violator is waiting, the leavers
-    are just the round's base crossings; otherwise the round's crossed base
-    sums turn NaN too, and the leavers are the paths whose sums are both NaN.
+    them): the float scratch array ``u``, and per sum its array, in the type
+    code of its form, an overshoot array (none counted only) and a bool
+    array.  The words come fresh each round from ``random_raw``, which has
+    no ``out=``; a step that needs floats (products, and x for f) writes
+    them to ``u``, which the base's step has left by the time the
+    dominating sum's begins.  A crossed dominating sum turns void: -inf in a
+    float array, the least int64 in an integer one.  Every sum is >= 0,
+    steps keep a void sum below 0, and no level is as low, so after each
+    round's step the level test flags only that round's crossings; once
+    every surviving dominating sum is void its step is skipped.  A base sum
+    that crosses while its dominating sum is still live is a violation, and
+    its path stays.  While no violator is waiting, the leavers are just the
+    round's base crossings; otherwise the round's crossed base sums turn
+    void too, and the leavers are the paths whose sums are both below 0.
 
-    Overshoots are gathered with ``np.take(..., mode="clip")``: in its
+    The forms gather overshoots with ``np.take(..., mode="clip")``: in its
     default ``mode="raise"``, ``np.take`` with ``out=`` fills a buffer and
     copies it into ``out``.  The index arrays die within their round: one
     kept alive into the next round made the allocator hand out fresh pages.
@@ -304,25 +336,24 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     if len(forms) == 1:
         (f1,), f2 = forms, None
         if overshoots:
-            u, s1, over1, d1 = _arrays(ws, n, "ddd?")
+            u, s1, over1, d1 = _arrays(ws, n, f"d{f1.code}d?")
         else:
-            (u, s1, d1), over1 = _arrays(ws, n, "dd?"), None
+            (u, s1, d1), over1 = _arrays(ws, n, f"d{f1.code}?"), None
         s2 = d2 = None
     else:
         f1, f2 = forms
-        u, s1, spare, over1, d1, s2, over2, d2 = _arrays(ws, n, "dddd?dd?")
+        u, s1, over1, d1, s2, over2, d2 = _arrays(ws, n, f"d{f1.code}d?{f2.code}d?")
         s2.fill(f2.start)
+        void1, void2 = _VOID[f1.code], _VOID[f2.code]
     s1.fill(f1.start)
     passed = [[[0] for _ in marks] for _ in forms]  # running counts past each mark
-    nan1 = nan2 = 0  # surviving paths whose base / dominating sum is NaN
+    gone1 = gone2 = 0  # surviving paths whose base / dominating sum is void
     free = min(min(f.free for f in forms), _DRAW_CAP)
     for r in range(1, free + 1):
-        x = rng.random(n, out=u)
-        if f2 is None:
-            f1.step(s1, x, x, r)
-        else:
-            f1.step(s1, x, spare, r)
-            f2.step(s2, x, x, r)
+        k = _draw(rng, n)
+        f1.step(s1, k, u, r)
+        if f2 is not None:
+            f2.step(s2, k, u, r)
         if marks:
             _tally(passed, forms, marks, r, n, n, ((s1, 0, d1), (s2, 0, d2)))
     r = free
@@ -336,23 +367,19 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
                 f"path exceeded {_DRAW_CAP} draws; transform increments are "
                 f"effectively zero"
             )
-        x = rng.random(m, out=u[:m])
+        k = _draw(rng, m)
         base = s1[:m]
-        if f2 is None:
-            f1.step(base, x, x, r)
-        else:
-            f1.step(base, x, spare[:m], r)
+        f1.step(base, k, u[:m], r)
+        if f2 is not None:
             dom = s2[:m]
-            if nan2 < m:
-                f2.step(dom, x, x, r)
+            if gone2 < m:
+                f2.step(dom, k, u[:m], r)
                 j = np.flatnonzero(np.greater(dom, f2.level(r, t), out=d2[:m]))
                 stopped[1].append(j.size)
                 if j.size:
-                    stop = over2[n - m + nan2 : n - m + nan2 + j.size]
-                    np.take(dom, j, out=stop, mode="clip")
-                    f2.over(stop, r)
-                    dom[j] = np.nan
-                    nan2 += j.size
+                    f2.over(dom, j, over2[n - m + gone2 : n - m + gone2 + j.size], r)
+                    dom[j] = void2
+                    gone2 += j.size
         leave = np.greater(base, f1.level(r, t), out=d1[:m])
         if over1 is None:
             j, hit = None, int(np.count_nonzero(leave))
@@ -360,20 +387,18 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
             j = np.flatnonzero(leave)
             hit = j.size
             if hit:
-                stop = over1[n - m + nan1 : n - m + nan1 + hit]
-                np.take(base, j, out=stop, mode="clip")
-                f1.over(stop, r)
+                f1.over(base, j, over1[n - m + gone1 : n - m + gone1 + hit], r)
         stopped[0].append(hit)
-        if f2 is not None and (hit or nan1):
-            fresh = hit - int(np.count_nonzero(np.isnan(dom[j])))
+        if f2 is not None and (hit or gone1):
+            fresh = hit - int(np.count_nonzero(dom[j] < 0))
             violations += fresh
-            if nan1 or fresh:
-                base[j] = np.nan
-                np.logical_and(np.isnan(base, out=leave), np.isnan(dom, out=d2[:m]), out=leave)
-                nan1 += hit
+            if gone1 or fresh:
+                base[j] = void1
+                np.logical_and(np.less(base, 0, out=leave), np.less(dom, 0, out=d2[:m]), out=leave)
+                gone1 += hit
                 j = np.flatnonzero(leave)
                 hit = j.size
-                nan1 -= hit
+                gone1 -= hit
         if hit:
             m -= hit
             src = np.flatnonzero(np.logical_not(leave[m:], out=leave[m:]))
@@ -382,16 +407,16 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
             base[dst] = base[src]
             if f2 is not None:
                 dom[dst] = dom[src]
-                nan2 -= hit
+                gone2 -= hit
             del src, dst
-        del j
+        del j, k
         if marks:
-            _tally(passed, forms, marks, r, n, m, ((s1, nan1, d1), (s2, nan2, d2)))
-    for k in stopped:
-        while not k[-1]:  # violators left in rounds where no base sum crossed
-            del k[-1]
+            _tally(passed, forms, marks, r, n, m, ((s1, gone1, d1), (s2, gone2, d2)))
+    for c in stopped:
+        while not c[-1]:  # violators left in rounds where no base sum crossed
+            del c[-1]
     overs = (over1,) if f2 is None else (over1, over2)
-    out = violations, *((np.array(k, dtype=np.int64), o) for k, o in zip(stopped, overs))
+    out = violations, *((np.array(c, dtype=np.int64), o) for c, o in zip(stopped, overs))
     if marks:
         out += (tuple(tuple(np.diff(c, prepend=0) for c in cs) for cs in passed),)
     return out
@@ -401,15 +426,15 @@ def _tally(passed, forms, marks, r, n, m, sums):
     """Append each mark's running count of paths past it after round r, with m survivors.
 
     ``sums`` holds per sum its array (the survivors first), its count of
-    NaN survivors and a bool scratch array; each form gives a mark's level
+    void survivors and a bool scratch array; each form gives a mark's level
     at r draws.  A count that has reached n is final and is no longer
     extended.
     """
-    for cs, f, (s, nan, d) in zip(passed, forms, sums):
+    for cs, f, (s, gone, d) in zip(passed, forms, sums):
         for c, mark in zip(cs, marks):
             if c[-1] < n:
                 above = np.greater(s[:m], f.level(r, mark), out=d[:m])
-                c.append(n - m + nan + int(np.count_nonzero(above)))
+                c.append(n - m + gone + int(np.count_nonzero(above)))
 
 
 def _run_block(transform, t, n, rng, ws=None, overshoots=True):
@@ -602,7 +627,7 @@ def simulate(
     """
     if bins is not None:
         bins = _as_int("bins", bins, 10, 10_000)
-    t, samples, seed, workers = _check_common((transform,), t, samples, seed, workers)
+    t, samples, seed, workers, _ = _check_common((transform,), t, samples, seed, workers)
 
     def block(n, rng, ws):
         return _summary(*_run_block(transform, t, n, rng, ws), bins, ws)
@@ -622,18 +647,21 @@ def estimate_n(
     down to the final float divisions.  At t = 0 every path stops on its
     first draw and the estimate is exactly 1.0 with zero standard error.
     """
-    t, samples, seed, k_counts = _count_pass(transform, t, samples, seed, workers)
+    t, samples, seed, _, k_counts = _count_pass(transform, t, samples, seed, workers)
     return _count_estimate(transform.label, t, samples, seed, k_counts)
 
 
 def _count_pass(transform, t, samples, seed, workers):
-    """``simulate``'s paths, counted only: validated (t, samples, seed) and ``k_counts``."""
-    t, samples, seed, workers = _check_common((transform,), t, samples, seed, workers)
+    """``simulate``'s paths, counted only: validated (t, samples, seed), mu and ``k_counts``.
+
+    mu is the transform's mean increment, which the work cap has computed.
+    """
+    t, samples, seed, workers, mu = _check_common((transform,), t, samples, seed, workers)
 
     def block(n, rng, ws):
         return _run_block(transform, t, n, rng, ws, False)[0]
 
-    return t, samples, seed, _add_counts(_fan_out(block, samples, seed, workers))
+    return t, samples, seed, mu, _add_counts(_fan_out(block, samples, seed, workers))
 
 
 def estimate_stopped_sum(
@@ -687,7 +715,7 @@ def _coupled(t, samples, seed, workers, bins=None, marks=()):
     """
     ident = BUILTIN_TRANSFORMS["identity"]
     logp = BUILTIN_TRANSFORMS["logproduct"]
-    t, samples, seed, workers = _check_common((ident, logp), t, samples, seed, workers)
+    t, samples, seed, workers, _ = _check_common((ident, logp), t, samples, seed, workers)
     marks = tuple(_as_real("mark", mark, 0.0, t) for mark in marks)
 
     def block(n, rng, ws):
@@ -738,9 +766,9 @@ def k_concentration_check(
     """
     t = _as_real("t", t, 1.0)
     c = _as_real("c", c, 0.0, open_lo=True)
-    t, _, _, k_counts = _count_pass(transform, t, samples, seed, workers)
+    t, _, _, mu, k_counts = _count_pass(transform, t, samples, seed, workers)
     k = np.arange(k_counts.shape[0])
-    far = np.abs(k - 1 - t / asymptotic_params(transform).mu) > c * math.sqrt(t)
+    far = np.abs(k - 1 - t / mu) > c * math.sqrt(t)
     return int(k_counts[far].sum()) / int(k_counts.sum())
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,10 @@ class TestEstimateN:
         with pytest.raises(DomainError, match=r"about \S+ s on one thread at 22 ns per draw, "
                                               r"10 ns per path and 7 us per block round, over"):
             mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
-        # the coupled pass is charged for both sums: identity's 3.2 ns and
-        # logproduct's 4.2 ns per draw, and 10 ns per path and 7 us per block
+        # the coupled pass is charged for both sums: identity's 2.7 ns and
+        # logproduct's 2.9 ns per draw, and 10 ns per path and 7 us per block
         # round for each
-        with pytest.raises(DomainError, match=r"at 7.4 ns per draw, 20 ns per path and 14 us "
+        with pytest.raises(DomainError, match=r"at 5.6 ns per draw, 20 ns per path and 14 us "
                                               r"per block round"):
             mc.paired_domination(1e12, 1)
 
@@ -115,7 +116,7 @@ class TestEstimateN:
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
         knot_ns, closed_ns = mc._ns_per_draw(_KNOTS_TXT), mc._ns_per_draw(LogProduct())
-        assert (knot_ns, closed_ns) == (22.0, 4.2)
+        assert (knot_ns, closed_ns) == (22.0, 2.9)
         # the sample count whose charge at the geometric mean of the two
         # costs is the cap: over it at the knot file's, under at logproduct's
         rounds = 1.0 + 20.0 / asymptotic_params(_KNOTS_TXT).mu
@@ -138,7 +139,7 @@ class TestEstimateN:
         specs = (Identity(), LogProduct(), Power(1.0), Power(2.0), Power(0.1), Power(0.5),
                  Power(1.5), Power(10.0), _KNOTS_TXT, _AdditiveLogProduct())
         assert [mc._ns_per_draw(s) for s in specs] == [
-            3.2, 4.2, 4.8, 4.8, 6.3, 6.3, 7.6, 7.6, 22.0, 4.2]
+            2.7, 2.9, 4.8, 4.8, 5.3, 5.3, 7.6, 7.6, 22.0, 2.9]
 
 
 class TestReproducibility:
@@ -249,25 +250,44 @@ def _state(rng):
     return {**state, "state": {k: np.asarray(v).tolist() for k, v in state["state"].items()}}
 
 
-def _plain_form(transform, t):
-    """A sum's (start, step, level, overshoot), written plainly.
+def _x(k):
+    """The uniforms of the 32-bit words ``k``: the midpoints (k + 1/2) 2^-32."""
+    return (k + 0.5) * 2.0**-32
 
-    LogProduct's sums up to t = 700 are products of x + 1/(e-1) factors: one
-    of r draws has passed L once it is above e^L (e-1)^-r, and overshoots t
-    by log1p((S - V)/V) at V = e^t (e-1)^-r.  The kernel rescales its
-    products every 1024 draws; no path here takes that many.  Every other
-    sum adds f(x), passes L once it is above L and overshoots t by s - t.
-    ``level(r, L)`` and ``overshoot(s, r)`` take the draw count r.
+
+def _halves(words, m):
+    """The first m draws of a round of raw 64-bit ``words``: their 32-bit halves, low first."""
+    words = np.asarray(words, dtype=np.uint64)
+    return np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1).ravel()[:m]
+
+
+def _plain_form(transform, t):
+    """A sum's (start, step, level, overshoot), written plainly; ``step`` takes the words k.
+
+    Identity's sums are integers, the sums of 2k + 1 = 2^33 x: one has
+    passed L once it is above L 2^33, and overshoots t by its excess over t
+    2^33, times 2^-33.  LogProduct's sums up to t = 700 are products of x +
+    1/(e-1) factors: one of r draws has passed L once it is above e^L
+    (e-1)^-r, and overshoots t by log1p((S - V)/V) at V = e^t (e-1)^-r.  The
+    kernel's products carry a power of two, which changes neither.  Every
+    other sum adds f(x), passes L once it is above L and overshoots t by s -
+    t.  ``level(r, L)`` and ``overshoot(s, r)`` take the draw count r.
     """
+    if isinstance(transform, Identity):
+        whole = math.floor(Fraction(t) * 2**33)
+        part = float(Fraction(t) * 2**33 - whole)
+        return (0, lambda s, k: s + (2 * k.astype(np.int64) + 1),
+                lambda r, mark: math.floor(Fraction(mark) * 2**33),
+                lambda s, r: ((s - whole) - part) * 2.0**-33)
     if isinstance(transform, LogProduct) and t <= 700.0:
         c = 1.0 / (E - 1.0)
 
         def level(r, mark):
             return math.exp(mark) * c**r
 
-        return (1.0, lambda s, u: s * (u + c), level,
+        return (1.0, lambda s, k: s * (_x(k) + c), level,
                 lambda s, r: np.log1p((s - level(r, t)) / level(r, t)))
-    return 0.0, lambda s, u: s + transform._f(u), lambda r, mark: mark, lambda s, r: s - t
+    return 0.0, lambda s, k: s + transform._f(_x(k)), lambda r, mark: mark, lambda s, r: s - t
 
 
 def _retire(idx, done):
@@ -294,7 +314,7 @@ def _reference_block(transform, t, n, rng):
     r = 0
     while idx.size:
         r += 1
-        sums[idx] = step(sums[idx], rng.random(idx.size))
+        sums[idx] = step(sums[idx], mc._draw(rng, idx.size))
         done = sums[idx] > level(r, t)
         k[idx[done]] = r
         over[idx[done]] = overshoot(sums[idx[done]], r)
@@ -310,16 +330,14 @@ class _AdditiveLogProduct(LogProduct):
 
 
 class _Constant:
-    """A generator stub whose every draw is ``x``; counts its draws."""
+    """A generator stub whose every draw is the 32-bit word ``k``; counts its raw words."""
 
-    def __init__(self, x):
-        self.x, self.draws = x, 0
+    def __init__(self, k):
+        self.bit_generator, self.k, self.words = self, k, 0
 
-    def random(self, n, out=None):
-        self.draws += n
-        out = np.empty(n) if out is None else out
-        out.fill(self.x)
-        return out
+    def random_raw(self, n):
+        self.words += n
+        return np.full(n, self.k * (2**32 + 1), dtype=np.uint64)
 
 
 class TestKernel:
@@ -374,7 +392,8 @@ class TestKernel:
         with pytest.raises(ConvergenceError, match="draws"):
             mc._kernel(specs, 10.0, 64, rng)
         ref = mc._stream(3, 0)
-        ref.random(5 * 64)
+        for _ in range(5):
+            mc._draw(ref, 64)
         assert _state(rng) == _state(ref)
 
     def test_workspace_reuse_matches_fresh_arrays(self):
@@ -396,38 +415,38 @@ class TestKernel:
         ids=["product", "additive", "identity", "coupled"],
     )
     def test_extreme_draws(self, monkeypatch, specs, t):
-        # every draw the largest uniform, 1 - 2^-53: each sum crosses on
-        # draw floor(t) + 1, no sooner, with an overshoot in (0, 1]
+        # every draw the largest, k = 2^32 - 1 (x = 1 - 2^-33): each sum
+        # crosses on draw floor(t) + 1, no sooner, with an overshoot in (0, 1]
         n = 5
-        violations, *pairs = mc._kernel(specs, t, n, _Constant(1.0 - 2.0**-53))
+        violations, *pairs = mc._kernel(specs, t, n, _Constant(2**32 - 1))
         assert violations == 0
         for stopped, over in pairs:
             assert stopped.tolist() == [0] * (math.floor(t) + 1) + [n]
             assert ((over > 0.0) & (over <= 1.0)).all()
-        # every draw 0.0: no sum ever crosses, so the draw cap trips after
-        # exactly its rounds
+        # every draw the smallest, k = 0 (x = 2^-33): no sum crosses within
+        # 40 draws, so the draw cap trips after exactly its rounds, each
+        # reading ceil(5/2) raw words
         monkeypatch.setattr(mc, "_DRAW_CAP", 40)
-        rng = _Constant(0.0)
+        rng = _Constant(0)
         with pytest.raises(ConvergenceError, match="draws"):
             mc._kernel(specs, t, n, rng)
-        assert rng.draws == 40 * n
+        assert rng.words == 40 * 3
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 19.5, 20.0, 700.0])
     def test_product_free_rounds_cannot_cross(self, t):
-        # every draw the largest uniform below 1, so the products grow as
+        # every draw the largest, k = 2^32 - 1, so the products grow as
         # fast as they can: the kernel, which skips the stop test in its
         # free rounds, stops on the draw of the reference, which tests every
         # round, with the same overshoot
-        x = float(np.nextafter(1.0, 0.0))
-        k, want = _reference_block(LogProduct(), t, 3, _Constant(x))
-        _, (stopped, over) = mc._kernel((LogProduct(),), t, 3, _Constant(x))
+        k, want = _reference_block(LogProduct(), t, 3, _Constant(2**32 - 1))
+        _, (stopped, over) = mc._kernel((LogProduct(),), t, 3, _Constant(2**32 - 1))
         assert stopped.tolist() == np.bincount(k).tolist()
         assert over.tolist() == want.tolist()
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 19.5, 20.0, 700.0, 750.0])
     def test_product_free_rounds(self, t):
         # the kernel-level test above cannot pin the rounding margin: with
-        # every draw the largest uniform below 1 no product crosses on draw
+        # every draw the largest, k = 2^32 - 1, no product crosses on draw
         # floor(t) at any integer t up to 700, so one more free round passes
         # it.  Products skip the stop test on floor(t) - 1 draws; the default
         # form, and the products' past their cutoff, on floor(t)
@@ -438,19 +457,20 @@ class TestKernel:
     @pytest.mark.parametrize("t, increment", [(700.0, 0.2), (0.5, 0.0)])
     def test_product_levels_stay_normal(self, monkeypatch, t, increment):
         # no sum passes t within the cap of 3000 draws (0.2 per draw needs
-        # 3500 to pass 700), but the products fall 0.34 and 0.54 in log per
-        # draw, and e^t (e-1)^-r leaves the normal doubles by draw 2600 and
-        # 1310: unscaled, a subnormal sum could sit above a level rounded to 0
+        # 3500 to pass 700; k = 0 adds about 2e-10), but the plain products
+        # fall 0.34 and 0.54 in log per draw, and e^t (e-1)^-r leaves the
+        # normal doubles by draw 2600 and 1310: unscaled, a subnormal sum
+        # could sit above a level rounded to 0
         monkeypatch.setattr(mc, "_DRAW_CAP", 3000)
-        rng = _Constant(math.expm1(increment) / (E - 1.0))
+        rng = _Constant(math.floor(math.expm1(increment) / (E - 1.0) * 2**32))
         with pytest.raises(ConvergenceError, match="draws"):
             mc._kernel((LogProduct(),), t, 3, rng)
-        assert rng.draws == 3000 * 3
+        assert rng.words == 3000 * 2
 
     def test_product_overshoots_are_the_more_accurate(self):
         # 200 one-path blocks at t = 20, each on its own stream, so a path's
-        # k draws are its stream's first k uniforms: each overshoot against
-        # the 40-digit sum of ln(1 + (e-1)x) over those uniforms
+        # k draws are the low halves of its stream's first k raw words: each
+        # overshoot against the 40-digit sum of ln(1 + (e-1)x) over them
         import mpmath
 
         worst = {}
@@ -458,15 +478,103 @@ class TestKernel:
             errors = []
             for path in range(200):
                 stopped, over = mc._run_block(spec, 20.0, 1, mc._stream(2024, path))
-                u = mc._stream(2024, path).random(stopped.shape[0] - 1)
+                raw = mc._stream(2024, path).bit_generator.random_raw(stopped.shape[0] - 1)
+                u = _x(raw & np.uint64(0xFFFFFFFF))
                 with mpmath.workdps(40):
                     steps = [mpmath.log1p((mpmath.e - 1) * float(x)) for x in u]
                     # the exact sum crosses on the same draw
                     assert mpmath.fsum(steps[:-1]) <= 20 < mpmath.fsum(steps)
                     errors.append(abs(float(over[0] - (mpmath.fsum(steps) - 20))))
             worst[type(spec)] = max(errors)
-        # measured: 1.7e-15 for the products, 1.0e-14 for the sums
+        # measured: 1.7e-15 for the products, 1.1e-14 for the sums
         assert worst[LogProduct] <= 1e-14 and worst[LogProduct] <= worst[_AdditiveLogProduct]
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_draw_is_the_midpoint_of_its_word(self, n):
+        # at t = 0 every path crosses on its first draw, and power:1's and
+        # identity's sums overshoot by the draw itself: draw i is (k_i +
+        # 1/2) 2^-32, k taken by value from the raw words, low half first; an
+        # odd n leaves the high half of the last word unused
+        words = mc._stream(5, 3).bit_generator.random_raw((n + 1) // 2)
+        k = _halves(words, n)
+        assert mc._draw(mc._stream(5, 3), n).tolist() == k.tolist()
+        for spec in (Power(1.0), Identity()):
+            rng, ref = mc._stream(5, 3), mc._stream(5, 3)
+            _, (stopped, over) = mc._kernel((spec,), 0.0, n, rng)
+            assert stopped.tolist() == [0, n]
+            assert over.tolist() == [(int(w) + 0.5) * 2.0**-32 for w in k]
+            ref.bit_generator.random_raw((n + 1) // 2)
+            assert _state(rng) == _state(ref)
+            # the extreme words
+            for word, x in ((0, 2.0**-33), (2**32 - 1, 1.0 - 2.0**-33)):
+                _, (_, over) = mc._kernel((spec,), 0.0, n, _Constant(word))
+                assert over.tolist() == [x] * n
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 7.3, 20.0])
+    def test_identity_sums_are_exact(self, t):
+        # 300 paths in one block, each path's draws followed through the
+        # rounds and retirement and summed as fractions: every crossing draw
+        # is the exact one, and every overshoot (by draw, then by slot) the
+        # exact one rounded once
+        n = 300
+        rng = _Recording(mc._stream(11, 0))
+        _, (stopped, over) = mc._kernel((Identity(),), t, n, rng)
+        idx, sums, first, want = np.arange(n), [Fraction(0)] * n, np.zeros(n, np.int64), []
+        for r, words in enumerate(rng.draws, 1):
+            done = np.zeros(idx.size, dtype=bool)
+            for slot, (path, k) in enumerate(zip(idx, _halves(words, idx.size))):
+                sums[path] += Fraction(2 * int(k) + 1, 2**33)
+                if sums[path] > t:
+                    done[slot], first[path] = True, r
+                    want.append(float(sums[path] - Fraction(t)))
+            idx = _retire(idx, done)
+        assert idx.size == 0
+        assert stopped.tolist() == np.bincount(first).tolist()
+        assert over.tolist() == want
+
+    @pytest.mark.parametrize("t, draws", [(20.0, 80), (700.0, 1300)])
+    def test_folded_products_are_the_plain_products(self, t, draws):
+        # 300 products stepped in their form, crossed or not, against S *= x
+        # + c from 1: bit for bit up to one power of two per draw, the same
+        # for every path, and so is the level of t (r < 1024), so every path
+        # crosses on the plain product's draw
+        form, c, n = LogProduct()._sum_form(t), 1.0 / (E - 1.0), 300
+        s, plain, u = np.full(n, form.start), np.ones(n), np.empty(n)
+        rng = mc._stream(12, 0)
+        first, first_plain = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        for r in range(1, draws + 1):
+            k = mc._draw(rng, n)
+            form.step(s, k, u, r)
+            plain *= _x(k) + c
+            (frac, exp), (frac_plain, exp_plain) = np.frexp(s), np.frexp(plain)
+            assert (frac == frac_plain).all() and (exp - exp_plain == exp[0] - exp_plain[0]).all()
+            level, level_plain = form.level(r, t), math.exp(t) * c**r
+            if r < 1024:
+                assert math.frexp(level)[0] == math.frexp(level_plain)[0]
+                assert math.frexp(level)[1] - math.frexp(level_plain)[1] == exp[0] - exp_plain[0]
+            first[(first == 0) & (s > level)] = r
+            first_plain[(first_plain == 0) & (plain > level_plain)] = r
+        assert (first > 0).all() and first.tolist() == first_plain.tolist()
+
+    @pytest.mark.parametrize("word", [2**32 - 1, 0], ids=["largest", "smallest"])
+    def test_product_bound_at_the_cutoff(self, word):
+        # LogProduct's bound at t = 700: the level of t stays in [2^-0.5,
+        # 2^469], every mark's level and every sum that has not crossed
+        # above 2^-1011, and a sum that crosses below 2^471.  The largest
+        # draws grow the sums fastest and cross on draw 701; the smallest
+        # never cross in 3000 draws
+        t = 700.0
+        form = LogProduct()._sum_form(t)
+        s, u, k = np.full(1, form.start), np.empty(1), np.full(1, word, dtype=np.uint32)
+        for r in range(1, 3001):
+            form.step(s, k, u, r)
+            level = form.level(r, t)
+            assert 2.0**-0.5 * (1.0 - 1e-12) <= level <= 2.0**469
+            assert all(form.level(r, mark) >= 2.0**-1011 for mark in (0.0, 1.0, 350.0))
+            assert 2.0**-1011 <= s[0] < 2.0**471
+            if s[0] > level:
+                break
+        assert r == (701 if word else 3000)
 
     def test_streams_are_spawned_children(self):
         children = np.random.SeedSequence(9).spawn(3)
@@ -492,33 +600,35 @@ class TestBinCounts:
 
 
 # records of 2 * _BLOCK + 17 paths at seed 42, computed by the kernel that
-# draws from SFC64 block streams and steps logproduct's products by x + 1/(e-1)
+# draws two 32-bit midpoint uniforms per raw word of SFC64 block streams,
+# sums identity's words exactly and steps logproduct's products by k + 1/2 +
+# 2^32/(e-1)
 _N_GOLDEN = 2 * mc._BLOCK + 17
 _GOLDEN = {
     "identity": (
         Identity(), 1.0, None,
-        [0, 0, 65471, 43858, 16389, 4270, 910, 173, 14, 4],
-        "0x1.6f950c00ea61bp+15", "0x1.808aa21ca85efp+14", None,
+        [0, 0, 65524, 43800, 16332, 4329, 908, 166, 26, 4],
+        "0x1.6fb5c67834ad0p+15", "0x1.803fd650d3d5ap+14", None,
     ),
     "logproduct": (
         LogProduct(), 20.0, 17,
-        [0] * 26 + [15, 119, 540, 1664, 3951, 7444, 11857, 15709, 18250, 18115, 16348, 12990,
-                    9280, 6446, 3877, 2218, 1229, 560, 266, 119, 61, 19, 5, 5, 0, 2],
-        "0x1.6f82d6682d4e2p+15", "0x1.7ff74ae7b64a4p+14",
-        [13123, 12525, 11866, 11483, 10833, 10403, 9815, 9035, 8182, 7479, 6583, 5753,
-         4999, 3837, 2847, 1743, 583],
+        [0] * 26 + [21, 130, 537, 1625, 3917, 7522, 11701, 15815, 18226, 18150, 15900, 13133,
+                    9647, 6473, 3905, 2181, 1134, 587, 269, 128, 56, 23, 6, 2, 1],
+        "0x1.700d869f6c0b9p+15", "0x1.80c01edc2fdeap+14",
+        [13021, 12396, 12137, 11408, 10924, 10362, 9610, 8903, 8218, 7646, 6790, 5782,
+         4843, 3820, 2857, 1760, 612],
     ),
     "power:0.5": (
         Power(0.5), 5.0, None,
-        [0] * 6 + [4349, 35958, 51181, 28688, 8795, 1800, 286, 29, 2, 1],
-        "0x1.8061adf7aaab7p+15", "0x1.9a903728802a7p+14", None,
+        [0] * 6 + [4523, 35789, 51122, 28837, 8792, 1762, 235, 27, 2],
+        "0x1.8047d38871da6p+15", "0x1.99e6548f7896ap+14", None,
     ),
     "knots.txt": (
         _KNOTS_TXT, 3.0, 10,
-        [0] * 4 + [478, 3469, 9966, 18106, 23091, 23404, 19695, 14026, 8986, 5092, 2607,
-                   1301, 510, 210, 99, 35, 10, 4],
-        "0x1.1f87755beaf1ep+15", "0x1.05ec4dc1c994cp+14",
-        [32594, 26538, 21124, 16553, 11554, 8222, 6333, 4545, 2714, 912],
+        [0] * 4 + [537, 3543, 10241, 17978, 23035, 23211, 19477, 14188, 8998, 5156, 2611,
+                   1272, 529, 198, 78, 27, 9, 1],
+        "0x1.1f036a0176f88p+15", "0x1.05274431b54dap+14",
+        [32831, 26142, 21501, 16486, 11456, 8142, 6368, 4604, 2678, 881],
     ),
 }
 
@@ -527,17 +637,17 @@ _GOLDEN = {
 # of squares, histogram)
 _GOLDEN_COUPLED = (
     ("identity", 28,
-     [2, 20, 63, 211, 601, 1374, 2619, 4577, 6967, 9462, 11911, 13511, 14328, 13893, 12584,
-      10873, 8658, 6474, 4807, 3082, 2051, 1298, 777, 442, 252, 131, 57, 30, 21, 9, 2, 2],
-     "0x1.5600600d39a52p+15", "0x1.560d87e122b7fp+14",
-     [14929, 13968, 12984, 12291, 11331, 10655, 9487, 8667, 7728, 6711, 6008, 5015, 4102,
-      3146, 2222, 1404, 441]),
+     [3, 15, 84, 245, 574, 1337, 2612, 4478, 6938, 9365, 11893, 13753, 14283, 14118, 12597,
+      10744, 8684, 6484, 4708, 3187, 2056, 1264, 766, 422, 241, 124, 62, 31, 8, 4, 5, 4],
+     "0x1.5617899ed8b30p+15", "0x1.563d0c47e1d9bp+14",
+     [14945, 13937, 13041, 12372, 11253, 10375, 9557, 8717, 7791, 6791, 5953, 5043, 4022,
+      3175, 2297, 1396, 424]),
     ("logproduct", 26,
-     [15, 119, 547, 1644, 3990, 7522, 11782, 15737, 18110, 18193, 16303, 12879, 9445, 6449,
-      3825, 2260, 1187, 602, 276, 129, 42, 17, 12, 3, 1],
-     "0x1.6fe68f376800ap+15", "0x1.81222c1b6d848p+14",
-     [12875, 12545, 12109, 11552, 11145, 10322, 9605, 8868, 8104, 7313, 6655, 5814, 4970,
-      3965, 2857, 1775, 615]),
+     [21, 130, 542, 1606, 3949, 7535, 11706, 15822, 18022, 18056, 16527, 12958, 9410, 6383,
+      3932, 2230, 1173, 611, 261, 134, 57, 15, 3, 3, 3],
+     "0x1.704d255374b89p+15", "0x1.8115906bac8fcp+14",
+     [12962, 12460, 11915, 11702, 10807, 10260, 9715, 8964, 8172, 7572, 6714, 5834, 5013,
+      3863, 2858, 1685, 593]),
 )
 
 
@@ -558,7 +668,7 @@ class TestGoldenRecords:
         # swapped transforms, so the count is not 0
         kernel = mc._kernel
         monkeypatch.setattr(mc, "_kernel", lambda specs, *args: kernel(specs[::-1], *args))
-        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88690, _N_GOLDEN)
+        assert mc.paired_domination(3.0, _N_GOLDEN, seed=2, workers=workers) == (88810, _N_GOLDEN)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_coupled_records_are_bit_identical(self, workers):
@@ -611,7 +721,7 @@ class TestWorkspace:
         monkeypatch.setattr(mc, "_arrays", recording)
         if kind == "paired":
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_block = ["dddd?dd?"]
+            per_block = ["dqd?dd?"]
         elif kind == "simulate":
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
             per_block = ["ddd?", "dp?"]
@@ -882,7 +992,7 @@ def _reference_paired_block(t, n, rng, base, dominating):
     violations = rounds = 0
     while idx.size:
         rounds += 1
-        u = rng.random(idx.size)
+        u = mc._draw(rng, idx.size)
         for (_, step, level, over), s, k, o in zip(forms, sums, ks, overs):
             active = k[idx] == 0
             s[idx[active]] = step(s[idx[active]], u[active])
@@ -896,47 +1006,49 @@ def _reference_paired_block(t, n, rng, base, dominating):
 
 
 class _Recording:
-    """A generator wrapper that keeps a copy of every batch of draws it hands out."""
+    """A generator wrapper that keeps a copy of every batch of raw words it hands out."""
 
     def __init__(self, rng):
-        self.rng, self.draws = rng, []
+        self.bit_generator, self.rng, self.draws = self, rng, []
 
-    def random(self, n, out):
-        x = self.rng.random(n, out=out)
-        self.draws.append(x.copy())
-        return x
+    def random_raw(self, n):
+        words = self.rng.bit_generator.random_raw(n)
+        self.draws.append(words.copy())
+        return words
 
 
 class _Slow:
-    """A generator stub: uniforms scaled by 0.05 for the first ``rounds`` rounds."""
+    """A generator stub: draws k cut to k // 20 for the first ``rounds`` rounds."""
 
     def __init__(self, rng, rounds):
-        self.rng, self.rounds = rng, rounds
+        self.bit_generator, self.rng, self.rounds = self, rng, rounds
 
-    def random(self, n, out):
-        x = self.rng.random(n, out=out)
+    def random_raw(self, n):
+        words = self.rng.bit_generator.random_raw(n)
         if self.rounds:
             self.rounds -= 1
-            x *= 0.05
-        return x
+            lo, hi = words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)
+            words = lo // np.uint64(20) | (hi // np.uint64(20)) << np.uint64(32)
+        return words
 
 
 def _mark_walk(specs, t, n, draws, marks):
     """Each sum's draw counts at each mark, from a walk of every path over ``draws``.
 
-    ``draws`` are the kernel's batches, one per round, one uniform per
-    surviving path in slot order (``_retire``).  Each path keeps its own sums, in
-    ``_plain_form``, and records the draw on which each sum first went
-    above each mark's level; a sum stops at t, and a path leaves once all
-    its sums have.
+    ``draws`` are the kernel's batches of raw words, one per round, whose
+    halves are one draw per surviving path in slot order (``_retire``).
+    Each path keeps its own sums, in ``_plain_form``, and records the draw
+    on which each sum first went above each mark's level; a sum stops at t,
+    and a path leaves once all its sums have.
     """
     forms = [_plain_form(spec, t) for spec in specs]
     sums = [np.full(n, form[0]) for form in forms]
     crossed = [np.zeros(n, dtype=bool) for _ in specs]
     first = [[np.zeros(n, dtype=np.int64) for _ in marks] for _ in specs]
     idx = np.arange(n)
-    for r, u in enumerate(draws, 1):
-        assert u.shape == idx.shape
+    for r, words in enumerate(draws, 1):
+        assert words.size == (idx.size + 1) // 2
+        u = _halves(words, idx.size)
         done = np.ones(idx.size, dtype=bool)
         for (_, step, level, _), s, x, fs in zip(forms, sums, crossed, first):
             active = ~x[idx]
@@ -977,7 +1089,7 @@ class TestMarks:
     def test_counted_through_rounds_with_nan_sums(self, specs):
         # draws scaled down for eight rounds keep every sum below the mark
         # 0.5 past the free rounds, so the counting runs on while crossed
-        # sums wait in the arrays as NaN and paths leave
+        # sums wait in the arrays as void (below 0) and paths leave
         t, marks, n = 3.0, (0.5, 2.5), 64
         rng = _Recording(_Slow(mc._stream(8, 1), 8))
         _, (stop1, _), (stop2, _), counts = mc._kernel(specs, t, n, rng, marks=marks)
@@ -1040,7 +1152,7 @@ class TestMarks:
                 mc._coupled(20.0, 10, 1, 1, marks=marks)
 
     def test_identity_draw_is_the_draws(self):
-        # a coupled pass steps an identity base sum with scratch it need not fill
+        # with ``out`` the identity hands back the draws, and fills nothing
         x, buf = np.random.default_rng(1).random(8), np.zeros(8)
         assert Identity()._f(x, out=buf) is x and not buf.any()
 
@@ -1049,6 +1161,23 @@ class TestConcentration:
     def test_far_fraction_negligible(self):
         frac = mc.k_concentration_check(LogProduct(), 25.0, 20_000, 6.0, seed=42)
         assert frac < 1e-3
+
+    def test_mean_increment_taken_once(self, monkeypatch):
+        # the far band reads the mu that the work cap computed: one
+        # asymptotic_params call per check, a knot file's the dearest
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return asymptotic_params(spec)
+
+        monkeypatch.setattr(mc, "asymptotic_params", counting)
+        frac = mc.k_concentration_check(_KNOTS_TXT, 5.0, 3000, 1.0, seed=3)
+        assert calls == [_KNOTS_TXT]
+        rec = mc.simulate(_KNOTS_TXT, 5.0, 3000, seed=3)
+        k = np.arange(rec.k_counts.shape[0])
+        far = rec.k_counts[np.abs(k - 1 - 5.0 / asymptotic_params(_KNOTS_TXT).mu) > math.sqrt(5.0)]
+        assert 0 < far.sum() and frac == far.sum() / 3000
 
     def test_needs_t_at_least_one(self):
         with pytest.raises(DomainError):
