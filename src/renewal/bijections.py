@@ -25,7 +25,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -46,18 +46,6 @@ __all__ = [
 ]
 
 _EM1 = math.e - 1.0
-# the largest t at which LogProduct's Monte Carlo sums run as products: the
-# level e^t, and a product that crossed it, must stay finite doubles
-_PRODUCT_T_MAX = 700.0
-_C = 1.0 / _EM1
-# LogProduct's products take the factor k + _FOLD for the word k of the draw
-# x = (k + 1/2) 2^-32: c 2^32 is exact, and its ulp, 2^-21, divides 1/2, so
-# _FOLD = 1/2 + c 2^32 is exact and k + _FOLD = 2^32 (x + c) for every k
-_FOLD = 0.5 + _C * 2.0**32
-# the products gain an exact power of two every _RESCALE draws, and their
-# levels renormalize c^r every _CPOW draws; c^_CPOW is about 2^-800
-_RESCALE = 16
-_CPOW = 1024
 
 
 class DomainError(ValueError):
@@ -147,30 +135,6 @@ def _as_spec(name: str, value) -> None:
                           f"from a name such as 'logproduct'), got {value!r}")
 
 
-class _SumForm(NamedTuple):
-    """How the Monte Carlo kernel runs one transform's sums against a threshold t.
-
-    The kernel's draws are 32-bit words k, each standing for the uniform x
-    = (k + 1/2) 2^-32, the midpoint of the k-th of 2^32 equal cells of (0,
-    1), in [2^-33, 1 - 2^-33].  Every sum starts at ``start`` in an
-    array of type code ``code`` ('d' or 'q'), and none can cross within its
-    first ``free`` draws.  ``step(s, k, out, r)`` advances the sums ``s``
-    in place by their r-th words ``k``, with the float array ``out`` as
-    scratch.  ``level(r, L)`` is the level a sum of r draws is above once
-    it has passed a threshold L <= t, and ``level(r, t)`` the level it
-    crosses t at; every sum of one round has taken the same r draws.
-    ``over(s, j, out, r)`` writes to ``out`` the overshoots past t of the
-    sums ``s[j]``, which crossed on draw r.
-    """
-
-    start: float
-    free: int
-    step: Callable
-    over: Callable
-    level: Callable
-    code: str
-
-
 class BijectionSpec(abc.ABC):
     """A strictly increasing bijection of [0, 1] with pinned endpoints.
 
@@ -197,28 +161,6 @@ class BijectionSpec(abc.ABC):
         ``x`` itself (the identity's), so callers use the return value.
         """
 
-    def _sum_form(self, t: float) -> _SumForm:
-        """The Monte Carlo kernel's sums at threshold t; by default, sums of ``_f``.
-
-        A float sum starts at 0, turns each word into its draw x in the
-        scratch array (both steps exact: k 2^-32 has at most 32 significant
-        bits, and adding 2^-33 makes 33) and adds f(x), has passed a
-        threshold L once it is > L, whatever its draw count, and overshoots t
-        by s - t.  Every increment is at most f(1) = 1 and float addition
-        rounds monotonically, so a sum of r <= floor(t) increments is at
-        most r <= t: the first floor(t) draws cannot cross.
-        """
-        def step(s, k, out, r):
-            x = np.multiply(k, 2.0**-32, out=out)
-            x += 2.0**-33
-            s += self._f(x, out=x)
-
-        def over(s, j, out, r):
-            np.take(s, j, out=out, mode="clip")
-            out -= t
-
-        return _SumForm(0.0, math.floor(t), step, over, lambda r, mark: mark, "d")
-
     @abc.abstractmethod
     def _finv(self, u: np.ndarray) -> np.ndarray:
         """Apply the inverse without domain checks."""
@@ -242,22 +184,7 @@ class BijectionSpec(abc.ABC):
 
 @dataclass(frozen=True, repr=False)
 class Identity(BijectionSpec):
-    """f(x) = x: plain uniform increments.
-
-    The Monte Carlo kernel sums the draws exactly.  A sum is the int64 sum
-    of the words k of its draws: after r draws the real sum of the x = (k +
-    1/2) 2^-32 is (sum k + r/2) 2^-32, which has passed L once sum k > L
-    2^32 - r/2, that is, once the integer sum k is above floor(L 2^32 -
-    r/2), and overshoots t by (sum k + r/2 - t 2^32) 2^-32.  The level is a
-    Python integer from the exact ratio of L, and the overshoot is taken as
-    the integer sum k - floor(t 2^32 - r/2), at most 2^32 + 1 and so exact
-    as a double, less the fraction of t 2^32 - r/2: one rounding, none for
-    t >= 1.  So crossings fall exactly where the real sums of the draws
-    cross.  The sums are signed: a level is below 0 where L < r 2^-33 (at
-    t = 0, for one), and a sum of at most 1e9 words (the Monte Carlo draw
-    cap) below 2^32 stays below 2^62.  No draw reaches 1, so no sum
-    crosses in its first floor(t) draws.
-    """
+    """f(x) = x: plain uniform increments."""
 
     label: ClassVar[str] = "identity"
 
@@ -265,26 +192,6 @@ class Identity(BijectionSpec):
         # with ``out``, x itself, never a copy into it: the result may be x
         # (``BijectionSpec._f``), which spares the caller a pass
         return np.positive(x) if out is None else x
-
-    def _sum_form(self, t):
-        def split(r, mark):  # mark 2^32 - r/2 as its floor and the fraction left
-            p, q = mark.as_integer_ratio()
-            whole, rest = divmod((p << 33) - r * q, 2 * q)
-            return whole, rest / (2 * q)
-
-        def level(r, mark):
-            return np.int64(split(r, mark)[0])
-
-        def step(s, k, out, r):
-            s += k
-
-        def over(s, j, out, r):
-            whole, frac = split(r, t)
-            np.subtract(np.take(s, j, mode="clip"), whole, out=out)
-            out -= frac
-            out *= 2.0**-32
-
-        return _SumForm(0, math.floor(t), step, over, level, "q")
 
     def _finv(self, u):
         return +u
@@ -297,39 +204,6 @@ class LogProduct(BijectionSpec):
     Accumulating these increments past t is the same event as a product of
     independent 1 + (e-1)X factors exceeding e^t.  f(1) must be exactly 1.0
     in floats, so the endpoint is pinned rather than trusted to log1p.
-
-    The Monte Carlo kernel runs the product, one add and one multiply per
-    draw instead of a log1p.  With c = 1/(e-1), 1 + (e-1)x = (x + c)/c, so
-    the product P of r factors 1 + (e-1)X passes e^L once the plain product
-    of r factors x + c, P c^r, is above e^L c^r.  A draw is the word k of x
-    = (k + 1/2) 2^-32, and a sum takes S *= k + c'', c'' = 1/2 + c 2^32
-    (``_FOLD``, exact): k + c'' = 2^32 (x + c), so fl(k + c'') = 2^32 fl(x +
-    c), one add with the word's conversion inside it.  Every other scaling
-    below is by an exact power of two as well, so after r draws S is the
-    plain product of the fl(x + c) times 2^E_r, bit for bit, and its level
-    for L is e^L c^r times the same 2^E_r: the comparisons and the
-    overshoots, log1p((S - V)/V) at V = the level of t, are the plain
-    product's.  The levels compute c^r as (e-1)^-r renormalized by a power
-    of two every ``_CPOW`` draws, so for r < ``_CPOW`` a level is the plain
-    e^L c^r times 2^E_r, bit for bit.
-
-    The scale keeps sums and levels normal doubles.  With R = ``_RESCALE``
-    and lambda = 32 + log2 c (about 31.22), sums start at 2^-h_0 and take
-    2^(h_(q-1) - h_q) after draw qR, for h_q = round(t log2 e + q R
-    lambda).  So E_r = 32 r - h_q for qR <= r < (q+1)R, and the level of t
-    after r = qR + j draws is 2^(d + j lambda) with |d| <= 1/2: between
-    2^-0.5 and 2^469 (j <= 15).  Each factor is at least 2^32 c and at
-    most 2^32 e c (x < 1, and e c = 1 + c), the level's own factor per draw
-    is 2^32 c, and a sum that has not crossed t is at most its level.  So a
-    live sum is at most e times the level of t, below 2^471, and at least
-    e^-t times it (P >= 1), above 2^-1011 at t = 700; a mark's level
-    e^(L-t) times the level of t lies between the two.  Rounding moves each
-    bound by a factor of at most (1 + 2^-52)^r.  The same bounds give the
-    free draws: each factor of P is at most e, so P stays below e^(t-1) for
-    r <= t - 1 draws, and only the first floor(t) - 1 draws skip the stop
-    test.  e^t, and the sum that crossed it, must stay finite as ``level``
-    computes them: above t = ``_PRODUCT_T_MAX`` the sums add log1p
-    increments, as the default form does.
     """
 
     label: ClassVar[str] = "logproduct"
@@ -340,40 +214,6 @@ class LogProduct(BijectionSpec):
         one = x == 1.0 if np.max(x, initial=0.0) == 1.0 else None
         y = np.log1p(np.multiply(x, _EM1, out=out), out=out)
         return y if one is None else np.where(one, 1.0, y)
-
-    def _sum_form(self, t):
-        if t > _PRODUCT_T_MAX:
-            return super()._sum_form(t)
-        log2_level, lam = t * math.log2(math.e), 32.0 + math.log2(_C)
-        cpows = [1.0]  # c^(k _CPOW) times 2^gained(k)
-
-        def h(q):  # the binary exponent sums have shed by draw q _RESCALE
-            return round(log2_level + q * _RESCALE * lam)
-
-        def gained(k):  # the binary exponent c^(k _CPOW) gains in cpows
-            return round(k * _CPOW * math.log2(_EM1))
-
-        def level(r, mark):
-            k, j = divmod(r, _CPOW)
-            while len(cpows) <= k:
-                shift = gained(len(cpows)) - gained(len(cpows) - 1)
-                cpows.append(math.ldexp(cpows[-1] * _C**_CPOW, shift))
-            return math.ldexp(math.exp(mark) * cpows[k] * _C**j,
-                              32 * r - h(r // _RESCALE) - gained(k))
-
-        def step(s, k, out, r):
-            s *= np.add(k, _FOLD, out=out)
-            if r % _RESCALE == 0:
-                s *= 2.0 ** (h(r // _RESCALE - 1) - h(r // _RESCALE))
-
-        def over(s, j, out, r):
-            np.take(s, j, out=out, mode="clip")
-            v = level(r, t)
-            out -= v
-            out /= v
-            np.log1p(out, out=out)
-
-        return _SumForm(2.0 ** -h(0), max(math.floor(t) - 1, 0), step, over, level, "d")
 
     def _finv(self, u):
         out = np.expm1(u) / _EM1

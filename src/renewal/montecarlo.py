@@ -14,17 +14,13 @@ for the coupled identity/logproduct pass, where a path retires once both
 have crossed.  ``simulate`` and the coupled pass gather each crossed sum's
 overshoot; ``estimate_n`` and ``k_concentration_check``, which read only
 the draw counts, run the one-sum kernel count-only, on the same paths and
-uniforms, and gather none.  Each sum runs in its transform's form, which
-takes the words k: the identity's are exact integer sums of k, crossed
-exactly where the real sums of the x cross; logproduct's (up to t = 700)
-multiply by k + 1/2 + 2^32/(e-1), which is 2^32 (x + 1/(e-1)), and cross
-e^t (e-1)^-r after r draws, scaled by the same power of two, which is the
-same event at one add and one multiply per draw instead of a log1p; the
-others turn k into x and add f(x).  Every survivor of a round has taken
-the same r draws, so the round tests them all against one level.
-Increments never exceed 1, so no sum can cross in its first floor(t)
-draws, or its first floor(t) - 1 for a product, whose rounding can pass
-the level at integer t; those rounds skip the stop test.  Each pass holds
+uniforms, and gather none.  This module alone turns the words into sums:
+each sum runs in the form ``_form`` picks for its transform and t (exact
+integer sums for the identity, products for logproduct up to t = 700,
+f(x) added for every other transform), which also prices its draws for the
+work cap.  Every survivor of a round has taken the same r draws, so the
+round tests them all against one level, and the rounds within a form's
+free draws, where no sum can cross, skip the stop test.  Each pass holds
 one workspace: every worker thread makes its working arrays (a float
 scratch array, the sums, an overshoot array and a bool array of 2^16
 entries for one sum, all but the overshoots counted only) the first time
@@ -44,6 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,9 +49,11 @@ from .bijections import (
     ConvergenceError,
     DomainError,
     BUILTIN_TRANSFORMS,
+    Identity,
     LogProduct,
     PiecewiseLinear,
     Power,
+    _EM1,
     _as_int,
     _as_real,
     _as_reals,
@@ -82,7 +81,7 @@ __all__ = [
 _BLOCK = 1 << 16
 _DRAW_CAP = 10**9
 # one-thread kernel costs the work cap charges per sum, beside each draw's
-# (``_ns_per_draw``), measured on 2 vCPUs: a block round (one-path blocks at
+# (``_Form.ns``), measured on 2 vCPUs: a block round (one-path blocks at
 # t = 200 took 4.1-6.0 us per charged round of one sum, 8.5-9.6 us of two
 # coupled sums), and a path's own work, paid once: its stopped count,
 # overshoot gather and map, and retirement.  A count-only pass skips the
@@ -95,33 +94,202 @@ _PAGE = 4096
 # the value a crossed sum takes while its path waits, by its array's type
 # code: below 0, and so below every sum, and kept there by every step
 _VOID = {"d": -np.inf, "q": np.iinfo(np.int64).min}
+# logproduct's products: their cutoff, factor, and scale (``_product_form``)
+_PRODUCT_T_MAX = 700.0
+_C = 1.0 / _EM1
+_FOLD = 0.5 + _C * 2.0**32
+_RESCALE = 16
+_CPOW = 1024
 
 
-def _ns_per_draw(spec: BijectionSpec) -> float:
-    """The kernel's cost per draw of ``spec`` on one thread, as the work cap charges it.
+class _Form(NamedTuple):
+    """How the kernel runs one transform's sums against a threshold t (``_form``).
 
-    With ``_NS_PER_PATH`` and ``_US_PER_ROUND`` it prices one-thread passes
-    of 1e6 paths, gathering and counted only, at 1.0-2.0 times their time
-    at both t = 1 and t = 20 (1 + t/mu charged draws per path), measured on
-    2 vCPUs with two 32-bit draws per raw SFC64 word.  Medians per path at
-    t = 1 and 20, gathering (counted only): identity 17.6 (9.5) and 88
-    (81) ns; logproduct's products 15.4 (9.6) and 89 (84) ns.  np.power
-    copies (p = 1) and squares (p = 2) on fast paths, 17.5 (15.6) and 134
-    (132) ns, 23 (20) and 192 (189) ns, and calls pow for other exponents:
-    19.4 (11.3) and 120 (113) ns at p = 0.1, 21.0 (13.3) and 151 (151) ns
-    at p = 0.5, 28 (25) and 282 (277) ns at p = 1.5.  np.interp allocates
-    its output and binary-searches the knots for every draw: 59 (55) and
-    742 (731) ns for the 4 of ``perfbench/knots.txt``, 286 (278) and 4085
-    (4046) ns for 1000.  The coupled pass, charged for both of its sums,
-    took 34 and 184 ns.  Identity at t = 1 leaves the least room: its
-    gathering pass takes 1.85 times its counting one, and the charge sits
-    within 5% of both ends.  A subclass is charged its base's price.
+    Every sum starts at ``start`` in an array of type code ``code`` ('d' or
+    'q'), and none can cross within its first ``free`` draws.  ``step(s, k,
+    out, r)`` advances the sums ``s`` in place by their r-th words ``k``,
+    with the float array ``out`` as scratch.  ``level(r, L)`` is the level a
+    sum of r draws is above once it has passed a threshold L <= t, and
+    ``level(r, t)`` the level it crosses t at; every sum of one round has
+    taken the same r draws.  ``over(s, j, out, r)`` writes to ``out`` the
+    overshoots past t of the sums ``s[j]``, which crossed on draw r.  ``ns``
+    is the form's one-thread cost per draw, as the work cap charges it.
     """
+
+    start: float
+    free: int
+    step: Callable
+    over: Callable
+    level: Callable
+    code: str
+    ns: float
+
+
+def _form(spec: BijectionSpec, t: float) -> _Form:
+    """The form in which the kernel runs the sums of ``spec`` at threshold t.
+
+    The identity's exact integer sums (``_integer_form``) and logproduct's
+    products up to t = ``_PRODUCT_T_MAX`` (``_product_form``) serve those
+    two transforms alone, not their subclasses, whose own f may differ:
+    every other sum adds its transform's f(x) (``_float_form``), and is
+    charged for its base's f, an unknown f as power:1's copy.
+
+    The prices per draw, with ``_NS_PER_PATH`` and ``_US_PER_ROUND``, put
+    one-thread passes of 1e6 paths, gathering and counted only, at 1.0-2.0
+    times their time at t = 1 and t = 20 (1 + t/mu charged draws per path),
+    on 2 vCPUs.  Medians per path at t = 1 and 20, gathering (counted
+    only): identity 17.6 (9.5) and 88 (81) ns; logproduct's products 15.4
+    (9.6) and 89 (84) ns.  np.power copies (p = 1) and squares (p = 2) on
+    fast paths, 17.5 (15.6) and 134 (132) ns, 23 (20) and 192 (189) ns,
+    and calls pow for other exponents: 19.4 (11.3) and 120 (113) ns at p =
+    0.1, 21.0 (13.3) and 151 (151) ns at p = 0.5, 28 (25) and 282 (277) ns
+    at p = 1.5.  np.interp allocates its output and binary-searches the
+    knots for every draw: 59 (55) and 742 (731) ns for the 4 of
+    ``perfbench/knots.txt``, 286 (278) and 4085 (4046) ns for 1000.
+    Logproduct's log1p sums take 1.8-2.0 times the products' time per draw
+    (t = 750 against 650); an identity subclass's sums, charged power:1's
+    price, take 0.85-0.95 of its time.  Identity at t = 1 leaves the least
+    room: its gathering pass takes 1.85 times its counting one.
+    """
+    if type(spec) is Identity:
+        return _integer_form(t)
+    if type(spec) is LogProduct and t <= _PRODUCT_T_MAX:
+        return _product_form(t)
     if isinstance(spec, PiecewiseLinear):
-        return 11.0 * math.log2(len(spec.knots))
-    if isinstance(spec, Power):
-        return 4.8 if spec.p in (1.0, 2.0) else 5.3 if spec.p < 1.0 else 7.6
-    return 2.9 if isinstance(spec, LogProduct) else 2.7
+        ns = 11.0 * math.log2(len(spec.knots))
+    elif isinstance(spec, LogProduct):
+        ns = 6.0
+    elif isinstance(spec, Power) and spec.p not in (1.0, 2.0):
+        ns = 5.3 if spec.p < 1.0 else 7.6
+    else:
+        ns = 4.8
+    return _float_form(spec._f, t, ns)
+
+
+def _float_form(f, t, ns):
+    """Sums of f(x) from 0, the form of every transform without one of its own.
+
+    A step turns each word into its draw x in the scratch array (both
+    steps exact: k 2^-32 has at most 32 significant bits, and adding 2^-33
+    makes 33) and adds f(x).  A sum has passed a threshold L once it is >
+    L, whatever its draw count, and overshoots t by s - t.  Every increment
+    is at most f(1) = 1 and float addition rounds monotonically, so a sum
+    of r <= floor(t) increments is at most r <= t: the first floor(t) draws
+    cannot cross.
+    """
+    def step(s, k, out, r):
+        x = np.multiply(k, 2.0**-32, out=out)
+        x += 2.0**-33
+        s += f(x, out=x)
+
+    def over(s, j, out, r):
+        np.take(s, j, out=out, mode="clip")
+        out -= t
+
+    return _Form(0.0, math.floor(t), step, over, lambda r, mark: mark, "d", ns)
+
+
+def _integer_form(t):
+    """The identity's sums, exact: int64 sums of the words k of their draws.
+
+    After r draws the real sum of the x = (k + 1/2) 2^-32 is (sum k + r/2)
+    2^-32, which has passed L once sum k > L 2^32 - r/2, that is, once the
+    integer sum k is above floor(L 2^32 - r/2), and overshoots t by (sum k
+    + r/2 - t 2^32) 2^-32.  The level is a Python integer from the exact
+    ratio of L, and the overshoot is taken as the integer sum k - floor(t
+    2^32 - r/2), at most 2^32 + 1 and so exact as a double, less the
+    fraction of t 2^32 - r/2: one rounding, none for t >= 1.  So crossings
+    fall exactly where the real sums of the draws cross.  The sums are
+    signed: a level is below 0 where L < r 2^-33 (at t = 0, for one), and a
+    sum of at most 1e9 words (``_DRAW_CAP``) below 2^32 stays below 2^62.
+    No draw reaches 1, so no sum crosses in its first floor(t) draws.
+    """
+    def split(r, mark):  # mark 2^32 - r/2 as its floor and the fraction left
+        p, q = mark.as_integer_ratio()
+        whole, rest = divmod((p << 33) - r * q, 2 * q)
+        return whole, rest / (2 * q)
+
+    def level(r, mark):
+        return np.int64(split(r, mark)[0])
+
+    def step(s, k, out, r):
+        s += k
+
+    def over(s, j, out, r):
+        whole, frac = split(r, t)
+        np.subtract(np.take(s, j, mode="clip"), whole, out=out)
+        out -= frac
+        out *= 2.0**-32
+
+    return _Form(0, math.floor(t), step, over, level, "q", 2.7)
+
+
+def _product_form(t):
+    """Logproduct's sums as products: one add and one multiply per draw, not a log1p.
+
+    With c = 1/(e-1), 1 + (e-1)x = (x + c)/c, so the product P of r factors
+    1 + (e-1)X passes e^L, which is the log sum passing L, once the plain
+    product of r factors x + c, P c^r, is above e^L c^r.  A sum takes S *=
+    k + c'', c'' = 1/2 + c 2^32 (``_FOLD``), which is exact: c 2^32 is, and
+    its ulp, 2^-21, divides 1/2.  So k + c'' = 2^32 (x + c) and fl(k + c'')
+    = 2^32 fl(x + c), one add with the word's conversion inside it.  Every
+    other scaling below is by an exact power of two as well, so after r
+    draws S is the plain product of the fl(x + c) times 2^E_r, bit for bit,
+    and its level for L is e^L c^r times the same 2^E_r: the comparisons
+    and the overshoots, log1p((S - V)/V) at V = the level of t, are the
+    plain product's.  The levels compute c^r as (e-1)^-r renormalized by a
+    power of two every ``_CPOW`` draws (c^``_CPOW`` is about 2^-800), so
+    for r < ``_CPOW`` a level is the plain e^L c^r times 2^E_r, bit for bit.
+
+    The scale keeps sums and levels normal doubles.  With R = ``_RESCALE``
+    and lambda = 32 + log2 c (about 31.22), sums start at 2^-h_0 and take
+    2^(h_(q-1) - h_q) after draw qR, for h_q = round(t log2 e + q R
+    lambda).  So E_r = 32 r - h_q for qR <= r < (q+1)R, and the level of t
+    after r = qR + j draws is 2^(d + j lambda) with |d| <= 1/2: between
+    2^-0.5 and 2^469 (j <= 15).  Each factor is at least 2^32 c and at
+    most 2^32 e c (x < 1, and e c = 1 + c), the level's own factor per draw
+    is 2^32 c, and a sum that has not crossed t is at most its level.  So a
+    live sum is at most e times the level of t, below 2^471, and at least
+    e^-t times it (P >= 1), above 2^-1011 at t = 700; a mark's level
+    e^(L-t) times the level of t lies between the two.  Rounding moves each
+    bound by a factor of at most (1 + 2^-52)^r.  The same bounds give the
+    free draws: each factor of P is at most e, so P stays below e^(t-1) for
+    r <= t - 1 draws, and only the first floor(t) - 1 draws skip the stop
+    test: at integer t, rounding can pass the level on draw t.  e^t, and
+    the sum that crossed it, must stay finite as ``level`` computes them,
+    which holds up to t = ``_PRODUCT_T_MAX``.  ``level`` caches the c^(k
+    ``_CPOW``) it reaches, so a form serves one block, on one thread.
+    """
+    log2_level, lam = t * math.log2(math.e), 32.0 + math.log2(_C)
+    cpows = [1.0]  # c^(k _CPOW) times 2^gained(k)
+
+    def h(q):  # the binary exponent sums have shed by draw q _RESCALE
+        return round(log2_level + q * _RESCALE * lam)
+
+    def gained(k):  # the binary exponent c^(k _CPOW) gains in cpows
+        return round(k * _CPOW * math.log2(_EM1))
+
+    def level(r, mark):
+        k, j = divmod(r, _CPOW)
+        while len(cpows) <= k:
+            shift = gained(len(cpows)) - gained(len(cpows) - 1)
+            cpows.append(math.ldexp(cpows[-1] * _C**_CPOW, shift))
+        return math.ldexp(math.exp(mark) * cpows[k] * _C**j,
+                          32 * r - h(r // _RESCALE) - gained(k))
+
+    def step(s, k, out, r):
+        s *= np.add(k, _FOLD, out=out)
+        if r % _RESCALE == 0:
+            s *= 2.0 ** (h(r // _RESCALE - 1) - h(r // _RESCALE))
+
+    def over(s, j, out, r):
+        np.take(s, j, out=out, mode="clip")
+        v = level(r, t)
+        out -= v
+        out /= v
+        np.log1p(out, out=out)
+
+    return _Form(2.0 ** -h(0), max(math.floor(t) - 1, 0), step, over, level, "d", 2.9)
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -141,7 +309,8 @@ def _stream(seed: int, block: int) -> np.random.Generator:
 def _draw(rng, m: int) -> np.ndarray:
     """The next m Monte Carlo draws of ``rng`` as 32-bit words k, uint32.
 
-    Draw i stands for the uniform x_i = (k_i + 1/2) 2^-32 (``bijections._SumForm``).
+    Draw i stands for the uniform x_i = (k_i + 1/2) 2^-32, the midpoint of
+    the k_i-th of 2^32 equal cells of (0, 1), in [2^-33, 1 - 2^-33].
     The words are the halves of ceil(m/2) ``random_raw`` words of the bit
     generator, low half first, taken by value, so they do not depend on the
     byte order; an odd m leaves the high half of the last word unused.
@@ -167,7 +336,7 @@ def _check_common(specs, t, samples, seed, workers):
     # a path takes 1 + t/mu draws on average, and a block about as many rounds
     rounds = 1.0 + t / mu
     blocks = -(-samples // _BLOCK)
-    ns, us = sum(map(_ns_per_draw, specs)), len(specs) * _US_PER_ROUND
+    ns, us = sum(_form(spec, t).ns for spec in specs), len(specs) * _US_PER_ROUND
     path_ns = len(specs) * _NS_PER_PATH
     seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6) + samples * path_ns * 1e-9
     if seconds > _MAX_SIM_SECONDS:
@@ -283,18 +452,12 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     is past.
 
     Each round draws one 32-bit word k per surviving path (``_draw``), for
-    the uniform x = (k + 1/2) 2^-32, and each sum steps by the words in its
-    transform's form (``BijectionSpec._sum_form``): its start and array
-    type, the in-place step per draw, the level a sum of r draws is above
-    once it has passed a threshold, and the gather of the overshoots of the
-    sums that crossed on draw r.  Every surviving path has taken r draws in
-    round r, so each round tests every sum against one level per sum and
-    threshold, the form's ``level(r, t)``.  Identity's sums add k exactly
-    in int64 and cross floor(t 2^32 - r/2); logproduct's multiply by 2^32 (x
-    + 1/(e-1)) and cross e^t (e-1)^-r, both scaled by one power of two; the
-    others add f(x) and cross t.  No sum can cross within its form's free
-    draws, so the first rounds, as many as the fewest free draws of the
-    path's sums (at most
+    the uniform x = (k + 1/2) 2^-32, and each sum steps by the words in the
+    ``_Form`` that ``_form`` builds for it, once per block.  Every surviving
+    path has taken r draws in round r, so each round tests every sum
+    against one level per sum and threshold, the form's ``level(r, t)``.
+    No sum can cross within its form's free draws, so the first rounds, as
+    many as the fewest free draws of the path's sums (at most
     ``_DRAW_CAP``, past which the cap check trips before the next draw),
     only draw and step.
 
@@ -332,7 +495,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     copies it into ``out``.  The index arrays die within their round: one
     kept alive into the next round made the allocator hand out fresh pages.
     """
-    forms = [spec._sum_form(t) for spec in specs]
+    forms = [_form(spec, t) for spec in specs]
     if len(forms) == 1:
         (f1,), f2 = forms, None
         if overshoots:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,17 +106,17 @@ class TestEstimateN:
         with pytest.raises(DomainError, match=r"about \S+ s on one thread at 22 ns per draw, "
                                               r"10 ns per path and 7 us per block round, over"):
             mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
-        # the coupled pass is charged for both sums: identity's 2.7 ns and
-        # logproduct's 2.9 ns per draw, and 10 ns per path and 7 us per block
-        # round for each
-        with pytest.raises(DomainError, match=r"at 5.6 ns per draw, 20 ns per path and 14 us "
+        # the coupled pass is charged for both sums: identity's 2.7 ns and,
+        # past the products' cutoff, logproduct's log1p sums' 6 ns per draw,
+        # and 10 ns per path and 7 us per block round for each
+        with pytest.raises(DomainError, match=r"at 8.7 ns per draw, 20 ns per path and 14 us "
                                               r"per block round"):
             mc.paired_domination(1e12, 1)
 
     def test_work_cap_charges_a_knot_file_its_own_cost_per_draw(self, monkeypatch):
         # np.interp makes a piecewise-linear draw dearer than a closed form's
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
-        knot_ns, closed_ns = mc._ns_per_draw(_KNOTS_TXT), mc._ns_per_draw(LogProduct())
+        knot_ns, closed_ns = mc._form(_KNOTS_TXT, 20.0).ns, mc._form(LogProduct(), 20.0).ns
         assert (knot_ns, closed_ns) == (22.0, 2.9)
         # the sample count whose charge at the geometric mean of the two
         # costs is the cap: over it at the knot file's, under at logproduct's
@@ -132,14 +133,22 @@ class TestEstimateN:
             mc.estimate_n(_KNOTS_TXT, 20.0, samples)
 
     def test_work_cap_prices_per_draw(self):
-        # the prices sit beside the cap, not on the transforms; a subclass
-        # (here of LogProduct) is charged its base's price
-        assert not any(hasattr(cls, "_ns_per_draw")
+        # the forms and their prices sit beside the cap, not on the
+        # transforms; a subclass (here of LogProduct) runs, and is charged
+        # for, the default form of its base's f
+        assert not any(hasattr(cls, "_sum_form")
                        for cls in (BijectionSpec, Identity, LogProduct, Power, PiecewiseLinear))
         specs = (Identity(), LogProduct(), Power(1.0), Power(2.0), Power(0.1), Power(0.5),
                  Power(1.5), Power(10.0), _KNOTS_TXT, _AdditiveLogProduct())
-        assert [mc._ns_per_draw(s) for s in specs] == [
-            2.7, 2.9, 4.8, 4.8, 5.3, 5.3, 7.6, 7.6, 22.0, 2.9]
+        assert [mc._form(s, 20.0).ns for s in specs] == [
+            2.7, 2.9, 4.8, 4.8, 5.3, 5.3, 7.6, 7.6, 22.0, 6.0]
+
+    def test_work_cap_prices_the_form_that_runs(self):
+        # above the products' cutoff logproduct's sums add log1p
+        # increments, and the cap charges what that form costs
+        above, below = mc._form(LogProduct(), 750.0), mc._form(LogProduct(), 20.0)
+        assert above.ns != below.ns
+        assert above.ns == mc._form(_AdditiveLogProduct(), 20.0).ns
 
 
 class TestReproducibility:
@@ -273,13 +282,13 @@ def _plain_form(transform, t):
     other sum adds f(x), passes L once it is above L and overshoots t by s -
     t.  ``level(r, L)`` and ``overshoot(s, r)`` take the draw count r.
     """
-    if isinstance(transform, Identity):
+    if type(transform) is Identity:
         whole = math.floor(Fraction(t) * 2**33)
         part = float(Fraction(t) * 2**33 - whole)
         return (0, lambda s, k: s + (2 * k.astype(np.int64) + 1),
                 lambda r, mark: math.floor(Fraction(mark) * 2**33),
                 lambda s, r: ((s - whole) - part) * 2.0**-33)
-    if isinstance(transform, LogProduct) and t <= 700.0:
+    if type(transform) is LogProduct and t <= 700.0:
         c = 1.0 / (E - 1.0)
 
         def level(r, mark):
@@ -323,10 +332,24 @@ def _reference_block(transform, t, n, rng):
 
 
 class _AdditiveLogProduct(LogProduct):
-    """LogProduct whose Monte Carlo sums add its log1p increments at every t."""
+    """A LogProduct subclass, whose Monte Carlo sums add its log1p increments at every t."""
 
-    def _sum_form(self, t):
-        return BijectionSpec._sum_form(self, t)
+
+class _Squares:
+    """f(x) = x^2, as a transform subclass's own f."""
+
+    def _f(self, x, out=None):
+        return np.multiply(x, x, out=out)
+
+
+@dataclass(frozen=True, repr=False)
+class _SquaringIdentity(_Squares, Identity):
+    """An Identity subclass whose f squares."""
+
+
+@dataclass(frozen=True, repr=False)
+class _SquaringLogProduct(_Squares, LogProduct):
+    """A LogProduct subclass whose f squares."""
 
 
 class _Constant:
@@ -372,6 +395,18 @@ class TestKernel:
         assert violations == 0 and none is None
         assert counted.dtype == np.int64 and counted.tolist() == stopped.tolist()
         assert _state(counting) == _state(ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", [_SquaringIdentity(), _SquaringLogProduct()],
+                             ids=["identity", "logproduct"])
+    def test_subclass_runs_its_own_f(self, spec, workers):
+        # a subclass's f may differ from its base's, so it runs the default
+        # form of its own f: one that squares walks Power(2.0)'s sums
+        args = (5.0, 100_003, 3, workers)
+        got, want = (mc.simulate(s, *args, bins=20) for s in (spec, Power(2.0)))
+        assert _record_fields(got) == _record_fields(want)
+        got, want = (mc.estimate_n(s, *args) for s in (spec, Power(2.0)))
+        assert (got.mean, got.std_error) == (want.mean, want.std_error)
 
     def test_draw_cap_trips_per_path(self, monkeypatch):
         k, _ = _reference_block(Identity(), 10.0, 4096, mc._stream(3, 0))
@@ -450,9 +485,9 @@ class TestKernel:
         # floor(t) at any integer t up to 700, so one more free round passes
         # it.  Products skip the stop test on floor(t) - 1 draws; the default
         # form, and the products' past their cutoff, on floor(t)
-        products = LogProduct()._sum_form(t).free
+        products = mc._form(LogProduct(), t).free
         assert products == (math.floor(t) if t > 700.0 else max(math.floor(t) - 1, 0))
-        assert BijectionSpec._sum_form(LogProduct(), t).free == math.floor(t)
+        assert mc._form(_AdditiveLogProduct(), t).free == math.floor(t)
 
     @pytest.mark.parametrize("t, increment", [(700.0, 0.2), (0.5, 0.0)])
     def test_product_levels_stay_normal(self, monkeypatch, t, increment):
@@ -538,7 +573,7 @@ class TestKernel:
         # + c from 1: bit for bit up to one power of two per draw, the same
         # for every path, and so is the level of t (r < 1024), so every path
         # crosses on the plain product's draw
-        form, c, n = LogProduct()._sum_form(t), 1.0 / (E - 1.0), 300
+        form, c, n = mc._form(LogProduct(), t), 1.0 / (E - 1.0), 300
         s, plain, u = np.full(n, form.start), np.ones(n), np.empty(n)
         rng = mc._stream(12, 0)
         first, first_plain = np.zeros(n, np.int64), np.zeros(n, np.int64)
@@ -564,7 +599,7 @@ class TestKernel:
         # draws grow the sums fastest and cross on draw 701; the smallest
         # never cross in 3000 draws
         t = 700.0
-        form = LogProduct()._sum_form(t)
+        form = mc._form(LogProduct(), t)
         s, u, k = np.full(1, form.start), np.empty(1), np.full(1, word, dtype=np.uint32)
         for r in range(1, 3001):
             form.step(s, k, u, r)
