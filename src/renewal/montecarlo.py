@@ -25,7 +25,9 @@ one workspace: every worker thread makes its working arrays (a float
 scratch array, the sums, an overshoot array and a bool array of 2^16
 entries for one sum, all but the overshoots counted only) the first time
 it runs a block, and its later blocks and their rounds reuse them while
-they stay in cache.  The workspace is freed when the pass returns.
+they stay in cache.  A block's overshoot histogram is counted in the
+arrays its rounds are done with, so that set is all a thread holds.  The
+workspace is freed when the pass returns.
 
 The block is the unit of randomness as well as of work: block b draws from
 its own SFC64 stream, child b of ``SeedSequence(seed)``.  Workers are
@@ -83,12 +85,14 @@ _DRAW_CAP = 10**9
 # one-thread kernel costs the work cap charges per sum, beside each draw's
 # (``_Form.ns``), measured on 2 vCPUs: a block round (one-path blocks at
 # t = 200 took 4.1-6.0 us per charged round of one sum, 8.5-9.6 us of two
-# coupled sums), and a path's own work, paid once: its stopped count,
-# overshoot gather and map, and retirement.  A count-only pass skips the
-# gather and map but is charged the same: one-thread passes of 1e6 paths at
-# t = 1 and 20 read 1.0-2.0 times their time, within the cap's [1, 2] band
+# coupled sums), and a path's own work, paid once: its stopped count and
+# retirement, and in a pass that gathers, its overshoot's gather and map.
+# A count-only pass skips those two and is charged its own price: at t = 1,
+# where a path's own work weighs most, identity took 16.0 ns per path
+# gathering and 10.5 counted only (one-thread passes of 1e6 paths, medians)
 _US_PER_ROUND = 7.0
-_NS_PER_PATH = 10.0
+_NS_PER_PATH = 14.0
+_NS_PER_COUNTED_PATH = 6.0
 _MAX_SIM_SECONDS = 300.0
 _PAGE = 4096
 # the value a crossed sum takes while its path waits, by its array's type
@@ -134,7 +138,8 @@ def _form(spec: BijectionSpec, t: float) -> _Form:
     every other sum adds its transform's f(x) (``_float_form``), and is
     charged for its base's f, an unknown f as power:1's copy.
 
-    The prices per draw, with ``_NS_PER_PATH`` and ``_US_PER_ROUND``, put
+    The prices per draw, with ``_US_PER_ROUND`` and a path's own price
+    (``_NS_PER_PATH``, or ``_NS_PER_COUNTED_PATH`` counted only), put
     one-thread passes of 1e6 paths, gathering and counted only, at 1.0-2.0
     times their time at t = 1 and t = 20 (1 + t/mu charged draws per path),
     on 2 vCPUs.  Medians per path at t = 1 and 20, gathering (counted
@@ -148,8 +153,9 @@ def _form(spec: BijectionSpec, t: float) -> _Form:
     ``perfbench/knots.txt``, 286 (278) and 4085 (4046) ns for 1000.
     Logproduct's log1p sums take 1.8-2.0 times the products' time per draw
     (t = 750 against 650); an identity subclass's sums, charged power:1's
-    price, take 0.85-0.95 of its time.  Identity at t = 1 leaves the least
-    room: its gathering pass takes 1.85 times its counting one.
+    price, take 0.85-0.95 of its time.  At t = 1 identity's gathering pass
+    takes 1.5-1.85 times its counting one, so the two kinds of pass pay a
+    path's own work at prices of their own.
     """
     if type(spec) is Identity:
         return _integer_form(t)
@@ -320,12 +326,13 @@ def _draw(rng, m: int) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")[:m]
 
 
-def _check_common(specs, t, samples, seed, workers):
+def _check_common(specs, t, samples, seed, workers, gather=True):
     """Validate a pass of sums of ``specs``; refuse one estimated over ``_MAX_SIM_SECONDS``.
 
     Each draw and each block round is charged for every sum, for as many
     rounds as the sum of smallest mean increment mu takes, and each path
-    once per sum.  Returns (t, samples, seed, workers, mu).
+    once per sum, at a lower price in a count-only pass (``gather`` false).
+    Returns (t, samples, seed, workers, mu).
     """
     for spec in specs:
         _as_spec("transform", spec)
@@ -337,7 +344,7 @@ def _check_common(specs, t, samples, seed, workers):
     rounds = 1.0 + t / mu
     blocks = -(-samples // _BLOCK)
     ns, us = sum(_form(spec, t).ns for spec in specs), len(specs) * _US_PER_ROUND
-    path_ns = len(specs) * _NS_PER_PATH
+    path_ns = len(specs) * (_NS_PER_PATH if gather else _NS_PER_COUNTED_PATH)
     seconds = rounds * (samples * ns * 1e-9 + blocks * us * 1e-6) + samples * path_ns * 1e-9
     if seconds > _MAX_SIM_SECONDS:
         raise DomainError(
@@ -477,14 +484,19 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     workspace ``ws`` (fresh ones when it is None; each ``over`` is one of
     them): the float scratch array ``u``, and per sum its array, in the type
     code of its form, an overshoot array (none counted only) and a bool
-    array.  The words come fresh each round from ``random_raw``, which has
-    no ``out=``; a step that needs floats (products, and x for f) writes
-    them to ``u``, which the base's step has left by the time the
-    dominating sum's begins.  A crossed dominating sum turns void: -inf in a
-    float array, the least int64 in an integer one.  Every sum is >= 0,
-    steps keep a void sum below 0, and no level is as low, so after each
-    round's step the level test flags only that round's crossings; once
-    every surviving dominating sum is void its step is skipped.  A base sum
+    array.  Once the rounds end, only the stop counts and overshoots are
+    live: with a workspace, the kernel leaves on it as ``ws.spare`` the
+    arrays ``_summary`` bins overshoots in, ``u``, the first sum array
+    viewed as ``intp`` and the first bool array, so a binned pass holds one
+    set of arrays per thread.  The words come fresh each round from
+    ``random_raw``, which has no ``out=``; a step that needs floats
+    (products, and x for f) writes them to ``u``, which the base's step has
+    left by the time the dominating sum's begins.  A crossed dominating sum
+    turns void: -inf in a float array, the least int64 in an integer one.
+    Every sum is >= 0, steps keep a void sum below 0, and no level is as
+    low, so after each round's step the level test flags only that round's
+    crossings; once every surviving dominating sum is void its step is
+    skipped.  A base sum
     that crosses while its dominating sum is still live is a violation, and
     its path stays.  While no violator is waiting, the leavers are just the
     round's base crossings; otherwise the round's crossed base sums turn
@@ -578,6 +590,8 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     for c in stopped:
         while not c[-1]:  # violators left in rounds where no base sum crossed
             del c[-1]
+    if ws is not None:
+        ws.spare = u, s1.view(np.intp), d1
     overs = (over1,) if f2 is None else (over1, over2)
     out = violations, *((np.array(c, dtype=np.int64), o) for c, o in zip(stopped, overs))
     if marks:
@@ -609,8 +623,12 @@ def _run_block(transform, t, n, rng, ws=None, overshoots=True):
     return _kernel((transform,), t, n, rng, ws, (), overshoots)[1]
 
 
-def _bin_counts(over, bins, ws=None):
+def _bin_counts(over, bins, spare):
     """``np.histogram(over, bins, range=(0, 1))[0]`` for ``over`` in (0, 1].
+
+    ``spare`` holds three scratch arrays of at least ``over``'s length, a
+    float, an ``intp`` and a bool one, whose contents are overwritten: the
+    kernel's spare arrays (``_kernel``) after its rounds.
 
     numpy's equal-width arithmetic without its temporaries: the bin of x is
     ``int(x * bins)``, x = 1 going to the last bin, then one down where x is
@@ -625,7 +643,7 @@ def _bin_counts(over, bins, ws=None):
     """
     lo = np.linspace(0.0, 1.0, bins + 1)
     hi = np.append(lo[1:-1], np.inf)
-    x, idx, near = _arrays(ws, over.shape[0], "dp?")
+    x, idx, near = (a[: over.shape[0]] for a in spare)
     np.copyto(idx, np.multiply(over, bins, out=x), casting="unsafe")
     np.minimum(idx, bins - 1, out=idx)
     # the fractional part x - idx lies in [0, 1] (1 only at x = 1); it is
@@ -667,12 +685,13 @@ def _fan_out(block, samples, seed, workers):
         return list(pool.map(run, blocks))
 
 
-def _summary(stopped, over, bins, ws=None):
+def _summary(stopped, over, bins, spare):
     """One block's share of a record: (stopped, overshoot sum, sum of squares, bin counts).
 
-    The bin counts are None without ``bins``.
+    The bin counts are None without ``bins``; ``_bin_counts`` takes them in
+    the kernel's ``spare`` arrays, which ``over`` is not one of.
     """
-    hist = _bin_counts(over, bins, ws) if bins else None
+    hist = _bin_counts(over, bins, spare) if bins else None
     # einsum, not np.dot: OpenBLAS splits a long dot across its threads,
     # so its sum would depend on the BLAS thread count
     return stopped, float(over.sum()), float(np.einsum("i,i->", over, over)), hist
@@ -793,7 +812,7 @@ def simulate(
     t, samples, seed, workers, _ = _check_common((transform,), t, samples, seed, workers)
 
     def block(n, rng, ws):
-        return _summary(*_run_block(transform, t, n, rng, ws), bins, ws)
+        return _summary(*_run_block(transform, t, n, rng, ws), bins, ws.spare)
 
     return _merge(transform.label, t, samples, seed, bins, _fan_out(block, samples, seed, workers))
 
@@ -819,7 +838,9 @@ def _count_pass(transform, t, samples, seed, workers):
 
     mu is the transform's mean increment, which the work cap has computed.
     """
-    t, samples, seed, workers, mu = _check_common((transform,), t, samples, seed, workers)
+    t, samples, seed, workers, mu = _check_common(
+        (transform,), t, samples, seed, workers, gather=False
+    )
 
     def block(n, rng, ws):
         return _run_block(transform, t, n, rng, ws, False)[0]
@@ -884,7 +905,7 @@ def _coupled(t, samples, seed, workers, bins=None, marks=()):
     def block(n, rng, ws):
         violations, *pairs = _kernel((ident, logp), t, n, rng, ws, marks)
         counts = pairs.pop() if marks else ()
-        return violations, *(_summary(*pair, bins, ws) for pair in pairs), counts
+        return violations, *(_summary(*pair, bins, ws.spare) for pair in pairs), counts
 
     results = _fan_out(block, samples, seed, workers)
     out = sum(res[0] for res in results), *(

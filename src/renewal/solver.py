@@ -92,24 +92,25 @@ __all__ = [
 # growth rate of the product-form count, used by the derivative identity
 _RATE = math.e / (math.e - 1.0)
 
-# march cost in units of about 75 ns (measured on 2 vCPUs, one BLAS thread,
-# step 1e-5 to 1e-2): a looped step costs one unit per history panel
-# (ceil(1/step) of them) plus a fixed ~45 us, the price of 600 panels, its
-# share of its stretch's history slopes included; a blocked node, its final
-# slopes included, 0.11-0.2 us (the most at step 1e-5), taken as 0.225 us.
-# Each history panel costs its weights and recurrence spectra: 1.66-1.80 us
-# per panel at steps 1e-5 and 1e-6, taken as 1.8 us.  The cap, about 300 s,
-# holds the blocks alone to about 1.3e9 nodes, so the 1 GB memory cap trips
-# first.  The memory peak falls in one of two phases (traced at steps 1e-5
-# to 1e-6 and t_max 1e-3 to 20): the finished curve holds about 58 bytes
-# per node (charged 64); before it, the panel weights and spectra hold
-# 189-239 bytes per panel (peak RSS 238-250 at step 1e-6; charged 256)
+# march cost in units of 100 ns (measured on 2 vCPUs, one BLAS thread,
+# steps 1e-5 to 1e-2, best of 3): a looped step costs one unit per history
+# panel (ceil(1/step) of them; 62-92 ns measured, its share of its
+# stretch's history slopes and blocks included, from solves of 10- and
+# 40-knot transforms against identity's) plus 600; a blocked node, its
+# final slopes included, 81-140 ns (the most at step 1e-5; from two t_max),
+# taken as 150 ns; and each history panel's weights and recurrence spectra
+# 1.64-1.96 us at steps 1e-4 and 1e-5, taken as 2.4 us.  The cap, about
+# 300 s, holds the blocks alone to about 2e9 nodes, so the 1 GB memory cap
+# trips first.  The memory peak falls in one of two phases (traced at steps
+# 1e-5 to 1e-6 and t_max 1e-3 to 20): the finished curve holds about 58
+# bytes per node (charged 64); before it, the panel weights and spectra
+# hold 189-239 bytes per panel (peak RSS 238-250 at step 1e-6; charged 256)
 # beside the march's buffers, 21-28 bytes per node (charged 32).
-_WORK_UNIT_S = 75e-9
+_WORK_UNIT_S = 100e-9
 _STEP_OVERHEAD = 600
-_NODE_WORK = 3
+_NODE_WORK = 1.5
 _PANEL_WORK = 24
-_MAX_MARCH_WORK = 4e9
+_MAX_MARCH_WORK = 3e9
 _NODE_BYTES = 64
 _PANEL_BYTES = 256
 _BUFFER_BYTES = 32

@@ -103,13 +103,17 @@ class TestEstimateN:
 
     def test_work_cap_names_the_costs_it_charged(self, monkeypatch):
         monkeypatch.setattr(mc, "_kernel", lambda *args: pytest.fail("a block ran"))
+        # a path's own work costs less when the pass gathers no overshoot
         with pytest.raises(DomainError, match=r"about \S+ s on one thread at 22 ns per draw, "
-                                              r"10 ns per path and 7 us per block round, over"):
+                                              r"6 ns per path and 7 us per block round, over"):
             mc.estimate_n(_KNOTS_TXT, 20.0, 4 * 10**8)
+        with pytest.raises(DomainError, match=r"about \S+ s on one thread at 22 ns per draw, "
+                                              r"14 ns per path and 7 us per block round, over"):
+            mc.simulate(_KNOTS_TXT, 20.0, 4 * 10**8)
         # the coupled pass is charged for both sums: identity's 2.7 ns and,
         # past the products' cutoff, logproduct's log1p sums' 6 ns per draw,
-        # and 10 ns per path and 7 us per block round for each
-        with pytest.raises(DomainError, match=r"at 8.7 ns per draw, 20 ns per path and 14 us "
+        # and 14 ns per path and 7 us per block round for each
+        with pytest.raises(DomainError, match=r"at 8.7 ns per draw, 28 ns per path and 14 us "
                                               r"per block round"):
             mc.paired_domination(1e12, 1)
 
@@ -124,7 +128,7 @@ class TestEstimateN:
         samples = int(300.0 / (rounds * math.sqrt(knot_ns * closed_ns) * 1e-9))
         blocks = -(-samples // mc._BLOCK)
         fixed = blocks * mc._US_PER_ROUND * 1e-6
-        per_path = samples * mc._NS_PER_PATH * 1e-9
+        per_path = samples * mc._NS_PER_COUNTED_PATH * 1e-9
         seconds = rounds * (samples * knot_ns * 1e-9 + fixed) + per_path
         # at a closed form's cost per draw the same pass would be admitted
         assert rounds * (samples * closed_ns * 1e-9 + fixed) + per_path < 300.0
@@ -628,10 +632,17 @@ class TestBinCounts:
                             [0.0, 1.0], mc._stream(0, 0).random(5000)])
         x = x[(x >= 0.0) & (x <= 1.0)]
         want = np.histogram(x, bins, range=(0.0, 1.0))[0]
-        assert (mc._bin_counts(x, bins) == want).all()
-        ws = threading.local()
+        m = x.shape[0]
+        # scratch longer than the input and filled with NaN, used twice
+        nan = np.full(m + 3, np.nan)
+        spare = nan.copy(), nan.copy().view(np.intp), np.ones(m + 3, dtype=bool)
         for _ in range(2):
-            assert (mc._bin_counts(x, bins, ws) == want).all()
+            assert (mc._bin_counts(x, bins, spare) == want).all()
+        # as the kernel hands them over: the bin index in the intp view of a
+        # float array that still holds sums
+        sums = np.cumsum(x) + 20.0
+        spare = np.full(m, np.nan), sums.view(np.intp), np.ones(m, dtype=bool)
+        assert (mc._bin_counts(x, bins, spare) == want).all()
 
 
 # records of 2 * _BLOCK + 17 paths at seed 42, computed by the kernel that
@@ -737,7 +748,7 @@ class TestGoldenRecords:
 
 class TestWorkspace:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kind", ["simulate", "paired", "counted"])
+    @pytest.mark.parametrize("kind", ["simulate", "paired", "paired_bins", "counted"])
     def test_reused_across_blocks_and_freed_with_the_pass(self, monkeypatch, workers, kind):
         arrays = mc._arrays
         refs, ids, asked = [], set(), []
@@ -757,9 +768,14 @@ class TestWorkspace:
         if kind == "paired":
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
             per_block = ["dqd?dd?"]
+        elif kind == "paired_bins":
+            # both sums are binned in the kernel's own arrays
+            mc._coupled(2.0, _N_GOLDEN, 1, workers, bins=50)
+            per_block = ["dqd?dd?"]
         elif kind == "simulate":
+            # the histogram is counted in the kernel's arrays, not a set of its own
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)
-            per_block = ["ddd?", "dp?"]
+            per_block = ["ddd?"]
         else:
             # a count-only pass keeps no overshoots
             mc.estimate_n(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers)

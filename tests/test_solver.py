@@ -596,13 +596,13 @@ class TestSolveValidation:
             solve(rw.Identity(), 1e4, 1e-5)
 
     def test_work_cap_refuses_before_the_weights(self, monkeypatch):
-        # 2e9 nodes: 6e9 units of march work and 128 GB, both over their caps
+        # 4e9 nodes: 6e9 units of march work and 256 GB, both over their caps
         monkeypatch.setattr(solver, "_panel_weights", lambda *args: pytest.fail("weights ran"))
         with pytest.raises(DomainError) as err:
-            solve(rw.Identity(), 2e4, 1e-5)
+            solve(rw.Identity(), 4e4, 1e-5)
         msg = str(err.value)
-        assert msg.startswith("march work 6e+09 (6 looped steps") and "exceeds the cap of 4e+09" in msg
-        assert "take about 128 GB, over the cap of 1 GB" in msg
+        assert msg.startswith("march work 6e+09 (6 looped steps") and "exceeds the cap of 3e+09" in msg
+        assert "take about 256 GB, over the cap of 1 GB" in msg
 
     def test_panel_cap_refuses_before_the_weights(self, monkeypatch):
         # step 1e-8 marches 1e5 nodes but needs 1e8 history panels, some
