@@ -15,12 +15,14 @@ have crossed.  ``simulate`` and the coupled pass gather each crossed sum's
 overshoot; ``estimate_n`` and ``k_concentration_check``, which read only
 the draw counts, run the one-sum kernel count-only, on the same paths and
 uniforms, and gather none.  This module alone turns the words into sums:
-each sum runs in the form ``_form`` picks for its transform and t (exact
-integer sums for the identity, products for logproduct up to t = 700,
-f(x) added for every other transform), which also prices its draws for the
-work cap.  Every survivor of a round has taken the same r draws, so the
-round tests them all against one level, and the rounds within a form's
-free draws, where no sum can cross, skip the stop test.  Each pass holds
+each round converts its words to doubles once, and each sum, a double,
+steps on them in the form ``_form`` picks for its transform and t (the
+words themselves added for the identity, exact below t = 2^20, products
+for logproduct up to t = 700, f(x) added for every other transform), which
+also prices its draws for the work cap.  Every survivor of a round has
+taken the same r draws, so the round tests them all against one level, and
+the rounds within a form's free draws, where no sum can cross, skip the
+stop test.  Each pass holds
 one workspace: every worker thread makes its working arrays (a float
 scratch array, the sums, an overshoot array and a bool array of 2^16
 entries for one sum, all but the overshoots counted only) the first time
@@ -95,9 +97,11 @@ _NS_PER_PATH = 14.0
 _NS_PER_COUNTED_PATH = 6.0
 _MAX_SIM_SECONDS = 300.0
 _PAGE = 4096
-# the value a crossed sum takes while its path waits, by its array's type
-# code: below 0, and so below every sum, and kept there by every step
-_VOID = {"d": -np.inf, "q": np.iinfo(np.int64).min}
+# the value a crossed sum takes while its path waits: below 0, and so below
+# every sum, and kept there by every step
+_VOID = -np.inf
+# identity's sums and levels are exact integers below this t (``_integer_form``)
+_EXACT_T = 2.0**20
 # logproduct's products: their cutoff, factor, and scale (``_product_form``)
 _PRODUCT_T_MAX = 700.0
 _C = 1.0 / _EM1
@@ -109,30 +113,35 @@ _CPOW = 1024
 class _Form(NamedTuple):
     """How the kernel runs one transform's sums against a threshold t (``_form``).
 
-    Every sum starts at ``start`` in an array of type code ``code`` ('d' or
-    'q'), and none can cross within its first ``free`` draws.  ``step(s, k,
-    out, r)`` advances the sums ``s`` in place by their r-th words ``k``,
-    with the float array ``out`` as scratch.  ``level(r, L)`` is the level a
-    sum of r draws is above once it has passed a threshold L <= t, and
-    ``level(r, t)`` the level it crosses t at; every sum of one round has
-    taken the same r draws.  ``over(s, j, out, r)`` writes to ``out`` the
-    overshoots past t of the sums ``s[j]``, which crossed on draw r.  ``ns``
-    is the form's one-thread cost per draw, as the work cap charges it.
+    Every sum is a double that starts at ``start``, and none can cross
+    within its first ``free`` draws.  ``step(s, u, r)`` advances the sums
+    ``s`` in place by their r-th words k, which the kernel has made doubles
+    in ``u`` (exactly: k < 2^32), once a round for every sum.  A step that
+    ``reads`` leaves ``u`` as it found it, as only identity's does; every
+    other step overwrites it.  So only a base sum whose step reads shares
+    its round's doubles with the dominating sum, which steps after it: in
+    ``_coupled`` identity steps first and logproduct second.  ``level(r,
+    L)`` is the level a sum of r draws is above once it has passed a
+    threshold L <= t, and ``level(r, t)`` the level it crosses t at; every
+    sum of one round has taken the same r draws.  ``over(s, j, out, r)``
+    writes to ``out`` the overshoots past t of the sums ``s[j]``, which
+    crossed on draw r.  ``ns`` is the form's one-thread cost per draw, as
+    the work cap charges it.
     """
 
     start: float
     free: int
     step: Callable
+    reads: bool
     over: Callable
     level: Callable
-    code: str
     ns: float
 
 
 def _form(spec: BijectionSpec, t: float) -> _Form:
     """The form in which the kernel runs the sums of ``spec`` at threshold t.
 
-    The identity's exact integer sums (``_integer_form``) and logproduct's
+    The identity's sums of the words (``_integer_form``) and logproduct's
     products up to t = ``_PRODUCT_T_MAX`` (``_product_form``) serve those
     two transforms alone, not their subclasses, whose own f may differ:
     every other sum adds its transform's f(x) (``_float_form``), and is
@@ -143,19 +152,21 @@ def _form(spec: BijectionSpec, t: float) -> _Form:
     one-thread passes of 1e6 paths, gathering and counted only, at 1.0-2.0
     times their time at t = 1 and t = 20 (1 + t/mu charged draws per path),
     on 2 vCPUs.  Medians per path at t = 1 and 20, gathering (counted
-    only): identity 17.6 (9.5) and 88 (81) ns; logproduct's products 15.4
-    (9.6) and 89 (84) ns.  np.power copies (p = 1) and squares (p = 2) on
-    fast paths, 17.5 (15.6) and 134 (132) ns, 23 (20) and 192 (189) ns,
-    and calls pow for other exponents: 19.4 (11.3) and 120 (113) ns at p =
-    0.1, 21.0 (13.3) and 151 (151) ns at p = 0.5, 28 (25) and 282 (277) ns
-    at p = 1.5.  np.interp allocates its output and binary-searches the
-    knots for every draw: 59 (55) and 742 (731) ns for the 4 of
-    ``perfbench/knots.txt``, 286 (278) and 4085 (4046) ns for 1000.
-    Logproduct's log1p sums take 1.8-2.0 times the products' time per draw
-    (t = 750 against 650); an identity subclass's sums, charged power:1's
-    price, take 0.85-0.95 of its time.  At t = 1 identity's gathering pass
-    takes 1.5-1.85 times its counting one, so the two kinds of pass pay a
-    path's own work at prices of their own.
+    only), with each round's words made doubles once: identity 16.0 (11.7)
+    and 107 (99) ns; logproduct's products 17.7 (12.0) and 104 (94) ns;
+    power:0.5 23.5 (17.5) and 161 (156) ns; the 4 knots of
+    ``perfbench/knots.txt`` 68 (63) and 830 (821) ns; the coupled pass 33
+    and 171 ns.  From an earlier set, in which identity took 17.6 (9.5) and
+    88 (81) ns: np.power copies (p = 1) and squares (p = 2) on fast paths,
+    17.5 (15.6) and 134 (132) ns, 23 (20) and 192 (189) ns, and calls pow
+    for other exponents: 19.4 (11.3) and 120 (113) ns at p = 0.1, 28 (25)
+    and 282 (277) ns at p = 1.5.  np.interp allocates its output and
+    binary-searches the knots for every draw: 286 (278) and 4085 (4046) ns
+    for 1000.  Logproduct's log1p sums take 1.8-2.0 times the products'
+    time per draw (t = 750 against 650); an identity subclass's sums,
+    charged power:1's price, take 0.85-0.95 of its time.  At t = 1
+    identity's gathering pass takes 1.35-1.85 times its counting one, so
+    the two kinds of pass pay a path's own work at prices of their own.
     """
     if type(spec) is Identity:
         return _integer_form(t)
@@ -175,40 +186,53 @@ def _form(spec: BijectionSpec, t: float) -> _Form:
 def _float_form(f, t, ns):
     """Sums of f(x) from 0, the form of every transform without one of its own.
 
-    A step turns each word into its draw x in the scratch array (both
-    steps exact: k 2^-32 has at most 32 significant bits, and adding 2^-33
-    makes 33) and adds f(x).  A sum has passed a threshold L once it is >
-    L, whatever its draw count, and overshoots t by s - t.  Every increment
-    is at most f(1) = 1 and float addition rounds monotonically, so a sum
-    of r <= floor(t) increments is at most r <= t: the first floor(t) draws
-    cannot cross.
+    A step turns each word into its draw x in place (both steps exact: k
+    2^-32 has at most 32 significant bits, and adding 2^-33 makes 33) and
+    adds f(x).  A sum has passed a threshold L once it is > L, whatever its
+    draw count, and overshoots t by s - t.  Every increment is at most f(1)
+    = 1 and float addition rounds monotonically, so a sum of r <= floor(t)
+    increments is at most r <= t: the first floor(t) draws cannot cross.
     """
-    def step(s, k, out, r):
-        x = np.multiply(k, 2.0**-32, out=out)
-        x += 2.0**-33
-        s += f(x, out=x)
+    def step(s, u, r):
+        u *= 2.0**-32
+        u += 2.0**-33
+        s += f(u, out=u)
 
     def over(s, j, out, r):
         np.take(s, j, out=out, mode="clip")
         out -= t
 
-    return _Form(0.0, math.floor(t), step, over, lambda r, mark: mark, "d", ns)
+    return _Form(0.0, math.floor(t), step, False, over, lambda r, mark: mark, ns)
 
 
 def _integer_form(t):
-    """The identity's sums, exact: int64 sums of the words k of their draws.
+    """The identity's sums: doubles holding the integer sums of their words k.
 
     After r draws the real sum of the x = (k + 1/2) 2^-32 is (sum k + r/2)
     2^-32, which has passed L once sum k > L 2^32 - r/2, that is, once the
     integer sum k is above floor(L 2^32 - r/2), and overshoots t by (sum k
-    + r/2 - t 2^32) 2^-32.  The level is a Python integer from the exact
-    ratio of L, and the overshoot is taken as the integer sum k - floor(t
-    2^32 - r/2), at most 2^32 + 1 and so exact as a double, less the
-    fraction of t 2^32 - r/2: one rounding, none for t >= 1.  So crossings
-    fall exactly where the real sums of the draws cross.  The sums are
-    signed: a level is below 0 where L < r 2^-33 (at t = 0, for one), and a
-    sum of at most 1e9 words (``_DRAW_CAP``) below 2^32 stays below 2^62.
-    No draw reaches 1, so no sum crosses in its first floor(t) draws.
+    + r/2 - t 2^32) 2^-32.  A step adds the round's words, which the kernel
+    has made doubles, and only reads them.  The level is that floor, from
+    the exact ratio of L, as a double, and the overshoot is the sum less
+    floor(t 2^32 - r/2), at most 2^32 + 1, less the fraction of t 2^32 -
+    r/2: one rounding, none for t >= 1.
+
+    Below t = ``_EXACT_T`` = 2^20 every sum and level is an integer below
+    2^53, so every step, level and difference is exact, and crossings fall
+    exactly where the real sums of the draws cross: a level of L <= t is
+    below t 2^32 < 2^52, a live sum is at most its level, and a step adds
+    less than 2^32.  A level is below 0 where L < r 2^-33 (at t = 0, for
+    one), and every sum is >= 0.  From t = 2^20 on, sums and levels past
+    2^53 round, as the sums of every other float form do.
+
+    Free draws.  Below 2^20 the sum of r words is at most r (2^32 - 1),
+    and for 1 <= r <= floor(t) the level of t, floor(t 2^32 - r/2), is at
+    least r 2^32 - r/2 - 1/2 >= r (2^32 - 1): the first floor(t) draws
+    cannot cross.  At any t, float rounding is monotone and r 2^32 is a
+    double, so by induction a sum of r words below 2^32 is at most r 2^32;
+    for r <= t - 1 the level is at least (r + 1) 2^32 - r/2 - 1/2 >= r 2^32
+    before its rounding (r <= ``_DRAW_CAP`` < 2^33), and so after it: from
+    2^20 on, only the first floor(t) - 1 draws skip the stop test.
     """
     def split(r, mark):  # mark 2^32 - r/2 as its floor and the fraction left
         p, q = mark.as_integer_ratio()
@@ -216,18 +240,20 @@ def _integer_form(t):
         return whole, rest / (2 * q)
 
     def level(r, mark):
-        return np.int64(split(r, mark)[0])
+        return float(split(r, mark)[0])
 
-    def step(s, k, out, r):
-        s += k
+    def step(s, u, r):
+        s += u
 
     def over(s, j, out, r):
         whole, frac = split(r, t)
-        np.subtract(np.take(s, j, mode="clip"), whole, out=out)
+        np.take(s, j, out=out, mode="clip")
+        out -= whole
         out -= frac
         out *= 2.0**-32
 
-    return _Form(0, math.floor(t), step, over, level, "q", 2.7)
+    free = math.floor(t) if t < _EXACT_T else math.floor(t) - 1
+    return _Form(0.0, free, step, True, over, level, 2.7)
 
 
 def _product_form(t):
@@ -238,14 +264,15 @@ def _product_form(t):
     product of r factors x + c, P c^r, is above e^L c^r.  A sum takes S *=
     k + c'', c'' = 1/2 + c 2^32 (``_FOLD``), which is exact: c 2^32 is, and
     its ulp, 2^-21, divides 1/2.  So k + c'' = 2^32 (x + c) and fl(k + c'')
-    = 2^32 fl(x + c), one add with the word's conversion inside it.  Every
-    other scaling below is by an exact power of two as well, so after r
-    draws S is the plain product of the fl(x + c) times 2^E_r, bit for bit,
-    and its level for L is e^L c^r times the same 2^E_r: the comparisons
-    and the overshoots, log1p((S - V)/V) at V = the level of t, are the
-    plain product's.  The levels compute c^r as (e-1)^-r renormalized by a
-    power of two every ``_CPOW`` draws (c^``_CPOW`` is about 2^-800), so
-    for r < ``_CPOW`` a level is the plain e^L c^r times 2^E_r, bit for bit.
+    = 2^32 fl(x + c), one add in place to the word, which the kernel has
+    made a double exactly (k < 2^32).  Every other scaling below is by an
+    exact power of two as well, so after r draws S is the plain product of
+    the fl(x + c) times 2^E_r, bit for bit, and its level for L is e^L c^r
+    times the same 2^E_r: the comparisons and the overshoots, log1p((S -
+    V)/V) at V = the level of t, are the plain product's.  The levels
+    compute c^r as (e-1)^-r renormalized by a power of two every ``_CPOW``
+    draws (c^``_CPOW`` is about 2^-800), so for r < ``_CPOW`` a level is the
+    plain e^L c^r times 2^E_r, bit for bit.
 
     The scale keeps sums and levels normal doubles.  With R = ``_RESCALE``
     and lambda = 32 + log2 c (about 31.22), sums start at 2^-h_0 and take
@@ -283,8 +310,9 @@ def _product_form(t):
         return math.ldexp(math.exp(mark) * cpows[k] * _C**j,
                           32 * r - h(r // _RESCALE) - gained(k))
 
-    def step(s, k, out, r):
-        s *= np.add(k, _FOLD, out=out)
+    def step(s, u, r):
+        u += _FOLD
+        s *= u
         if r % _RESCALE == 0:
             s *= 2.0 ** (h(r // _RESCALE - 1) - h(r // _RESCALE))
 
@@ -295,7 +323,7 @@ def _product_form(t):
         out /= v
         np.log1p(out, out=out)
 
-    return _Form(2.0 ** -h(0), max(math.floor(t) - 1, 0), step, over, level, "d", 2.9)
+    return _Form(2.0 ** -h(0), max(math.floor(t) - 1, 0), step, False, over, level, 2.9)
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -459,14 +487,18 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     is past.
 
     Each round draws one 32-bit word k per surviving path (``_draw``), for
-    the uniform x = (k + 1/2) 2^-32, and each sum steps by the words in the
-    ``_Form`` that ``_form`` builds for it, once per block.  Every surviving
-    path has taken r draws in round r, so each round tests every sum
-    against one level per sum and threshold, the form's ``level(r, t)``.
-    No sum can cross within its form's free draws, so the first rounds, as
-    many as the fewest free draws of the path's sums (at most
-    ``_DRAW_CAP``, past which the cap check trips before the next draw),
-    only draw and step.
+    the uniform x = (k + 1/2) 2^-32, converts the words to doubles in the
+    float scratch array ``u`` once, and each sum steps on ``u`` in the
+    ``_Form`` that ``_form`` builds for it, once per block.  The base sum
+    steps first: when its step only reads ``u`` (``_Form.reads``), as
+    identity's does in the coupled pass, the dominating sum's step reads the
+    same doubles and may overwrite them; after a base step that overwrites
+    them, the kernel converts the words again.  Every surviving path has
+    taken r draws in round r, so each round tests every sum against one
+    level per sum and threshold, the form's ``level(r, t)``.  No sum can
+    cross within its form's free draws, so the first rounds, as many as the
+    fewest free draws of the path's sums (at most ``_DRAW_CAP``, past which
+    the cap check trips before the next draw), only draw and step.
 
     A path leaves once every sum of it has crossed.  The m surviving paths
     hold slots [0, m), and a round's h leavers retire in O(h) work: the live
@@ -482,25 +514,22 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     measured faster than listing every crossing, while listing them again
     slowed the gathering passes.  The working arrays come from the pass
     workspace ``ws`` (fresh ones when it is None; each ``over`` is one of
-    them): the float scratch array ``u``, and per sum its array, in the type
-    code of its form, an overshoot array (none counted only) and a bool
-    array.  Once the rounds end, only the stop counts and overshoots are
-    live: with a workspace, the kernel leaves on it as ``ws.spare`` the
-    arrays ``_summary`` bins overshoots in, ``u``, the first sum array
-    viewed as ``intp`` and the first bool array, so a binned pass holds one
-    set of arrays per thread.  The words come fresh each round from
-    ``random_raw``, which has no ``out=``; a step that needs floats
-    (products, and x for f) writes them to ``u``, which the base's step has
-    left by the time the dominating sum's begins.  A crossed dominating sum
-    turns void: -inf in a float array, the least int64 in an integer one.
-    Every sum is >= 0, steps keep a void sum below 0, and no level is as
-    low, so after each round's step the level test flags only that round's
+    them): the float scratch array ``u``, and per sum its float array, an
+    overshoot array (none counted only) and a bool array.  Once the rounds
+    end, only the stop counts and overshoots are live: with a workspace, the
+    kernel leaves on it as ``ws.spare`` the arrays ``_summary`` bins
+    overshoots in, ``u``, the first sum array viewed as ``intp`` and the
+    first bool array, so a binned pass holds one set of arrays per thread.
+    The words come fresh each round from ``random_raw``, which has no
+    ``out=``.  A crossed dominating sum turns void, -inf (``_VOID``).  Every
+    sum is >= 0, steps keep a void sum below 0, and no level is as low, so
+    after each round's step the level test flags only that round's
     crossings; once every surviving dominating sum is void its step is
-    skipped.  A base sum
-    that crosses while its dominating sum is still live is a violation, and
-    its path stays.  While no violator is waiting, the leavers are just the
-    round's base crossings; otherwise the round's crossed base sums turn
-    void too, and the leavers are the paths whose sums are both below 0.
+    skipped.  A base sum that crosses while its dominating sum is still live
+    is a violation, and its path stays.  While no violator is waiting, the
+    leavers are just the round's base crossings; otherwise the round's
+    crossed base sums turn void too, and the leavers are the paths whose
+    sums are both below 0.
 
     The forms gather overshoots with ``np.take(..., mode="clip")``: in its
     default ``mode="raise"``, ``np.take`` with ``out=`` fills a buffer and
@@ -511,24 +540,26 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
     if len(forms) == 1:
         (f1,), f2 = forms, None
         if overshoots:
-            u, s1, over1, d1 = _arrays(ws, n, f"d{f1.code}d?")
+            u, s1, over1, d1 = _arrays(ws, n, "ddd?")
         else:
-            (u, s1, d1), over1 = _arrays(ws, n, f"d{f1.code}?"), None
+            (u, s1, d1), over1 = _arrays(ws, n, "dd?"), None
         s2 = d2 = None
     else:
         f1, f2 = forms
-        u, s1, over1, d1, s2, over2, d2 = _arrays(ws, n, f"d{f1.code}d?{f2.code}d?")
+        u, s1, over1, d1, s2, over2, d2 = _arrays(ws, n, "ddd?dd?")
         s2.fill(f2.start)
-        void1, void2 = _VOID[f1.code], _VOID[f2.code]
     s1.fill(f1.start)
     passed = [[[0] for _ in marks] for _ in forms]  # running counts past each mark
     gone1 = gone2 = 0  # surviving paths whose base / dominating sum is void
     free = min(min(f.free for f in forms), _DRAW_CAP)
     for r in range(1, free + 1):
         k = _draw(rng, n)
-        f1.step(s1, k, u, r)
+        np.copyto(u, k)
+        f1.step(s1, u, r)
         if f2 is not None:
-            f2.step(s2, k, u, r)
+            if not f1.reads:
+                np.copyto(u, k)
+            f2.step(s2, u, r)
         if marks:
             _tally(passed, forms, marks, r, n, n, ((s1, 0, d1), (s2, 0, d2)))
     r = free
@@ -542,18 +573,21 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
                 f"path exceeded {_DRAW_CAP} draws; transform increments are "
                 f"effectively zero"
             )
-        k = _draw(rng, m)
+        k, x = _draw(rng, m), u[:m]
+        np.copyto(x, k)
         base = s1[:m]
-        f1.step(base, k, u[:m], r)
+        f1.step(base, x, r)
         if f2 is not None:
             dom = s2[:m]
             if gone2 < m:
-                f2.step(dom, k, u[:m], r)
+                if not f1.reads:
+                    np.copyto(x, k)
+                f2.step(dom, x, r)
                 j = np.flatnonzero(np.greater(dom, f2.level(r, t), out=d2[:m]))
                 stopped[1].append(j.size)
                 if j.size:
                     f2.over(dom, j, over2[n - m + gone2 : n - m + gone2 + j.size], r)
-                    dom[j] = void2
+                    dom[j] = _VOID
                     gone2 += j.size
         leave = np.greater(base, f1.level(r, t), out=d1[:m])
         if over1 is None:
@@ -568,7 +602,7 @@ def _kernel(specs, t, n, rng, ws=None, marks=(), overshoots=True):
             fresh = hit - int(np.count_nonzero(dom[j] < 0))
             violations += fresh
             if gone1 or fresh:
-                base[j] = void1
+                base[j] = _VOID
                 np.logical_and(np.less(base, 0, out=leave), np.less(dom, 0, out=d2[:m]), out=leave)
                 gone1 += hit
                 j = np.flatnonzero(leave)

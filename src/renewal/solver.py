@@ -98,15 +98,21 @@ _RATE = math.e / (math.e - 1.0)
 # stretch's history slopes and blocks included, from solves of 10- and
 # 40-knot transforms against identity's) plus 600; a blocked node, its
 # final slopes included, 81-140 ns (the most at step 1e-5; from two t_max),
-# taken as 150 ns; and each history panel's weights and recurrence spectra
-# 1.64-1.96 us at steps 1e-4 and 1e-5, taken as 2.4 us.  The cap, about
-# 300 s, holds the blocks alone to about 2e9 nodes, so the 1 GB memory cap
-# trips first.  The memory peak falls in one of two phases (traced at steps
-# 1e-5 to 1e-6 and t_max 1e-3 to 20): the finished curve holds about 58
-# bytes per node (charged 64); before it, the panel weights and spectra
-# hold 189-239 bytes per panel (peak RSS 238-250 at step 1e-6; charged 256)
-# beside the march's buffers, 21-28 bytes per node (charged 32).
+# taken as 150 ns; each history panel's weights and recurrence spectra
+# 1.64-1.96 us at steps 1e-4 and 1e-5, taken as 2.4 us; and each solve,
+# whatever its size, 1.1 ms: at step 1e-2, where the terms above charge
+# 0.69-1.17 ms, whole solves of identity, logproduct, power:0.5 and a
+# 4-knot file took 1.0-1.9 ms (best of 15 after a warm-up), most of it the
+# panel quadrature's set-up, which the per-panel price does not cover at
+# 100 panels.  The cap, about 300 s, holds the blocks alone to about 2e9
+# nodes, so the 1 GB memory cap trips first.  The memory peak falls in one
+# of two phases (traced at steps 1e-5 to 1e-6 and t_max 1e-3 to 20): the
+# finished curve holds about 58 bytes per node (charged 64); before it, the
+# panel weights and spectra hold 189-239 bytes per panel (peak RSS 238-250
+# at step 1e-6; charged 256) beside the march's buffers, 21-28 bytes per
+# node (charged 32).
 _WORK_UNIT_S = 100e-9
+_SOLVE_WORK = 11_000
 _STEP_OVERHEAD = 600
 _NODE_WORK = 1.5
 _PANEL_WORK = 24
@@ -320,15 +326,15 @@ def _panel_weights(spec: BijectionSpec, step: float):
 
 def _check_cost(n: int, looped: int, n_pan: int) -> None:
     """Refuse a march that costs too much: n steps, ``looped`` of them looped, n_pan panels."""
-    work = looped * (n_pan + _STEP_OVERHEAD) + n * _NODE_WORK + n_pan * _PANEL_WORK
+    work = _SOLVE_WORK + looped * (n_pan + _STEP_OVERHEAD) + n * _NODE_WORK + n_pan * _PANEL_WORK
     size = max((n + 1) * _NODE_BYTES, n_pan * _PANEL_BYTES + (n + 1) * _BUFFER_BYTES)
     causes = []
     if work > _MAX_MARCH_WORK:
         causes.append(
             f"march work {work:.3g} ({looped} looped steps * ({n_pan} panels + "
             f"{_STEP_OVERHEAD}) + {n} blocked nodes * {_NODE_WORK} + {n_pan} panels * "
-            f"{_PANEL_WORK}, about {work * _WORK_UNIT_S:.3g} s) exceeds the cap of "
-            f"{_MAX_MARCH_WORK:.0e}"
+            f"{_PANEL_WORK} + {_SOLVE_WORK} per solve, about {work * _WORK_UNIT_S:.3g} s) "
+            f"exceeds the cap of {_MAX_MARCH_WORK:.0e}"
         )
     if size > _MAX_MARCH_BYTES:
         causes.append(

@@ -214,6 +214,18 @@ class TestWorkerInvariance:
         assert _record_fields(got[0][1]) == _record_fields(ident)
         assert got[0][2].k_counts.sum() == got[0][2].hist_counts.sum() == 20_001
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coupled_records_past_the_product_cutoff(self, workers):
+        # at t = 750 logproduct runs log1p sums, whose step overwrites the
+        # round's words once identity's has read them
+        violations, ident, logp = mc._coupled(750.0, 3001, 42, workers, bins=50)
+        want = mc.simulate(Identity(), 750.0, 3001, 42, workers, bins=50)
+        assert violations == 0
+        fields = ("spec", "t", "samples", "seed")
+        assert [getattr(ident, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert _record_fields(ident) == _record_fields(want)
+        assert logp.k_counts.sum() == logp.hist_counts.sum() == 3001
+
     def test_block_b_walks_stream_b(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK", 4096)
         rec = mc.simulate(LogProduct(), 2.0, 10_000, seed=6, workers=3)
@@ -571,6 +583,48 @@ class TestKernel:
         assert stopped.tolist() == np.bincount(first).tolist()
         assert over.tolist() == want
 
+    @pytest.mark.parametrize("t", [2.0**20 - 2.0**-12, 1048575.3])
+    def test_identity_levels_and_overshoots_near_2_52(self, t):
+        # below t = 2^20 every level, and every sum from just past the level
+        # of t to a full word past it, is an integer below 2^53: each level
+        # is the exact floor, and each overshoot the exact one rounded once
+        form = mc._form(Identity(), t)
+        assert form.free == math.floor(t)
+        for r in (1, 2, 3, 2**20 - 1, 2**20):
+            for mark in (0.0, 1.0, t / 2, t):
+                assert form.level(r, mark) == math.floor(Fraction(mark) * 2**32 - Fraction(r, 2))
+            level = form.level(r, t)
+            s = np.array([level + d for d in (1.0, 2.0, 2.0**31 + 1, 2.0**32 - 1, 2.0**32)])
+            assert 2**51 < level < 2**52 < s[-1] < 2**53
+            out = np.empty(s.size)
+            form.over(s, np.arange(s.size), out, r)
+            exact = [(Fraction(int(x)) + Fraction(r, 2) - Fraction(t) * 2**32) / 2**32 for x in s]
+            assert out.tolist() == [float(e) for e in exact]
+
+    @pytest.mark.parametrize("t", [2.0**20, 2.0**25 + 0.7, 1e8])
+    def test_identity_free_draws_from_2_20(self, t):
+        # from t = 2^20 on sums and levels may round; a sum of r words is at
+        # most r 2^32, and for r = floor(t) - 1, the last free draw, the
+        # level of t is no lower
+        form = mc._form(Identity(), t)
+        r = math.floor(t) - 1
+        assert form.free == r and form.level(r, t) >= r * 2.0**32
+
+    def test_identity_step_only_reads_the_words(self):
+        # the coupled pass steps identity first and then logproduct on the
+        # same doubles, so identity's step must leave them as it found them
+        form, n = mc._form(Identity(), 20.0), 1001
+        assert form.reads
+        others = [mc._form(s, t) for s in (LogProduct(), Power(0.5)) for t in (20.0, 750.0)]
+        assert not any(f.reads for f in others)
+        rng, s, want = mc._stream(13, 0), np.full(n, form.start), np.zeros(n, np.int64)
+        for r in range(1, 4):
+            k = mc._draw(rng, n)
+            u = k.astype(np.float64)
+            form.step(s, u, r)
+            want += k
+            assert u.tolist() == k.tolist() and s.tolist() == want.tolist()
+
     @pytest.mark.parametrize("t, draws", [(20.0, 80), (700.0, 1300)])
     def test_folded_products_are_the_plain_products(self, t, draws):
         # 300 products stepped in their form, crossed or not, against S *= x
@@ -583,7 +637,8 @@ class TestKernel:
         first, first_plain = np.zeros(n, np.int64), np.zeros(n, np.int64)
         for r in range(1, draws + 1):
             k = mc._draw(rng, n)
-            form.step(s, k, u, r)
+            np.copyto(u, k)
+            form.step(s, u, r)
             plain *= _x(k) + c
             (frac, exp), (frac_plain, exp_plain) = np.frexp(s), np.frexp(plain)
             assert (frac == frac_plain).all() and (exp - exp_plain == exp[0] - exp_plain[0]).all()
@@ -606,7 +661,8 @@ class TestKernel:
         form = mc._form(LogProduct(), t)
         s, u, k = np.full(1, form.start), np.empty(1), np.full(1, word, dtype=np.uint32)
         for r in range(1, 3001):
-            form.step(s, k, u, r)
+            np.copyto(u, k)
+            form.step(s, u, r)
             level = form.level(r, t)
             assert 2.0**-0.5 * (1.0 - 1e-12) <= level <= 2.0**469
             assert all(form.level(r, mark) >= 2.0**-1011 for mark in (0.0, 1.0, 350.0))
@@ -767,11 +823,11 @@ class TestWorkspace:
         monkeypatch.setattr(mc, "_arrays", recording)
         if kind == "paired":
             mc.paired_domination(2.0, _N_GOLDEN, seed=1, workers=workers)
-            per_block = ["dqd?dd?"]
+            per_block = ["ddd?dd?"]
         elif kind == "paired_bins":
             # both sums are binned in the kernel's own arrays
             mc._coupled(2.0, _N_GOLDEN, 1, workers, bins=50)
-            per_block = ["dqd?dd?"]
+            per_block = ["ddd?dd?"]
         elif kind == "simulate":
             # the histogram is counted in the kernel's arrays, not a set of its own
             mc.simulate(LogProduct(), 2.0, _N_GOLDEN, seed=1, workers=workers, bins=10)

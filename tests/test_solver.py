@@ -602,6 +602,7 @@ class TestSolveValidation:
             solve(rw.Identity(), 4e4, 1e-5)
         msg = str(err.value)
         assert msg.startswith("march work 6e+09 (6 looped steps") and "exceeds the cap of 3e+09" in msg
+        assert f"+ {solver._SOLVE_WORK} per solve, about 600 s)" in msg
         assert "take about 256 GB, over the cap of 1 GB" in msg
 
     def test_panel_cap_refuses_before_the_weights(self, monkeypatch):
